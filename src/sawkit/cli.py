@@ -1,12 +1,12 @@
 """Batch command-line front end.
 
-Subcommands: fit-resonance, fit-tempsweep, fit-powersweep, xps-quant, afm,
-walkoff, synth.  Every command is deterministic given its inputs and
-``--seed``; reports are canonical JSON (sorted keys, newline-terminated) and
-plots are deterministic SVG, so reruns are byte-identical and diffs in CI
-stay meaningful.  With ``--keep-going`` a failing input produces an
-``<stem>.error.json`` record and the batch continues; the exit code is 0
-only when every input processed cleanly.
+fit-resonance, fit-tempsweep, fit-powersweep, afm and walkoff analyze each
+input on its own through one batch driver; xps-quant combines its inputs
+into one report; synth writes fixture files from ``--seed``.  Reports are
+canonical JSON (sorted keys, newline-terminated) and plots deterministic SVG,
+so reruns are byte-identical and diffs in CI stay meaningful.  A failing
+input produces an ``<stem>.error.json`` record and, with ``--keep-going``,
+the batch continues; the exit code is 0 only when every input succeeded.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import afm as afm_mod
 from . import resonance, spectra, tls, walkoff, xps
-from .errors import SawkitError
+from .errors import ParseError, SawkitError, ValidationError
 from .svg import Panel, render_panels
 
 TWO_PI = 2.0 * np.pi
@@ -48,22 +48,37 @@ def _gather_inputs(paths):
     return files
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out)
+def _write_report(args, name, report, panels=None):
+    """Write ``<name>.json`` and, under --emit-svg, the plot ``panels()`` builds."""
+    out = Path(args.out)
+    _write_atomic(out / f"{name}.json", _canonical_json(report))
+    if panels is not None and args.emit_svg:
+        _write_atomic(out / f"{name}.svg", render_panels(panels()))
 
 
-def _run_batch(args, files, process_one):
-    """Apply ``process_one`` per input, honoring --keep-going; return exit code."""
+def _write_error(args, name, exc, source=None):
+    """Record a failure as ``<name>.error.json`` and report it on stderr."""
+    record = {"error": str(exc)}
+    if source is not None:
+        record["input"] = str(source)
+    _write_atomic(Path(args.out) / f"{name}.error.json", _canonical_json(record))
+    print(f"error: {source or name}: {exc}", file=sys.stderr)
+
+
+def _run_batch(args, suffix, analyze):
+    """Analyze every input file on its own, honoring --keep-going.
+
+    ``analyze(text)`` returns ``(report, panels)``; the report goes to
+    ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``.
+    Returns the exit code: 0 only when every input succeeded.
+    """
     failures = 0
-    for f in files:
+    for f in _gather_inputs(args.inputs):
         try:
-            process_one(f)
+            _write_report(args, f"{f.stem}.{suffix}", *analyze(f.read_text()))
         except (SawkitError, OSError) as exc:
             failures += 1
-            record = {"input": str(f), "error": str(exc)}
-            _write_atomic(_out_dir(args) / f"{f.stem}.error.json",
-                          _canonical_json(record))
-            print(f"error: {f}: {exc}", file=sys.stderr)
+            _write_error(args, f.stem, exc, source=f)
             if not args.keep_going:
                 return 1
     return 1 if failures else 0
@@ -73,7 +88,7 @@ def _run_batch(args, files, process_one):
 # fit-resonance
 # ---------------------------------------------------------------------------
 
-def _resonance_svg(spectrum, result):
+def _resonance_panels(spectrum, result):
     freq = spectrum.frequencies_hz
     fit = resonance.eval_s11(result.params, freq)
     mag = Panel(title="reflection magnitude", xlabel="frequency (Hz)",
@@ -84,23 +99,18 @@ def _resonance_svg(spectrum, result):
                ylabel="arg S11 (rad)")
     ph.add_points(freq, np.unwrap(np.angle(spectrum.values)), label="data")
     ph.add_line(freq, np.unwrap(np.angle(fit)), label="fit")
-    return render_panels([mag, ph])
+    return [mag, ph]
 
 
 def cmd_fit_resonance(args) -> int:
-    files = _gather_inputs(args.inputs)
     model = "dark_mode" if args.model == "dark" else "lorentzian"
 
-    def process(f):
-        spectrum = spectra.parse_s11_csv(f.read_text())
+    def analyze(text):
+        spectrum = spectra.parse_s11_csv(text)
         result = resonance.fit_resonance(spectrum, model_kind=model)
-        _write_atomic(_out_dir(args) / f"{f.stem}.fit.json",
-                      _canonical_json(result.to_json_dict()))
-        if args.emit_svg:
-            _write_atomic(_out_dir(args) / f"{f.stem}.fit.svg",
-                          _resonance_svg(spectrum, result))
+        return result.to_json_dict(), lambda: _resonance_panels(spectrum, result)
 
-    return _run_batch(args, files, process)
+    return _run_batch(args, "fit", analyze)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +118,11 @@ def cmd_fit_resonance(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fit_tempsweep(args) -> int:
-    files = _gather_inputs(args.inputs)
-
-    def process(f):
-        series = spectra.parse_tempsweep_csv(f.read_text())
+    def analyze(text):
+        series = spectra.parse_tempsweep_csv(text)
         result = tls.fit_fdelta(series)
-        _write_atomic(_out_dir(args) / f"{f.stem}.tls.json",
-                      _canonical_json(result.to_json_dict()))
-        if args.emit_svg:
+
+        def panels():
             t = series.temperatures_k
             shift = series.f0_hz / result.f0_hz - 1.0
             grid = np.linspace(t.min(), t.max(), 200)
@@ -126,21 +133,19 @@ def cmd_fit_tempsweep(args) -> int:
                           ylabel="relative shift")
             panel.add_points(t, shift, label="data")
             panel.add_line(grid, model, label="fit")
-            _write_atomic(_out_dir(args) / f"{f.stem}.tls.svg",
-                          render_panels([panel]))
+            return [panel]
 
-    return _run_batch(args, files, process)
+        return result.to_json_dict(), panels
+
+    return _run_batch(args, "tls", analyze)
 
 
 def cmd_fit_powersweep(args) -> int:
-    files = _gather_inputs(args.inputs)
-
-    def process(f):
-        series = spectra.parse_powersweep_csv(f.read_text())
+    def analyze(text):
+        series = spectra.parse_powersweep_csv(text)
         result = tls.fit_power_sweep(series, fixed_beta=args.fixed_beta)
-        _write_atomic(_out_dir(args) / f"{f.stem}.power.json",
-                      _canonical_json(result.to_json_dict()))
-        if args.emit_svg:
+
+        def panels():
             n = series.mean_phonon_number
             grid = np.geomspace(n.min(), n.max(), 200)
             panel = Panel(title="TLS power saturation",
@@ -148,10 +153,11 @@ def cmd_fit_powersweep(args) -> int:
             panel.add_points(np.log10(n), series.qi, label="data")
             panel.add_line(np.log10(grid),
                            tls.qi_power_model(result.params, grid), label="fit")
-            _write_atomic(_out_dir(args) / f"{f.stem}.power.svg",
-                          render_panels([panel]))
+            return [panel]
 
-    return _run_batch(args, files, process)
+        return result.to_json_dict(), panels
+
+    return _run_batch(args, "power", analyze)
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +165,29 @@ def cmd_fit_powersweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_xps_config(path):
-    cfg = json.loads(Path(path).read_text()) if path else {}
+    try:
+        cfg = json.loads(Path(path).read_text()) if path else {}
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config {path}: {exc}") from None
     table = xps.SensitivityTable(cfg["sensitivity"]) if "sensitivity" in cfg \
         else xps.SensitivityTable.default()
-    windows = cfg.get("windows", {})
     band_cfg = {}
     for line, bands in cfg.get("bands", {}).items():
+        if any("center_ev" not in b for b in bands):
+            raise ValidationError(f"config: every {line} band needs a center_ev")
         band_cfg[line] = xps.BandModel(tuple(
             xps.Band(center_ev=b["center_ev"], sigma_ev=b.get("sigma_ev", 0.6),
                      gamma_ev=b.get("gamma_ev", 0.5), mix=b.get("mix", 0.3),
                      center_bound_ev=b.get("center_bound_ev", 0.5))
             for b in bands))
-    return table, windows, band_cfg, cfg
+    return table, cfg.get("windows", {}), band_cfg
 
 
 def cmd_xps_quant(args) -> int:
-    files = _gather_inputs(args.inputs)
-    table, windows, band_cfg, cfg = _load_xps_config(args.config)
-    tol = cfg.get("shirley_tol", 1e-6)
-    max_iter = cfg.get("shirley_max_iter", 50)
-
     try:
-        parsed = [spectra.parse_xps_csv(f.read_text()) for f in files]
+        table, windows, band_cfg = _load_xps_config(args.config)
+        parsed = [spectra.parse_xps_csv(f.read_text())
+                  for f in _gather_inputs(args.inputs)]
         if not parsed:
             raise SawkitError("no XPS spectra found")
         if args.no_charge_shift:
@@ -191,21 +198,16 @@ def cmd_xps_quant(args) -> int:
         band_areas = {}
         panels = []
         for sp in shifted:
-            asc = sp.ascending()
-            window = windows.get(sp.element_line,
-                                 (float(asc.binding_energy_ev[0]),
-                                  float(asc.binding_energy_ev[-1])))
-            sh = xps.shirley_background(sp, window, tol=tol, max_iter=max_iter)
-            sel = (asc.binding_energy_ev >= sh.binding_energy_ev[0]) & \
-                  (asc.binding_energy_ev <= sh.binding_energy_ev[-1])
-            net = asc.counts[sel] - sh.background
-            areas[sp.element_line] = max(float(np.trapezoid(net, sh.binding_energy_ev)), 0.0)
+            be = sp.ascending().binding_energy_ev
+            window = windows.get(sp.element_line, (float(be[0]), float(be[-1])))
+            sh = xps.shirley_background(sp, window)
+            areas[sp.element_line] = max(sh.area, 0.0)
             panel = Panel(title=f"{sp.element_line}", xlabel="binding energy (eV)",
                           ylabel="counts")
-            panel.add_line(sh.binding_energy_ev, asc.counts[sel], label="data")
+            panel.add_line(sh.binding_energy_ev, sh.counts, label="data")
             panel.add_line(sh.binding_energy_ev, sh.background, label="background")
             if sp.element_line in band_cfg:
-                fit = xps.fit_bands(sh.binding_energy_ev, net, band_cfg[sp.element_line])
+                fit = xps.fit_bands(sh.binding_energy_ev, sh.net, band_cfg[sp.element_line])
                 band_areas[sp.element_line] = [float(a) for a in fit.areas]
                 panel.add_line(sh.binding_energy_ev,
                                sh.background + fit.model.evaluate(sh.binding_energy_ev),
@@ -215,13 +217,9 @@ def cmd_xps_quant(args) -> int:
         doc = report.to_json_dict()
         doc["charge_shift_ev"] = shift
         doc["areas"] = {k: float(v) for k, v in areas.items()}
-        _write_atomic(_out_dir(args) / "xps_quant.json", _canonical_json(doc))
-        if args.emit_svg:
-            _write_atomic(_out_dir(args) / "xps_quant.svg", render_panels(panels))
+        _write_report(args, "xps_quant", doc, lambda: panels)
     except (SawkitError, OSError) as exc:
-        _write_atomic(_out_dir(args) / "xps_quant.error.json",
-                      _canonical_json({"error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
+        _write_error(args, "xps_quant", exc)
         return 1
     return 0
 
@@ -231,21 +229,21 @@ def cmd_xps_quant(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_level_points(text):
-    pts = []
-    for chunk in text.split():
-        x, y = chunk.split(",")
-        pts.append((int(x), int(y)))
-    if len(pts) != 3:
-        raise SawkitError("--level-points needs exactly three x,y pairs")
+    try:
+        pts = [tuple(int(v) for v in chunk.split(",")) for chunk in text.split()]
+    except ValueError:
+        pts = None
+    if pts is None or len(pts) != 3 or any(len(p) != 2 for p in pts):
+        raise ValidationError(
+            f"--level-points needs exactly three integer x,y pairs, got {text!r}")
     return pts
 
 
 def cmd_afm(args) -> int:
-    files = _gather_inputs(args.inputs)
     rq_values = []
 
-    def process(f):
-        image = spectra.parse_afm_grid(f.read_text())
+    def analyze(text):
+        image = spectra.parse_afm_grid(text)
         flattened = afm_mod.remove_line_tilt(image, order=args.order)
         rq = afm_mod.rms_roughness(flattened)
         rq_values.append(rq)
@@ -255,31 +253,33 @@ def cmd_afm(args) -> int:
             hist_img = afm_mod.three_point_level(image,
                                                  *_parse_level_points(args.level_points))
             doc["leveled"] = True
+        steps = None
         if args.fit_steps:
             steps = afm_mod.fit_step_heights(hist_img)
             doc["steps"] = steps.to_json_dict()
-        _write_atomic(_out_dir(args) / f"{f.stem}.afm.json", _canonical_json(doc))
-        if args.emit_svg:
+
+        def panels():
             centers, counts = afm_mod.height_histogram(hist_img)
             panel = Panel(title="height histogram", xlabel="height (m)",
                           ylabel="pixels")
             panel.add_line(centers, counts, label="histogram")
-            if args.fit_steps:
+            if steps is not None:
                 grid = np.linspace(centers.min(), centers.max(), 400)
                 total = np.zeros_like(grid)
                 for mu, sig in zip(steps.centers_m, steps.sigmas_m):
                     amp = counts[np.argmin(np.abs(centers - mu))]
                     total += amp * np.exp(-0.5 * ((grid - mu) / sig) ** 2)
                 panel.add_line(grid, total, label="3-gaussian fit")
-            _write_atomic(_out_dir(args) / f"{f.stem}.afm.svg",
-                          render_panels([panel]))
+            return [panel]
 
-    code = _run_batch(args, files, process)
+        return doc, panels
+
+    code = _run_batch(args, "afm", analyze)
     if len(rq_values) > 1:
         summary = {"n_images": len(rq_values),
                    "r_q_mean_m": float(np.mean(rq_values)),
                    "r_q_std_m": float(np.std(rq_values, ddof=1))}
-        _write_atomic(_out_dir(args) / "afm_summary.json", _canonical_json(summary))
+        _write_report(args, "afm_summary", summary)
     return code
 
 
@@ -288,10 +288,8 @@ def cmd_afm(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_walkoff(args) -> int:
-    files = _gather_inputs(args.inputs)
-
-    def process(f):
-        curve = spectra.parse_walkoff_csv(f.read_text())
+    def analyze(text):
+        curve = spectra.parse_walkoff_csv(text)
         smoothed = walkoff.smooth_curve(curve, args.half_width) \
             if args.half_width > 0 else curve
         zeros = walkoff.find_zero_crossings(smoothed)
@@ -301,8 +299,8 @@ def cmd_walkoff(args) -> int:
             "tangencies": [{"theta_deg": t, "eta_deg": e} for t, e in tangencies],
             "half_width": args.half_width,
         }
-        _write_atomic(_out_dir(args) / f"{f.stem}.walkoff.json", _canonical_json(doc))
-        if args.emit_svg:
+
+        def panels():
             panel = Panel(title="beam steering", xlabel="drive angle (deg)",
                           ylabel="walk-off (deg)")
             panel.add_line(curve.theta_deg, curve.eta_deg, label="raw")
@@ -310,10 +308,11 @@ def cmd_walkoff(args) -> int:
                 panel.add_line(smoothed.theta_deg, smoothed.eta_deg, label="smoothed")
             for z in zeros:
                 panel.add_vline(z.theta_deg)
-            _write_atomic(_out_dir(args) / f"{f.stem}.walkoff.svg",
-                          render_panels([panel]))
+            return [panel]
 
-    return _run_batch(args, files, process)
+        return doc, panels
+
+    return _run_batch(args, "walkoff", analyze)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def cmd_walkoff(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = Path(args.output) if args.output else _out_dir(args) / f"{args.kind}.csv"
+    out = Path(args.output) if args.output else Path(args.out) / f"{args.kind}.csv"
     if args.kind == "s11":
         w0 = TWO_PI * args.f0_hz
         kappa_e = w0 / args.qe
@@ -374,45 +373,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sawkit",
         description="Batch analyses for SAW-resonator surface characterization")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed for anything stochastic")
-    common.add_argument("--keep-going", action="store_true",
-                        help="continue the batch past failing inputs")
-    common.add_argument("--emit-svg", action="store_true",
-                        help="also write SVG plots next to the JSON reports")
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current directory)")
+    batch = argparse.ArgumentParser(add_help=False, parents=[common])
+    batch.add_argument("inputs", nargs="+", help="input files or directories")
+    batch.add_argument("--keep-going", action="store_true",
+                       help="continue the batch past failing inputs")
+    batch.add_argument("--emit-svg", action="store_true",
+                       help="also write SVG plots next to the JSON reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-resonance", parents=[common],
+    p = sub.add_parser("fit-resonance", parents=[batch],
                        help="fit S11 traces to the resonance model")
-    p.add_argument("inputs", nargs="+", help="S11 CSV files or directories")
     p.add_argument("--model", choices=("lorentzian", "dark"), default="lorentzian")
     p.set_defaults(func=cmd_fit_resonance)
 
-    p = sub.add_parser("fit-tempsweep", parents=[common],
+    p = sub.add_parser("fit-tempsweep", parents=[batch],
                        help="extract the TLS loss product from temperature sweeps")
-    p.add_argument("inputs", nargs="+")
     p.set_defaults(func=cmd_fit_tempsweep)
 
-    p = sub.add_parser("fit-powersweep", parents=[common],
+    p = sub.add_parser("fit-powersweep", parents=[batch],
                        help="fit the TLS power-saturation model")
-    p.add_argument("inputs", nargs="+")
     p.add_argument("--fixed-beta", type=float, default=None,
                    help="hold the saturation exponent at this value")
     p.set_defaults(func=cmd_fit_powersweep)
 
-    p = sub.add_parser("xps-quant", parents=[common],
+    p = sub.add_parser("xps-quant", parents=[batch],
                        help="quantify a directory of per-line XPS CSVs")
-    p.add_argument("inputs", nargs="+", help="XPS CSV files or directories")
     p.add_argument("--config", default=None,
                    help="JSON with sensitivity table, windows, and band models")
     p.add_argument("--no-charge-shift", action="store_true",
                    help="skip Nb3d5/2 charge referencing")
     p.set_defaults(func=cmd_xps_quant)
 
-    p = sub.add_parser("afm", parents=[common], help="analyze AFM height grids")
-    p.add_argument("inputs", nargs="+")
+    p = sub.add_parser("afm", parents=[batch], help="analyze AFM height grids")
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=1,
                    help="per-row polynomial order for tilt removal")
     p.add_argument("--level-points", default=None, metavar="'x1,y1 x2,y2 x3,y3'",
@@ -421,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit terrace step heights from the height histogram")
     p.set_defaults(func=cmd_afm)
 
-    p = sub.add_parser("walkoff", parents=[common],
+    p = sub.add_parser("walkoff", parents=[batch],
                        help="find zero-steering drive angles in walk-off curves")
-    p.add_argument("inputs", nargs="+")
     p.add_argument("--half-width", type=int, default=0,
                    help="moving-average half width (0 = no smoothing)")
     p.set_defaults(func=cmd_walkoff)
@@ -431,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common],
                        help="generate deterministic fixture files")
     p.add_argument("kind", choices=("s11", "tempsweep", "powersweep", "afm"))
+    p.add_argument("--seed", type=int, default=0, help="random seed of the noise")
     p.add_argument("--output", default=None, help="output file path")
     p.add_argument("--f0-hz", type=float, default=688.4e6)
     p.add_argument("--qi", type=float, default=6.8e3)

@@ -15,6 +15,12 @@ from .errors import FitError
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
+#: Levenberg-Marquardt settings; :func:`fit_least_squares` says how each acts
+MAX_ITER = 200
+COST_TOL = 1e-10
+STEP_TOL = 1e-12
+LAM0 = 1e-3
+
 
 @dataclass
 class LeastSquaresResult:
@@ -24,7 +30,6 @@ class LeastSquaresResult:
     residual: np.ndarray
     cost: float
     n_iterations: int
-    converged: bool
     # Costs of the accepted states, starting at the initial point.  Strictly
     # non-increasing: only downhill steps are ever accepted.
     cost_history: list = field(default_factory=list)
@@ -62,20 +67,19 @@ def _damped_step(a, g, d, lam):
         return np.linalg.lstsq(a + lam * np.diag(d), -g, rcond=None)[0]
 
 
-def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None,
-                      max_iter=200, cost_tol=1e-10, step_tol=1e-12,
-                      lam0=1e-3):
+def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
     """Minimize ``sum(fun(p)**2)`` from ``p0`` by damped least squares.
 
     The normal equations are damped with the Marquardt scaling
-    ``(J'J + lam * diag(J'J))`` and ``lam`` is adapted: divided by 10 after an
-    accepted (downhill) step, multiplied by 10 after a rejected one.
+    ``(J'J + lam * diag(J'J))`` and ``lam``, starting at ``LAM0``, is adapted:
+    divided by 10 after an accepted (downhill) step, multiplied by 10 after a
+    rejected one.
     Convergence is declared when the relative cost decrease of an accepted
-    step falls below ``cost_tol`` or the step norm relative to the parameter
-    norm falls below ``step_tol``.  Optional ``lower``/``upper`` box bounds
+    step falls below ``COST_TOL`` or the step norm relative to the parameter
+    norm falls below ``STEP_TOL``.  Optional ``lower``/``upper`` box bounds
     are enforced by projecting trial steps.
 
-    Raises FitError if ``max_iter`` iterations pass without convergence.
+    Raises FitError if ``MAX_ITER`` iterations pass without convergence.
     """
     p = np.asarray(p0, dtype=float).copy()
     n = p.size
@@ -91,11 +95,11 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None,
         raise FitError("residual is not finite at the initial parameters")
     cost = float(r @ r)
     history = [cost]
-    lam = lam0
+    lam = LAM0
     converged = False
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         jac = numeric_jacobian(fun, p, r0=r, x_scale=x_scale)
         a = jac.T @ jac
         g = jac.T @ r
@@ -123,7 +127,7 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None,
                 p, r, cost = p_try, r_try, cost_try
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-14)
-                if rel_drop < cost_tol or step_norm < step_tol * (np.linalg.norm(p) + step_tol):
+                if rel_drop < COST_TOL or step_norm < STEP_TOL * (np.linalg.norm(p) + STEP_TOL):
                     converged = True
                 break
             lam = min(lam * 10.0, 1e15)
@@ -135,7 +139,7 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None,
             break
 
     if not converged:
-        raise FitError(f"no convergence after {max_iter} iterations "
+        raise FitError(f"no convergence after {MAX_ITER} iterations "
                        f"(cost {cost:.3e})")
 
     jac = numeric_jacobian(fun, p, r0=r, x_scale=x_scale)
@@ -148,7 +152,6 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None,
         residual=r,
         cost=cost,
         n_iterations=n_iter,
-        converged=True,
         cost_history=history,
         pinned_low=np.isfinite(lo) & (p <= lo),
         pinned_high=np.isfinite(hi) & (p >= hi),

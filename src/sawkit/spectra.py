@@ -31,10 +31,6 @@ import numpy as np
 from . import tls
 from .errors import ParseError, ValidationError
 
-#: canonical XPS element-line labels; anything else is a custom label
-KNOWN_ELEMENT_LINES = ("C1s", "O1s", "Nb3d", "Li1s")
-
-
 def _frozen_array(value, dtype=float):
     arr = np.array(value, dtype=dtype, copy=True)
     arr.setflags(write=False)
@@ -252,6 +248,17 @@ def _parse_csv_body(text, header, n_fields):
     return meta, rows
 
 
+def _meta_float(meta, key, default=None):
+    """A numeric ``# key=value`` metadata entry, or ``default`` if absent."""
+    value = meta.get(key, default)
+    if value is None:
+        raise ParseError(f"missing '# {key}=...' metadata line")
+    try:
+        return float(value)
+    except ValueError:
+        raise ParseError(f"non-numeric metadata '# {key}={value}'") from None
+
+
 def parse_s11_csv(text) -> ComplexSpectrum:
     """Parse a reflection trace.  See the module docstring for the format."""
     meta, rows = _parse_csv_body(text, ("freq_hz", "re", "im"), 3)
@@ -335,7 +342,7 @@ def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
     cols = np.array([r[1] for r in rows])
     if cols.size == 0:
         raise ParseError("no data rows")
-    t_ref = float(meta.get("reference_temperature_K", 0.200))
+    t_ref = _meta_float(meta, "reference_temperature_K", 0.200)
     try:
         return TemperatureSweepSeries(cols[:, 0], cols[:, 1], cols[:, 2],
                                       reference_temperature_k=t_ref)
@@ -353,13 +360,11 @@ def parse_powersweep_csv(text) -> PowerSweepSeries:
     cols = np.array([r[1] for r in rows])
     if cols.size == 0:
         raise ParseError("no data rows")
-    for key in ("temperature_K", "f0_hz"):
-        if key not in meta:
-            raise ParseError(f"missing '# {key}=...' metadata line")
+    temperature_k = _meta_float(meta, "temperature_K")
+    f0_hz = _meta_float(meta, "f0_hz")
     try:
         return PowerSweepSeries(cols[:, 0], cols[:, 1], cols[:, 2],
-                                temperature_k=float(meta["temperature_K"]),
-                                f0_hz=float(meta["f0_hz"]))
+                                temperature_k=temperature_k, f0_hz=f0_hz)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
 

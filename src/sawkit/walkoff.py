@@ -17,12 +17,6 @@ from .spectra import WalkoffCurve
 #: |eta| below this at a non-crossing local minimum counts as a tangency
 TANGENCY_THRESHOLD_DEG = 0.1
 
-#: known zero-steering drive orientations for x-cut lithium niobate,
-#: degrees from crystal Z.  Reference values from external anisotropy
-#: solves of the full elasticity problem; this module only rediscovers
-#: such zeros from tabulated curves.
-XCUT_LN_ZERO_STEERING_DEG = (-30.0, 75.0)
-
 
 def walkoff_from_flux(p_perp, p_par, a_perp, a_par) -> float:
     """Walk-off angle in degrees from face-integrated power flux.
@@ -122,18 +116,18 @@ def find_zero_crossings(curve: WalkoffCurve):
     return crossings
 
 
-def find_tangencies(curve: WalkoffCurve, threshold_deg=TANGENCY_THRESHOLD_DEG):
+def find_tangencies(curve: WalkoffCurve):
     """Near-zero local minima of |eta| that never change sign.
 
     Returns (theta, eta) pairs for local minima of the magnitude below
-    ``threshold_deg``, excluding genuine crossings.
+    ``TANGENCY_THRESHOLD_DEG``, excluding genuine crossings.
     """
     theta = curve.theta_deg
     mag = np.abs(curve.eta_deg)
     eta = curve.eta_deg
     out = []
     for i in range(1, theta.size - 1):
-        if mag[i] <= mag[i - 1] and mag[i] < mag[i + 1] and mag[i] < threshold_deg:
+        if mag[i] <= mag[i - 1] and mag[i] < mag[i + 1] and mag[i] < TANGENCY_THRESHOLD_DEG:
             if eta[i - 1] * eta[i + 1] > 0 and eta[i] != 0.0:
                 out.append((float(theta[i]), float(eta[i])))
             elif eta[i] == 0.0 and eta[i - 1] * eta[i + 1] > 0:

@@ -9,7 +9,6 @@ its area.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,9 +23,6 @@ NB3D52_REFERENCE_EV = 207.3
 
 #: nominal O1s band centers (eV): metal oxide, organic C=O, organic C-O
 O1S_BAND_CENTERS_EV = (530.0, 531.5, 533.0)
-
-#: alternative metal-oxide (Nb2O5) O1s position quoted in some references
-NB2O5_O1S_ALTERNATE_EV = 530.5
 
 #: Fallback relative sensitivity factors in the style of instrument-vendor
 #: handbooks.  These are generic values for demonstration only; quantitative
@@ -57,10 +53,6 @@ class SensitivityTable:
     @classmethod
     def default(cls):
         return cls(DEFAULT_SENSITIVITY_FACTORS)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(json.loads(text))
 
     def __getitem__(self, line):
         try:
@@ -100,8 +92,19 @@ def charge_shift(spectra, measured_nb3d52_ev=None):
 @dataclass(frozen=True)
 class ShirleyBackground:
     binding_energy_ev: np.ndarray  # ascending window grid
+    counts: np.ndarray             # data on that grid
     background: np.ndarray
     n_iterations: int
+
+    @property
+    def net(self):
+        """Background-subtracted counts over the window."""
+        return self.counts - self.background
+
+    @property
+    def area(self) -> float:
+        """Background-subtracted counts integrated over the window (trapezoid)."""
+        return float(np.trapezoid(self.net, self.binding_energy_ev))
 
 
 def shirley_background(spectrum: XpsSpectrum, window, tol=1e-6,
@@ -148,19 +151,13 @@ def shirley_background(spectrum: XpsSpectrum, window, tol=1e-6,
         delta = float(np.max(np.abs(new_bg - bg)))
         bg = new_bg
         if delta < tol * scale:
-            return ShirleyBackground(e, np.minimum(bg, y), iteration)
+            return ShirleyBackground(e, y, np.minimum(bg, y), iteration)
     raise FitError(f"Shirley background did not converge in {max_iter} iterations")
 
 
-def integrated_peak_area(spectrum: XpsSpectrum, window, tol=1e-6,
-                         max_iter=50) -> float:
+def integrated_peak_area(spectrum: XpsSpectrum, window) -> float:
     """Background-subtracted counts integrated over the window (trapezoid)."""
-    sh = shirley_background(spectrum, window, tol=tol, max_iter=max_iter)
-    asc = spectrum.ascending()
-    sel = (asc.binding_energy_ev >= sh.binding_energy_ev[0]) & \
-          (asc.binding_energy_ev <= sh.binding_energy_ev[-1])
-    net = asc.counts[sel] - sh.background
-    return float(np.trapezoid(net, sh.binding_energy_ev))
+    return shirley_background(spectrum, window).area
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +214,6 @@ class BandModel:
             total += b.amplitude * pseudo_voigt(x, b.center_ev, b.sigma_ev,
                                                 b.gamma_ev, b.mix)
         return total
-
-
-def o1s_default_model(amplitude=0.0):
-    """Three-band O1s model: metal oxide plus the two organic carbon bands."""
-    return BandModel(tuple(Band(center_ev=c, sigma_ev=0.6, gamma_ev=0.5,
-                                mix=0.3, amplitude=amplitude)
-                           for c in O1S_BAND_CENTERS_EV))
 
 
 @dataclass(frozen=True)

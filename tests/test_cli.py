@@ -67,29 +67,6 @@ class TestFitResonance:
         assert (out1 / "m.fit.json").read_bytes() == (out2 / "m.fit.json").read_bytes()
         assert (out1 / "m.fit.svg").read_bytes() == (out2 / "m.fit.svg").read_bytes()
 
-    def test_batch_keep_going_with_corrupt_file(self, tmp_path):
-        indir = tmp_path / "traces"
-        indir.mkdir()
-        self.synth_trace(indir, "a.csv", seed=1)
-        (indir / "b.csv").write_text("freq_hz,re,im\nnot,numeric,data\n")
-        self.synth_trace(indir, "c.csv", seed=2)
-        out = tmp_path / "results"
-        code = run(["fit-resonance", indir, "--keep-going", "--out", out])
-        assert code != 0
-        assert (out / "a.fit.json").exists()
-        assert (out / "c.fit.json").exists()
-        error = read_json(out / "b.error.json")
-        assert "b.csv" in error["input"]
-
-    def test_batch_stops_without_keep_going(self, tmp_path):
-        indir = tmp_path / "traces"
-        indir.mkdir()
-        (indir / "a.csv").write_text("freq_hz,re,im\nnot,numeric,data\n")
-        self.synth_trace(indir, "b.csv", seed=1)
-        out = tmp_path / "results"
-        assert run(["fit-resonance", indir, "--out", out]) != 0
-        assert not (out / "b.fit.json").exists()
-
     def test_emit_svg_panels(self, tmp_path):
         trace = self.synth_trace(tmp_path, "m.csv")
         assert run(["fit-resonance", trace, "--out", tmp_path, "--emit-svg"]) == 0
@@ -202,10 +179,117 @@ class TestWalkoffCommand:
         assert (tmp_path / "curve.walkoff.svg").exists()
 
 
+def write_walkoff(path, seed):
+    th = np.arange(-90.0, 91.0, 1.0)
+    eta = np.sin(np.radians(2 * (th + 30.0 + seed)))
+    path.write_text("theta_deg,eta_deg\n"
+                    + "\n".join(f"{t},{e}" for t, e in zip(th, eta)) + "\n")
+
+
+#: per-file command -> (report suffix, writer of a good input from a seed)
+PER_FILE_COMMANDS = {
+    "fit-resonance": ("fit", lambda path, seed: run(
+        ["synth", "s11", "--points", "2001", "--noise", "0.004", "--seed", seed,
+         "--output", path])),
+    "fit-tempsweep": ("tls", lambda path, seed: run(
+        ["synth", "tempsweep", "--points", "20", "--noise-hz", "10",
+         "--seed", seed, "--output", path])),
+    "fit-powersweep": ("power", lambda path, seed: run(
+        ["synth", "powersweep", "--points", "25", "--noise-frac", "0.02",
+         "--seed", seed, "--output", path])),
+    "afm": ("afm", lambda path, seed: run(
+        ["synth", "afm", "--nx", "64", "--ny", "64", "--seed", seed,
+         "--output", path])),
+    "walkoff": ("walkoff", write_walkoff),
+}
+
+
+def afm_with_level_points(points):
+    def build(tmp_path):
+        PER_FILE_COMMANDS["afm"][1](tmp_path / "g.txt", 0)
+        return ["afm", tmp_path / "g.txt", "--level-points", points, "--keep-going"], "g"
+    return build
+
+
+def xps_with_config(text):
+    """``text`` None leaves the config file missing."""
+    def build(tmp_path):
+        TestXpsQuant().write_line(tmp_path / "Nb3d.csv", "Nb3d", 207.3, 5000.0, 2)
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        return ["xps-quant", tmp_path / "Nb3d.csv", "--config", cfg], "xps_quant"
+    return build
+
+
+def sweep_with_metadata(kind, key):
+    """A sweep whose ``# key=`` metadata value is not a number."""
+    def build(tmp_path):
+        sweep = tmp_path / "s.csv"
+        run(["synth", kind, "--points", "20", "--output", sweep])
+        lines = [f"# {key}=abc" if line.startswith(f"# {key}=") else line
+                 for line in sweep.read_text().splitlines()]
+        sweep.write_text("\n".join(lines) + "\n")
+        return [f"fit-{kind}", sweep, "--keep-going"], "s"
+    return build
+
+
+#: malformed flag, config or metadata -> builder of (argv, error record stem)
+OUTSIDE_INPUT_ERRORS = {
+    "level-points-missing-coordinate": afm_with_level_points("1,2 3"),
+    "level-points-non-integer": afm_with_level_points("1,2 3,4 5,x"),
+    "band-without-center": xps_with_config(
+        json.dumps({"bands": {"Nb3d": [{"sigma_ev": 0.6}]}})),
+    "malformed-config": xps_with_config("{not json"),
+    "missing-config": xps_with_config(None),
+    "non-numeric-reference-temperature": sweep_with_metadata(
+        "tempsweep", "reference_temperature_K"),
+    "non-numeric-f0": sweep_with_metadata("powersweep", "f0_hz"),
+    "non-numeric-temperature": sweep_with_metadata("powersweep", "temperature_K"),
+}
+
+
+class TestBatchErrors:
+    @pytest.mark.parametrize("keep_going", [True, False], ids=["keep-going", "stop"])
+    @pytest.mark.parametrize("command", sorted(PER_FILE_COMMANDS))
+    def test_corrupt_input_mid_batch(self, tmp_path, command, keep_going):
+        suffix, write_good = PER_FILE_COMMANDS[command]
+        indir = tmp_path / "inputs"
+        indir.mkdir()
+        write_good(indir / "a.csv", 1)
+        (indir / "b.csv").write_text("corrupt\n")
+        write_good(indir / "c.csv", 2)
+        out = tmp_path / "results"
+        argv = [command, indir, "--out", out] + (["--keep-going"] if keep_going else [])
+        assert run(argv) == 1
+        assert (out / f"a.{suffix}.json").exists()
+        assert "b.csv" in read_json(out / "b.error.json")["input"]
+        assert (out / f"c.{suffix}.json").exists() == keep_going
+
+    @pytest.mark.parametrize("case", sorted(OUTSIDE_INPUT_ERRORS))
+    def test_outside_input_errors_are_recorded(self, tmp_path, case):
+        argv, name = OUTSIDE_INPUT_ERRORS[case](tmp_path)
+        out = tmp_path / "results"
+        assert run(argv + ["--out", out]) == 1
+        assert read_json(out / f"{name}.error.json")["error"]
+
+
 class TestParserStrictness:
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["synth", "s11", "--frobnicate", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-resonance", "t.csv", "--seed", "1"],
+        ["xps-quant", "xps", "--seed", "1"],
+        ["synth", "s11", "--keep-going"],
+        ["synth", "s11", "--emit-svg"],
+    ], ids=["fit-resonance-seed", "xps-quant-seed", "synth-keep-going", "synth-emit-svg"])
+    def test_removed_options_rejected(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
         assert exc.value.code == 2
 
     def test_unknown_command_rejected(self):
