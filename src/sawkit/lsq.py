@@ -143,7 +143,7 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
                        f"(cost {cost:.3e})")
 
     jac = numeric_jacobian(fun, p, r0=r, x_scale=x_scale)
-    covariance = _scaled_covariance(jac, cost, r.size, n)
+    covariance = _scaled_covariance(jac, cost, np.maximum(np.abs(p), x_scale))
     errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     return LeastSquaresResult(
         params=p,
@@ -158,17 +158,20 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
     )
 
 
-def _scaled_covariance(jac, cost, n_residuals, n_params):
+def _scaled_covariance(jac, cost, scale):
     """Covariance of the optimum: (J'J)^-1 scaled by the residual variance.
 
-    Near-null directions of J'J are genuinely unidentified parameters; their
+    The inverse is taken in coordinates normalized by ``scale`` (the
+    Jacobian's own step scale), so parameters of very different units (Hz
+    next to seconds) share one eigenvalue floor.  Near-null directions of
+    the normalized J'J are genuinely unidentified parameters; their
     eigenvalues are floored (not discarded) so the corresponding variances
     come out huge rather than deceptively small.
     """
-    dof = max(1, n_residuals - n_params)
+    dof = max(1, jac.shape[0] - jac.shape[1])
     s2 = cost / dof
-    a = jac.T @ jac
-    w, v = np.linalg.eigh(a)
+    js = jac * scale
+    w, v = np.linalg.eigh(js.T @ js)
     floor = max(float(w.max()), 0.0) * 1e-14 + np.finfo(float).tiny
     inv_w = 1.0 / np.maximum(w, floor)
-    return (v * inv_w) @ v.T * s2
+    return (v * inv_w) @ v.T * np.outer(scale, scale) * s2

@@ -220,3 +220,17 @@ class TestFitResonance:
         sp = ComplexSpectrum(grid, np.ones(16, complex))
         with pytest.raises(ValidationError):
             fit_resonance(sp, model_kind="magnitude")
+
+    @pytest.mark.parametrize("key", ["f0_hz", "kappa_hz", "kappa_e_hz"])
+    def test_reported_sigma_matches_seed_scatter(self, key):
+        # 30 noise draws of one trace: the median reported one-sigma error
+        # has to match the scatter of the fitted values over the draws
+        f0, qi, qe = 688.4e6, 6.8e3, 1.4e4
+        kappa, kappa_e = rates_from_qs(f0, qi, qe)
+        grid = resonance_grid(f0, qi, qe, span_linewidths=5.0, points=2001)
+        fits = [fit_resonance(synth_s11(f0, kappa, kappa_e, grid,
+                                        noise_sigma=0.004, rng_seed=seed))
+                for seed in range(30)]
+        scatter = np.std([getattr(r.params, key) for r in fits], ddof=1)
+        reported = np.median([r.param_errors[key] for r in fits])
+        assert scatter / 3.0 < reported < 3.0 * scatter
