@@ -229,14 +229,13 @@ def cmd_xps_quant(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_level_points(text):
+    pairs = [chunk.split(",") for chunk in text.split()]
     try:
-        pts = [tuple(int(v) for v in chunk.split(",")) for chunk in text.split()]
+        if len(pairs) == 3 and all(len(p) == 2 for p in pairs):
+            return [(int(x), int(y)) for x, y in pairs]
     except ValueError:
-        pts = None
-    if pts is None or len(pts) != 3 or any(len(p) != 2 for p in pts):
-        raise ValidationError(
-            f"--level-points needs exactly three integer x,y pairs, got {text!r}")
-    return pts
+        pass
+    raise ValidationError(f"--level-points needs three integer x,y pairs, got {text!r}")
 
 
 def cmd_afm(args) -> int:
