@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 
 from sawkit.resonance import eval_s11, fit_resonance
-from sawkit.spectra import synth_s11
+from sawkit.synth import synth_s11
 from sawkit.svg import Panel, render_panels
 
 OUT = pathlib.Path(__file__).parent / "output"

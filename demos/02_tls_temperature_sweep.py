@@ -9,7 +9,7 @@ import pathlib
 
 import numpy as np
 
-from sawkit.spectra import synth_temperature_sweep
+from sawkit.synth import synth_temperature_sweep
 from sawkit.svg import Panel, render_panels
 from sawkit.tls import fit_fdelta, q_tls, tls_frequency_shift
 

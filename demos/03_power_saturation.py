@@ -9,7 +9,7 @@ import pathlib
 
 import numpy as np
 
-from sawkit.spectra import synth_power_sweep
+from sawkit.synth import synth_power_sweep
 from sawkit.svg import Panel, render_panels
 from sawkit.tls import PowerModelParams, fit_power_sweep, qi_power_model
 

@@ -9,7 +9,7 @@ import pathlib
 
 import numpy as np
 
-from sawkit.spectra import synth_xps_spectrum
+from sawkit.synth import synth_xps_spectrum
 from sawkit.svg import Panel, render_panels
 from sawkit.xps import (
     O1S_BAND_CENTERS_EV,

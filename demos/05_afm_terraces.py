@@ -17,7 +17,8 @@ from sawkit.afm import (
     rms_roughness,
     three_point_level,
 )
-from sawkit.spectra import AfmImage, synth_terrace_image
+from sawkit.spectra import AfmImage
+from sawkit.synth import synth_terrace_image
 from sawkit.svg import Panel, render_panels
 
 OUT = pathlib.Path(__file__).parent / "output"

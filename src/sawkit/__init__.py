@@ -2,7 +2,8 @@
 
 Submodules:
 
-* :mod:`sawkit.spectra`   domain types, file formats, synthetic generators
+* :mod:`sawkit.spectra`   domain types and their text formats
+* :mod:`sawkit.synth`     deterministic synthetic measurements
 * :mod:`sawkit.resonance` reflection-spectrum fitting and quality factors
 * :mod:`sawkit.tls`       tunneling-model formulas and sweep fitters
 * :mod:`sawkit.xps`       Shirley backgrounds, band fits, atomic percentages

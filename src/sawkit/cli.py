@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import afm as afm_mod
-from . import resonance, spectra, tls, walkoff, xps
+from . import resonance, spectra, synth, tls, walkoff, xps
 from .errors import ParseError, SawkitError, ValidationError
 from .svg import Panel, render_panels
 
@@ -164,17 +164,38 @@ def cmd_fit_powersweep(args) -> int:
 # xps-quant
 # ---------------------------------------------------------------------------
 
+def _check_xps_config(cfg):
+    """Reject a config whose JSON types ``_load_xps_config`` cannot use."""
+    def numbers(values):
+        return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+    if not (isinstance(cfg, dict) and all(isinstance(cfg.get(key, {}), dict)
+                                          for key in ("sensitivity", "windows", "bands"))):
+        raise ValidationError("config: expected an object with object-valued "
+                              "sensitivity, windows and bands")
+    if not numbers(cfg.get("sensitivity", {}).values()):
+        raise ValidationError("config: sensitivity factors must be numbers")
+    for line, window in cfg.get("windows", {}).items():
+        if not (isinstance(window, list) and len(window) == 2 and numbers(window)):
+            raise ValidationError(f"config: the {line} window must be [lo_ev, hi_ev]")
+    for line, bands in cfg.get("bands", {}).items():
+        if not (isinstance(bands, list) and all(
+                isinstance(b, dict) and "center_ev" in b and numbers(b.values())
+                for b in bands)):
+            raise ValidationError(f"config: every {line} band needs a center_ev "
+                                  "and numbers only")
+
+
 def _load_xps_config(path):
     try:
         cfg = json.loads(Path(path).read_text()) if path else {}
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: {exc}") from None
+    _check_xps_config(cfg)
     table = xps.SensitivityTable(cfg["sensitivity"]) if "sensitivity" in cfg \
         else xps.SensitivityTable.default()
     band_cfg = {}
     for line, bands in cfg.get("bands", {}).items():
-        if any("center_ev" not in b for b in bands):
-            raise ValidationError(f"config: every {line} band needs a center_ev")
         band_cfg[line] = xps.BandModel(tuple(
             xps.Band(center_ev=b["center_ev"], sigma_ev=b.get("sigma_ev", 0.6),
                      gamma_ev=b.get("gamma_ev", 0.5), mix=b.get("mix", 0.3),
@@ -332,12 +353,12 @@ def cmd_synth(args) -> int:
         if args.dark_delta_hz is not None:
             dark = (TWO_PI * args.dark_g_hz, args.dark_delta_hz,
                     TWO_PI * args.dark_gamma_hz)
-        sp = spectra.synth_s11(args.f0_hz, kappa, kappa_e, grid, dark=dark,
-                               noise_sigma=args.noise, rng_seed=args.seed)
+        sp = synth.synth_s11(args.f0_hz, kappa, kappa_e, grid, dark=dark,
+                             noise_sigma=args.noise, rng_seed=args.seed)
         _write_atomic(out, spectra.format_s11_csv(sp))
     elif args.kind == "tempsweep":
         temps = np.linspace(args.t_min_k, args.t_max_k, args.points)
-        series = spectra.synth_temperature_sweep(
+        series = synth.synth_temperature_sweep(
             args.f_delta, args.f0_hz, temps, noise_sigma_hz=args.noise_hz,
             rng_seed=args.seed, reference_temperature_k=args.t_ref_k)
         _write_atomic(out, spectra.format_tempsweep_csv(series))
@@ -347,12 +368,11 @@ def cmd_synth(args) -> int:
             q_i_res=args.q_res, temperature_k=args.temperature_k,
             f0_hz=args.f0_hz)
         phonons = np.geomspace(args.n_min, args.n_max, args.points)
-        series = spectra.synth_power_sweep(params, phonons,
-                                           noise_frac=args.noise_frac,
-                                           rng_seed=args.seed)
+        series = synth.synth_power_sweep(params, phonons, noise_frac=args.noise_frac,
+                                         rng_seed=args.seed)
         _write_atomic(out, spectra.format_powersweep_csv(series))
     elif args.kind == "afm":
-        image = spectra.synth_terrace_image(
+        image = synth.synth_terrace_image(
             (args.ny, args.nx), (args.pitch_m, args.pitch_m),
             step_m=args.step_m, n_terraces=args.terraces,
             noise_sigma_m=args.noise_m,
@@ -376,22 +396,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current directory)")
     batch = argparse.ArgumentParser(add_help=False, parents=[common])
     batch.add_argument("inputs", nargs="+", help="input files or directories")
-    batch.add_argument("--keep-going", action="store_true",
-                       help="continue the batch past failing inputs")
     batch.add_argument("--emit-svg", action="store_true",
                        help="also write SVG plots next to the JSON reports")
+    per_file = argparse.ArgumentParser(add_help=False, parents=[batch])
+    per_file.add_argument("--keep-going", action="store_true",
+                          help="continue the batch past failing inputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-resonance", parents=[batch],
+    p = sub.add_parser("fit-resonance", parents=[per_file],
                        help="fit S11 traces to the resonance model")
     p.add_argument("--model", choices=("lorentzian", "dark"), default="lorentzian")
     p.set_defaults(func=cmd_fit_resonance)
 
-    p = sub.add_parser("fit-tempsweep", parents=[batch],
+    p = sub.add_parser("fit-tempsweep", parents=[per_file],
                        help="extract the TLS loss product from temperature sweeps")
     p.set_defaults(func=cmd_fit_tempsweep)
 
-    p = sub.add_parser("fit-powersweep", parents=[batch],
+    p = sub.add_parser("fit-powersweep", parents=[per_file],
                        help="fit the TLS power-saturation model")
     p.add_argument("--fixed-beta", type=float, default=None,
                    help="hold the saturation exponent at this value")
@@ -405,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip Nb3d5/2 charge referencing")
     p.set_defaults(func=cmd_xps_quant)
 
-    p = sub.add_parser("afm", parents=[batch], help="analyze AFM height grids")
+    p = sub.add_parser("afm", parents=[per_file], help="analyze AFM height grids")
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=1,
                    help="per-row polynomial order for tilt removal")
     p.add_argument("--level-points", default=None, metavar="'x1,y1 x2,y2 x3,y3'",
@@ -414,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit terrace step heights from the height histogram")
     p.set_defaults(func=cmd_afm)
 
-    p = sub.add_parser("walkoff", parents=[batch],
+    p = sub.add_parser("walkoff", parents=[per_file],
                        help="find zero-steering drive angles in walk-off curves")
     p.add_argument("--half-width", type=int, default=0,
                    help="moving-average half width (0 = no smoothing)")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .lsq import fit_least_squares
-from .spectra import ComplexSpectrum, bare_s11
+from .spectra import ComplexSpectrum
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,26 @@ class ResonanceFitResult:
         }
 
 
+def bare_s11(freq_hz, f0_hz, kappa, kappa_e, f_dark_hz=None, gamma=0.0, g=0.0):
+    """Reflection of a single mode, optionally loaded by a dark mode.
+
+    ``kappa``, ``kappa_e``, ``gamma`` and ``g`` are angular rates (s^-1);
+    no background scale or cable delay is applied here.
+    """
+    delta = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f0_hz)
+    den = 1j * delta + kappa / 2.0
+    if f_dark_hz is not None:
+        delta_b = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f_dark_hz)
+        den = den + g**2 / (1j * delta_b + gamma / 2.0)
+    return 1.0 - kappa_e / den
+
+
 def eval_s11(params: ResonanceModelParams, freq_hz):
     """Model reflection at ``freq_hz`` (scalar or array)."""
     freq = np.asarray(freq_hz, dtype=float)
-    if params.dark is not None:
-        resp = bare_s11(freq, params.f0_hz, params.kappa_hz, params.kappa_e_hz,
-                        f_dark_hz=params.dark.f_dark_hz,
-                        gamma=params.dark.gamma_hz, g=params.dark.g_hz)
-    else:
-        resp = bare_s11(freq, params.f0_hz, params.kappa_hz, params.kappa_e_hz)
+    dark = params.dark
+    dark_mode = () if dark is None else (dark.f_dark_hz, dark.gamma_hz, dark.g_hz)
+    resp = bare_s11(freq, params.f0_hz, params.kappa_hz, params.kappa_e_hz, *dark_mode)
     out = params.a * np.exp(1j * 2.0 * np.pi * freq * params.tau_s) * resp
     if np.isscalar(freq_hz):
         return complex(out)
@@ -210,23 +221,17 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian",
     noise = _robust_noise(np.abs(data))
 
     # Internal background convention: phase slope about the grid center keeps
-    # tau and arg(a) from trading against each other during the fit.
-    def model(x, with_dark):
+    # tau and arg(a) from trading against each other during the fit.  A
+    # 9-vector appends the dark mode (f_dark, gamma, g) to the 6 base values.
+    def model(x):
         f0, kappa, kappa_e, a_re, a_im, tau = x[:6]
-        if with_dark:
-            f_dark, gamma, g = x[6:]
-            resp = bare_s11(freq, f0, kappa, kappa_e,
-                            f_dark_hz=f_dark, gamma=gamma, g=g)
-        else:
-            resp = bare_s11(freq, f0, kappa, kappa_e)
+        resp = bare_s11(freq, f0, kappa, kappa_e, *x[6:])
         bg = (a_re + 1j * a_im) * np.exp(1j * 2.0 * np.pi * (freq - fc) * tau)
         return bg * resp
 
-    def residual_factory(with_dark):
-        def residual(x):
-            diff = model(x, with_dark) - data
-            return np.concatenate([diff.real, diff.imag])
-        return residual
+    def residual(x):
+        diff = model(x) - data
+        return np.concatenate([diff.real, diff.imag])
 
     a_int = init.a * np.exp(1j * 2.0 * np.pi * fc * init.tau_s)
     x0 = [init.f0_hz, init.kappa_hz, init.kappa_e_hz,
@@ -235,7 +240,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian",
     scale = [init.kappa_hz / (2.0 * np.pi), init.kappa_hz, init.kappa_hz,
              mag_a, mag_a, 1.0 / (2.0 * np.pi * span)]
 
-    res = fit_least_squares(residual_factory(False), x0, x_scale=scale)
+    res = fit_least_squares(residual, x0, x_scale=scale)
     n_iterations = res.n_iterations
     if auto_init and np.sqrt(res.cost / freq.size) > 3.0 * max(noise, 1e-12):
         # Retry from the overcoupled branch of the depth formula: the same
@@ -243,7 +248,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian",
         x0_alt = list(x0)
         x0_alt[2] = max(init.kappa_hz - init.kappa_e_hz, 1e-6 * init.kappa_hz)
         try:
-            res_alt = fit_least_squares(residual_factory(False), x0_alt, x_scale=scale)
+            res_alt = fit_least_squares(residual, x0_alt, x_scale=scale)
             n_iterations += res_alt.n_iterations
             if res_alt.cost < res.cost:
                 res = res_alt
@@ -257,7 +262,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian",
         if init.dark is not None:
             dark0 = [init.dark.f_dark_hz, init.dark.gamma_hz, init.dark.g_hz]
         else:
-            rho = _smooth(np.abs(model(res.params, False) - data), 3)
+            rho = _smooth(np.abs(model(res.params) - data), 3)
             i_d = int(np.argmax(rho))
             kappa_fit = res.params[1]
             gamma0 = max(kappa_fit / 10.0, 2.0 * np.pi * 2.0 * span / freq.size)
@@ -270,7 +275,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian",
         gamma_floor = 2.0 * np.pi * 2.0 * span / freq.size
         lower = [-np.inf] * 6 + [freq[0], gamma_floor, 0.0]
         upper = [np.inf] * 8 + [np.inf]
-        res = fit_least_squares(residual_factory(True), x1, x_scale=scale1,
+        res = fit_least_squares(residual, x1, x_scale=scale1,
                                 lower=lower, upper=upper)
         n_iterations += res.n_iterations
         # Nested-model gate: the extra pole costs three parameters and its

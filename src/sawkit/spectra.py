@@ -1,4 +1,4 @@
-"""Domain containers, text formats, and synthetic-data generators.
+"""Domain containers and the text formats they are read from and written to.
 
 All analysis modules and every property test consume the types defined here.
 Unit conventions used throughout the package:
@@ -20,7 +20,8 @@ by the matching serializers:
 
 Temperature sweeps (``temperature_K,f0_hz,f0_err_hz``), power sweeps
 (``n_mean,qi,qi_err``) and walk-off curves (``theta_deg,eta_deg``) use plain
-CSV with the same comment convention.
+CSV with the same comment convention.  A file that breaks a container's
+invariant is reported as a :class:`~sawkit.errors.ParseError`.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tls
 from .errors import ParseError, ValidationError
+
 
 def _frozen_array(value, dtype=float):
     arr = np.array(value, dtype=dtype, copy=True)
@@ -213,12 +214,14 @@ def _split_lines(text):
             yield i, line
 
 
-def _parse_csv_body(text, header, n_fields):
-    """Common comment/header/row scanning for the CSV formats.
+def _read_csv(text, header):
+    """Scan the ``# key=value`` comments, the header line and the numeric rows.
 
-    Returns (meta dict, list of (line_no, fields)).
+    Returns (meta dict, line number of each row, float array of shape
+    ``(rows, len(header))``).
     """
     meta = {}
+    linenos = []
     rows = []
     header_seen = False
     for lineno, line in _split_lines(text):
@@ -228,24 +231,34 @@ def _parse_csv_body(text, header, n_fields):
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
             continue
+        fields = line.split(",")
         if not header_seen:
-            got = [t.strip() for t in line.split(",")]
-            if got != list(header):
+            if [t.strip() for t in fields] != list(header):
                 raise ParseError(f"expected header {','.join(header)!r}, got {line!r}",
                                  line=lineno)
             header_seen = True
             continue
-        fields = [t.strip() for t in line.split(",")]
-        if len(fields) != n_fields:
-            raise ParseError(f"expected {n_fields} fields, got {len(fields)}",
+        if len(fields) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(fields)}",
                              line=lineno)
         try:
-            rows.append((lineno, [float(t) for t in fields]))
+            rows.append([float(t) for t in fields])
         except ValueError:
             raise ParseError(f"non-numeric field in row {line!r}", line=lineno) from None
+        linenos.append(lineno)
     if not header_seen:
         raise ParseError(f"missing header {','.join(header)!r}")
-    return meta, rows
+    if not rows:
+        raise ParseError("no data rows")
+    return meta, linenos, np.array(rows)
+
+
+def _build(cls, *args, **kwargs):
+    """Construct a domain object; a violated invariant becomes a ParseError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _meta_float(meta, key, default=None):
@@ -261,44 +274,38 @@ def _meta_float(meta, key, default=None):
 
 def parse_s11_csv(text) -> ComplexSpectrum:
     """Parse a reflection trace.  See the module docstring for the format."""
-    meta, rows = _parse_csv_body(text, ("freq_hz", "re", "im"), 3)
-    if len(rows) < 8:
-        raise ParseError(f"need at least 8 data rows, got {len(rows)}")
-    freq = np.array([r[1][0] for r in rows])
-    vals = np.array([complex(r[1][1], r[1][2]) for r in rows])
+    meta, linenos, cols = _read_csv(text, ("freq_hz", "re", "im"))
+    freq = cols[:, 0]
     bad = np.nonzero(np.diff(freq) <= 0)[0]
     if bad.size:
-        raise ParseError("frequency not strictly increasing", line=rows[bad[0] + 1][0])
-    try:
-        return ComplexSpectrum(freq, vals, meta)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError("frequency not strictly increasing", line=linenos[bad[0] + 1])
+    # assigned, not re + 1j*im, which would turn a -0.0 real part into 0.0
+    values = np.empty(freq.size, dtype=complex)
+    values.real = cols[:, 1]
+    values.imag = cols[:, 2]
+    return _build(ComplexSpectrum, freq, values, meta)
 
 
 def parse_xps_csv(text) -> XpsSpectrum:
     """Parse an XPS line scan; the ``# line=<element>`` header is required."""
-    meta, rows = _parse_csv_body(text, ("be_ev", "counts"), 2)
+    meta, linenos, cols = _read_csv(text, ("be_ev", "counts"))
     if "line" not in meta:
         raise ParseError("missing '# line=<element>' header")
-    if len(rows) < 2:
-        raise ParseError("need at least 2 data rows")
-    be = np.array([r[1][0] for r in rows])
-    counts = np.array([r[1][1] for r in rows])
+    be, counts = cols[:, 0], cols[:, 1]
     neg = np.nonzero(counts < 0)[0]
     if neg.size:
-        raise ParseError("negative counts", line=rows[neg[0]][0])
+        raise ParseError("negative counts", line=linenos[neg[0]])
     d = np.diff(be)
     if not (np.all(d > 0) or np.all(d < 0)):
         bad = np.nonzero(d * d[0] <= 0)[0]
         raise ParseError("binding-energy axis not strictly monotone",
-                         line=rows[bad[0] + 1][0])
-    return XpsSpectrum(be, counts, meta["line"])
+                         line=linenos[bad[0] + 1])
+    return _build(XpsSpectrum, be, counts, meta["line"])
 
 
 def parse_afm_grid(text) -> AfmImage:
     """Parse an AFM height grid; header is ``nx ny dx_m dy_m``."""
-    lines = list(_split_lines(text))
-    lines = [(n, s) for n, s in lines if not s.startswith("#")]
+    lines = [(n, s) for n, s in _split_lines(text) if not s.startswith("#")]
     if not lines:
         raise ParseError("empty AFM grid file")
     head_no, head = lines[0]
@@ -310,6 +317,8 @@ def parse_afm_grid(text) -> AfmImage:
         dx, dy = float(parts[2]), float(parts[3])
     except ValueError:
         raise ParseError("non-numeric header field", line=head_no) from None
+    if nx < 0 or ny < 0:
+        raise ParseError("negative grid dimension", line=head_no)
     data_rows = lines[1:]
     if len(data_rows) != ny:
         raise ParseError(f"header claims {ny} rows but {len(data_rows)} present",
@@ -326,10 +335,7 @@ def parse_afm_grid(text) -> AfmImage:
         if not np.all(np.isfinite(row)):
             raise ParseError("non-finite height", line=lineno)
         heights[j] = row
-    try:
-        return AfmImage(heights, (dx, dy))
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(AfmImage, heights, (dx, dy))
 
 
 def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
@@ -338,16 +344,9 @@ def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
     An optional ``# reference_temperature_K=...`` metadata line overrides the
     0.200 K default.
     """
-    meta, rows = _parse_csv_body(text, ("temperature_K", "f0_hz", "f0_err_hz"), 3)
-    cols = np.array([r[1] for r in rows])
-    if cols.size == 0:
-        raise ParseError("no data rows")
+    meta, _, cols = _read_csv(text, ("temperature_K", "f0_hz", "f0_err_hz"))
     t_ref = _meta_float(meta, "reference_temperature_K", 0.200)
-    try:
-        return TemperatureSweepSeries(cols[:, 0], cols[:, 1], cols[:, 2],
-                                      reference_temperature_k=t_ref)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(TemperatureSweepSeries, *cols.T, reference_temperature_k=t_ref)
 
 
 def parse_powersweep_csv(text) -> PowerSweepSeries:
@@ -356,29 +355,16 @@ def parse_powersweep_csv(text) -> PowerSweepSeries:
     ``# temperature_K=...`` and ``# f0_hz=...`` metadata lines carry the
     operating point the model needs.
     """
-    meta, rows = _parse_csv_body(text, ("n_mean", "qi", "qi_err"), 3)
-    cols = np.array([r[1] for r in rows])
-    if cols.size == 0:
-        raise ParseError("no data rows")
-    temperature_k = _meta_float(meta, "temperature_K")
-    f0_hz = _meta_float(meta, "f0_hz")
-    try:
-        return PowerSweepSeries(cols[:, 0], cols[:, 1], cols[:, 2],
-                                temperature_k=temperature_k, f0_hz=f0_hz)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    meta, _, cols = _read_csv(text, ("n_mean", "qi", "qi_err"))
+    return _build(PowerSweepSeries, *cols.T,
+                  temperature_k=_meta_float(meta, "temperature_K"),
+                  f0_hz=_meta_float(meta, "f0_hz"))
 
 
 def parse_walkoff_csv(text) -> WalkoffCurve:
     """Parse a ``theta_deg,eta_deg`` walk-off curve."""
-    _, rows = _parse_csv_body(text, ("theta_deg", "eta_deg"), 2)
-    cols = np.array([r[1] for r in rows])
-    if cols.size == 0:
-        raise ParseError("no data rows")
-    try:
-        return WalkoffCurve(cols[:, 0], cols[:, 1])
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    _, _, cols = _read_csv(text, ("theta_deg", "eta_deg"))
+    return _build(WalkoffCurve, *cols.T)
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +375,24 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _meta_lines(meta):
-    return [f"# {k}={v}" for k, v in sorted(meta.items())]
+def _write_csv(meta_pairs, header, *columns):
+    """``# key=value`` lines, the header, then one row per index of ``columns``."""
+    lines = [f"# {k}={v}" for k, v in meta_pairs]
+    lines.append(",".join(header))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def format_s11_csv(spectrum: ComplexSpectrum) -> str:
-    lines = _meta_lines(spectrum.meta)
-    lines.append("freq_hz,re,im")
-    for f, v in zip(spectrum.frequencies_hz, spectrum.values):
-        lines.append(f"{_fmt(f)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    return _write_csv(sorted(spectrum.meta.items()), ("freq_hz", "re", "im"),
+                      spectrum.frequencies_hz, spectrum.values.real,
+                      spectrum.values.imag)
 
 
 def format_xps_csv(spectrum: XpsSpectrum) -> str:
-    lines = [f"# line={spectrum.element_line}", "be_ev,counts"]
-    for be, c in zip(spectrum.binding_energy_ev, spectrum.counts):
-        lines.append(f"{_fmt(be)},{_fmt(c)}")
-    return "\n".join(lines) + "\n"
+    return _write_csv([("line", spectrum.element_line)], ("be_ev", "counts"),
+                      spectrum.binding_energy_ev, spectrum.counts)
 
 
 def format_afm_grid(image: AfmImage) -> str:
@@ -417,175 +404,17 @@ def format_afm_grid(image: AfmImage) -> str:
 
 
 def format_tempsweep_csv(series: TemperatureSweepSeries) -> str:
-    lines = [f"# reference_temperature_K={_fmt(series.reference_temperature_k)}",
-             "temperature_K,f0_hz,f0_err_hz"]
-    for t, f, e in zip(series.temperatures_k, series.f0_hz, series.f0_err_hz):
-        lines.append(f"{_fmt(t)},{_fmt(f)},{_fmt(e)}")
-    return "\n".join(lines) + "\n"
+    return _write_csv([("reference_temperature_K", _fmt(series.reference_temperature_k))],
+                      ("temperature_K", "f0_hz", "f0_err_hz"),
+                      series.temperatures_k, series.f0_hz, series.f0_err_hz)
 
 
 def format_powersweep_csv(series: PowerSweepSeries) -> str:
-    lines = [f"# f0_hz={_fmt(series.f0_hz)}",
-             f"# temperature_K={_fmt(series.temperature_k)}",
-             "n_mean,qi,qi_err"]
-    for n, q, e in zip(series.mean_phonon_number, series.qi, series.qi_err):
-        lines.append(f"{_fmt(n)},{_fmt(q)},{_fmt(e)}")
-    return "\n".join(lines) + "\n"
+    return _write_csv([("f0_hz", _fmt(series.f0_hz)),
+                       ("temperature_K", _fmt(series.temperature_k))],
+                      ("n_mean", "qi", "qi_err"),
+                      series.mean_phonon_number, series.qi, series.qi_err)
 
 
 def format_walkoff_csv(curve: WalkoffCurve) -> str:
-    lines = ["theta_deg,eta_deg"]
-    for th, et in zip(curve.theta_deg, curve.eta_deg):
-        lines.append(f"{_fmt(th)},{_fmt(et)}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# synthetic data
-# ---------------------------------------------------------------------------
-
-def bare_s11(freq_hz, f0_hz, kappa, kappa_e, f_dark_hz=None, gamma=0.0, g=0.0):
-    """Reflection of a single mode, optionally loaded by a dark mode.
-
-    ``kappa``, ``kappa_e``, ``gamma`` and ``g`` are angular rates (s^-1);
-    no background scale or cable delay is applied here.
-    """
-    delta = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f0_hz)
-    den = 1j * delta + kappa / 2.0
-    if f_dark_hz is not None:
-        delta_b = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f_dark_hz)
-        den = den + g**2 / (1j * delta_b + gamma / 2.0)
-    return 1.0 - kappa_e / den
-
-
-def synth_s11(f0_hz, kappa_hz, kappa_e_hz, freq_grid_hz, *, dark=None,
-              noise_sigma=0.0, rng_seed=0, meta=None) -> ComplexSpectrum:
-    """Synthesize a reflection trace with optional dark mode and noise.
-
-    ``dark`` is ``(g, delta_b_hz, gamma)`` where ``delta_b_hz`` is the dark
-    mode's offset from ``f0_hz`` in ordinary Hz and ``g``/``gamma`` are
-    angular rates.  Noise is complex Gaussian, ``noise_sigma`` per
-    quadrature, drawn deterministically from ``rng_seed``.
-    """
-    if not kappa_hz > kappa_e_hz > 0:
-        raise ValidationError("rates must satisfy kappa > kappa_e > 0")
-    if noise_sigma < 0:
-        raise ValidationError("noise_sigma must be >= 0")
-    freq = np.asarray(freq_grid_hz, dtype=float)
-    if dark is not None:
-        g, delta_b_hz, gamma = dark
-        if gamma <= 0 or g < 0:
-            raise ValidationError("dark mode needs gamma > 0 and g >= 0")
-        vals = bare_s11(freq, f0_hz, kappa_hz, kappa_e_hz,
-                        f_dark_hz=f0_hz + delta_b_hz, gamma=gamma, g=g)
-    else:
-        vals = bare_s11(freq, f0_hz, kappa_hz, kappa_e_hz)
-    if noise_sigma > 0:
-        rng = np.random.default_rng(rng_seed)
-        vals = vals + noise_sigma * (rng.standard_normal(freq.size)
-                                     + 1j * rng.standard_normal(freq.size))
-    return ComplexSpectrum(freq, vals, meta or {})
-
-
-def synth_temperature_sweep(f_delta_tls, f0_hz, temperatures_k, *,
-                            noise_sigma_hz=0.0, rng_seed=0,
-                            reference_temperature_k=0.200) -> TemperatureSweepSeries:
-    """Generate a temperature sweep from the frequency-shift model."""
-    t = np.asarray(temperatures_k, dtype=float)
-    if t.size == 0:
-        raise ValidationError("temperature list is empty")
-    if f_delta_tls < 0:
-        raise ValidationError("f_delta_tls must be >= 0")
-    shift = tls.tls_frequency_shift(f_delta_tls, f0_hz, t,
-                                    reference_temperature_k=reference_temperature_k)
-    f0 = f0_hz * (1.0 + np.asarray(shift))
-    if noise_sigma_hz > 0:
-        rng = np.random.default_rng(rng_seed)
-        f0 = f0 + noise_sigma_hz * rng.standard_normal(t.size)
-    err = np.full(t.size, float(noise_sigma_hz))
-    return TemperatureSweepSeries(t, f0, err,
-                                  reference_temperature_k=reference_temperature_k)
-
-
-def synth_power_sweep(params: "tls.PowerModelParams", phonon_numbers, *,
-                      noise_frac=0.0, rng_seed=0) -> PowerSweepSeries:
-    """Generate a power sweep from the saturation model.
-
-    ``noise_frac`` is the relative Gaussian noise applied to each Q value and
-    recorded as its error bar.
-    """
-    n = np.asarray(phonon_numbers, dtype=float)
-    qi = np.asarray(tls.qi_power_model(params, n))
-    if noise_frac > 0:
-        rng = np.random.default_rng(rng_seed)
-        qi = qi * (1.0 + noise_frac * rng.standard_normal(n.size))
-    err = noise_frac * qi
-    return PowerSweepSeries(n, qi, err, temperature_k=params.temperature_k,
-                            f0_hz=params.f0_hz)
-
-
-def synth_terrace_image(shape=(128, 128), pixel_pitch_m=(1e-9, 1e-9), *,
-                        step_m=2.0e-10, n_terraces=3, noise_sigma_m=8.0e-11,
-                        tilt_m_per_px=(0.0, 0.0), row_offset_sigma_m=0.0,
-                        rng_seed=0) -> AfmImage:
-    """Synthesize a terraced topograph: vertical bands ``step_m`` apart.
-
-    Terrace boundaries are jittered per seed, and optional plane tilt
-    (``tilt_m_per_px`` = (x, y) slopes) and per-row height offsets model the
-    usual scan artifacts.
-    """
-    ny, nx = shape
-    rng = np.random.default_rng(rng_seed)
-    edges = np.linspace(0, nx, n_terraces + 1)
-    jitter = rng.uniform(-0.05 * nx, 0.05 * nx, n_terraces - 1) if n_terraces > 1 else []
-    bounds = [0] + [int(round(e + j)) for e, j in zip(edges[1:-1], jitter)] + [nx]
-    level = np.zeros(nx)
-    for k in range(n_terraces):
-        level[bounds[k]:bounds[k + 1]] = k * step_m
-    heights = np.tile(level, (ny, 1))
-    x = np.arange(nx)
-    y = np.arange(ny)[:, None]
-    heights = heights + tilt_m_per_px[0] * x + tilt_m_per_px[1] * y
-    if row_offset_sigma_m > 0:
-        heights = heights + row_offset_sigma_m * rng.standard_normal((ny, 1))
-    if noise_sigma_m > 0:
-        heights = heights + noise_sigma_m * rng.standard_normal((ny, nx))
-    return AfmImage(heights, pixel_pitch_m)
-
-
-def synth_xps_spectrum(be_grid_ev, bands, *, element_line="O1s",
-                       step=(0.0, 0.0, None, 1.0), step_shape="sigmoid",
-                       baseline=0.0, noise_sigma=0.0, rng_seed=0) -> XpsSpectrum:
-    """Synthesize an XPS line: pseudo-Voigt bands on an inelastic step.
-
-    ``bands`` is a sequence of (center_ev, sigma_ev, gamma_ev, mix, area);
-    ``step`` is (low_level, high_level, center_ev, width_ev) with the high
-    side at high binding energy (center None puts it mid-window).  With
-    ``step_shape="shirley"`` the step instead follows the cumulative peak
-    area (trapezoid rule), the profile an ideal inelastic background takes;
-    center/width are then ignored.  Counts are floored at zero after noise.
-    """
-    from .xps import pseudo_voigt  # local import; xps builds on this module
-
-    be = np.asarray(be_grid_ev, dtype=float)
-    counts = np.full(be.size, float(baseline))
-    peak = np.zeros(be.size)
-    for c, sigma, gamma, mix, area in bands:
-        peak = peak + area * pseudo_voigt(be, c, sigma, gamma, mix)
-    lo, hi, center, width = step
-    if hi or lo:
-        if step_shape == "shirley":
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (peak[1:] + peak[:-1])
-                                                   * np.diff(be))])
-            counts = counts + lo + (hi - lo) * cum / cum[-1]
-        else:
-            if center is None:
-                center = 0.5 * (be.min() + be.max())
-            counts = counts + lo + (hi - lo) / (1.0 + np.exp(-(be - center)
-                                                             / max(width, 1e-9)))
-    counts = counts + peak
-    if noise_sigma > 0:
-        rng = np.random.default_rng(rng_seed)
-        counts = counts + noise_sigma * rng.standard_normal(be.size)
-    counts = np.clip(counts, 0.0, None)
-    return XpsSpectrum(be, counts, element_line)
+    return _write_csv((), ("theta_deg", "eta_deg"), curve.theta_deg, curve.eta_deg)

@@ -49,26 +49,25 @@ class Panel:
     ylabel: str = ""
     lines: list = field(default_factory=list)   # (x, y, color, label)
     points: list = field(default_factory=list)  # (x, y, color, label)
-    vlines: list = field(default_factory=list)  # (x, color)
+    vlines: list = field(default_factory=list)  # x of each dashed rule
 
-    def add_line(self, x, y, color=None, label=None):
-        color = color or PALETTE[(len(self.lines) + len(self.points)) % len(PALETTE)]
+    def add_line(self, x, y, label=None):
+        color = PALETTE[(len(self.lines) + len(self.points)) % len(PALETTE)]
         self.lines.append(([float(v) for v in x], [float(v) for v in y], color, label))
 
-    def add_points(self, x, y, color=None, label=None):
-        color = color or PALETTE[(len(self.lines) + len(self.points)) % len(PALETTE)]
+    def add_points(self, x, y, label=None):
+        color = PALETTE[(len(self.lines) + len(self.points)) % len(PALETTE)]
         self.points.append(([float(v) for v in x], [float(v) for v in y], color, label))
 
-    def add_vline(self, x, color="#888888"):
-        self.vlines.append((float(x), color))
+    def add_vline(self, x):
+        self.vlines.append(float(x))
 
     def _extent(self):
         xs, ys = [], []
         for x, y, _, _ in self.lines + self.points:
             xs += x
             ys += y
-        for x, _ in self.vlines:
-            xs.append(x)
+        xs += self.vlines
         if not xs:
             xs = ys = [0.0, 1.0]
         x0, x1 = min(xs), max(xs)
@@ -126,10 +125,10 @@ def render_panels(panels, width=640, panel_height=320) -> str:
             cy = oy + m_top + ph / 2
             out.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
                        f'transform="rotate(-90 14 {cy:.1f})">{panel.ylabel}</text>')
-        for x, color in panel.vlines:
+        for x in panel.vlines:
             if x0 <= x <= x1:
                 out.append(f'<line x1="{sx(x):.2f}" y1="{oy + m_top}" x2="{sx(x):.2f}" '
-                           f'y2="{oy + m_top + ph}" stroke="{color}" '
+                           f'y2="{oy + m_top + ph}" stroke="#888888" '
                            'stroke-dasharray="4 3"/>')
         for x, y, color, _ in panel.lines:
             pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y)

@@ -12,11 +12,10 @@ import pytest
 from sawkit.afm import fit_step_heights, remove_line_tilt, rms_roughness
 from sawkit.cli import main as cli_main
 from sawkit.resonance import fit_resonance
-from sawkit.spectra import (
-    AfmImage,
-    ComplexSpectrum,
-    synth_s11,
+from sawkit.spectra import AfmImage, ComplexSpectrum
+from sawkit.synth import (
     synth_power_sweep,
+    synth_s11,
     synth_terrace_image,
     synth_xps_spectrum,
 )
@@ -29,7 +28,7 @@ from sawkit.tls import (
     qi_power_model,
     re_digamma_half_plus_imag,
 )
-from sawkit.spectra import synth_temperature_sweep
+from sawkit.synth import synth_temperature_sweep
 from sawkit.walkoff import find_zero_crossings
 from sawkit.spectra import WalkoffCurve
 from sawkit.xps import (

@@ -9,7 +9,8 @@ from sawkit.afm import (
     three_point_level,
 )
 from sawkit.errors import FitError, ValidationError
-from sawkit.spectra import AfmImage, synth_terrace_image
+from sawkit.spectra import AfmImage
+from sawkit.synth import synth_terrace_image
 
 PITCH = (1e-9, 1e-9)
 

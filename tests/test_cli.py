@@ -113,7 +113,8 @@ class TestSweepCommands:
 
 class TestXpsQuant:
     def write_line(self, path, line, center, area, rng_seed):
-        from sawkit.spectra import format_xps_csv, synth_xps_spectrum
+        from sawkit.spectra import format_xps_csv
+        from sawkit.synth import synth_xps_spectrum
         be = np.linspace(center - 8, center + 8, 201)
         sp = synth_xps_spectrum(be, [(center, 0.6, 0.4, 0.2, area)],
                                 element_line=line, step=(20, 60, None, 0),
@@ -242,6 +243,10 @@ OUTSIDE_INPUT_ERRORS = {
         json.dumps({"bands": {"Nb3d": [{"sigma_ev": 0.6}]}})),
     "malformed-config": xps_with_config("{not json"),
     "missing-config": xps_with_config(None),
+    "config-non-numeric-sensitivity": xps_with_config(
+        json.dumps({"sensitivity": {"Nb3d": "x"}})),
+    "config-bands-not-a-list": xps_with_config(json.dumps({"bands": {"Nb3d": 3}})),
+    "config-top-level-list": xps_with_config(json.dumps([1, 2])),
     "non-numeric-reference-temperature": sweep_with_metadata(
         "tempsweep", "reference_temperature_K"),
     "non-numeric-f0": sweep_with_metadata("powersweep", "f0_hz"),
@@ -285,7 +290,9 @@ class TestParserStrictness:
         ["xps-quant", "xps", "--seed", "1"],
         ["synth", "s11", "--keep-going"],
         ["synth", "s11", "--emit-svg"],
-    ], ids=["fit-resonance-seed", "xps-quant-seed", "synth-keep-going", "synth-emit-svg"])
+        ["xps-quant", "xps", "--keep-going"],
+    ], ids=["fit-resonance-seed", "xps-quant-seed", "synth-keep-going", "synth-emit-svg",
+            "xps-quant-keep-going"])
     def test_removed_options_rejected(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:

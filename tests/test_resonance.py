@@ -13,7 +13,8 @@ from sawkit.resonance import (
     fit_resonance,
     q_factors,
 )
-from sawkit.spectra import ComplexSpectrum, synth_s11
+from sawkit.spectra import ComplexSpectrum
+from sawkit.synth import synth_s11
 from conftest import dip_depth, rates_from_qs, resonance_grid
 
 TWO_PI = 2.0 * math.pi

@@ -21,9 +21,8 @@ from sawkit.spectra import (
     parse_tempsweep_csv,
     parse_walkoff_csv,
     parse_xps_csv,
-    synth_s11,
-    synth_temperature_sweep,
 )
+from sawkit.synth import synth_s11, synth_temperature_sweep
 from conftest import rates_from_qs, resonance_grid
 
 
@@ -32,6 +31,10 @@ def make_s11_text(n=8, meta=()):
     for i in range(n):
         lines.append(f"{1e6 + i},0.5,-0.1")
     return "\n".join(lines) + "\n"
+
+
+def make_xps_lines():
+    return ["# line=O1s", "be_ev,counts"] + [f"{520 + i},1" for i in range(8)]
 
 
 class TestTypes:
@@ -129,6 +132,34 @@ class TestParsers:
         with pytest.raises(ParseError):
             parse_xps_csv("\n".join(lines))
 
+    def test_xps_nan_count_is_parse_error(self):
+        lines = make_xps_lines()
+        lines[5] = "523,nan"
+        with pytest.raises(ParseError):
+            parse_xps_csv("\n".join(lines))
+
+    def test_xps_negative_counts_names_line(self):
+        lines = make_xps_lines()
+        lines[6] = "524,-3"  # line 7
+        with pytest.raises(ParseError) as err:
+            parse_xps_csv("\n".join(lines))
+        assert err.value.line == 7
+
+    def test_xps_non_monotone_axis_names_line(self):
+        lines = make_xps_lines()
+        lines[6] = "521.5,1"  # line 7 steps back below line 6
+        with pytest.raises(ParseError) as err:
+            parse_xps_csv("\n".join(lines))
+        assert err.value.line == 7
+
+    def test_sweep_wrong_field_count_names_line(self):
+        lines = ["temperature_K,f0_hz,f0_err_hz"] + [
+            f"{0.01 * (i + 1)},6.9e8,10" for i in range(6)]
+        lines[4] = "0.04,6.9e8"  # line 5
+        with pytest.raises(ParseError) as err:
+            parse_tempsweep_csv("\n".join(lines))
+        assert err.value.line == 5
+
     def test_afm_constant_grid(self):
         rows = ["16 16 1e-09 1e-09"] + [" ".join(["0"] * 16)] * 16
         img = parse_afm_grid("\n".join(rows))
@@ -148,6 +179,12 @@ class TestParsers:
             parse_afm_grid("\n".join(rows))
         assert err.value.line == 8
 
+    def test_afm_negative_width_is_parse_error(self):
+        rows = ["-16 16 1e-09 1e-09"] + [" ".join(["0"] * 16)] * 16
+        with pytest.raises(ParseError) as err:
+            parse_afm_grid("\n".join(rows))
+        assert err.value.line == 1
+
 
 class TestRoundTrips:
     def test_s11_roundtrip_exact(self, rng):
@@ -158,6 +195,17 @@ class TestRoundTrips:
         assert np.array_equal(back.frequencies_hz, sp.frequencies_hz)
         assert np.array_equal(back.values, sp.values)
         assert back.meta == sp.meta
+
+    def test_s11_roundtrip_keeps_negative_zero(self):
+        vals = np.full(8, 0.5 - 0.25j)
+        vals.real[2] = vals.imag[2] = -0.0
+        vals.real[5] = -0.0
+        vals.imag[6] = -0.0
+        sp = ComplexSpectrum(np.arange(8) + 1e6, vals)
+        back = parse_s11_csv(format_s11_csv(sp))
+        assert back.values.tobytes() == sp.values.tobytes()
+        assert np.signbit(back.values.real[[2, 5]]).all()
+        assert np.signbit(back.values.imag[[2, 6]]).all()
 
     def test_xps_roundtrip_exact(self, rng):
         be = np.linspace(520, 540, 41)

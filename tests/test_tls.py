@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from sawkit.errors import FitError, ValidationError
-from sawkit.spectra import (
-    PowerSweepSeries,
-    TemperatureSweepSeries,
-    synth_power_sweep,
-    synth_temperature_sweep,
-)
+from sawkit.spectra import PowerSweepSeries, TemperatureSweepSeries
+from sawkit.synth import synth_power_sweep, synth_temperature_sweep
 from sawkit.tls import (
     HBAR,
     KB,

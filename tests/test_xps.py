@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sawkit.errors import FitError, ValidationError
-from sawkit.spectra import XpsSpectrum, synth_xps_spectrum
+from sawkit.spectra import XpsSpectrum
+from sawkit.synth import synth_xps_spectrum
 from sawkit.xps import (
     Band,
     BandModel,
