@@ -45,12 +45,12 @@ lines = {
 }
 
 spectra = []
-for line, (be, bands, (lo, hi)) in lines.items():
+for seed, (line, (be, bands, (lo, hi))) in enumerate(lines.items()):
     shifted_bands = [(c + CHARGING, s, g, m, a) for c, s, g, m, a in bands]
     spectra.append(synth_xps_spectrum(be + CHARGING, shifted_bands,
                                       element_line=line, step=(lo, hi, None, 0),
                                       step_shape="shirley", noise_sigma=1.2,
-                                      rng_seed=hash(line) % 997))
+                                      rng_seed=seed))
 
 referenced, shift = charge_shift(spectra)
 print(f"charge shift applied: {shift:+.2f} eV (generated {-CHARGING:+.2f})")

@@ -145,48 +145,51 @@ def _smooth(x, width):
 
 
 def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
-    """Starting point for a fit: dip position, widths, and background.
+    """Starting point for a fit: background, resonance position and widths.
 
-    The resonance must show up as one dominant dip in |S11| that is fully
-    inside the grid; a dip shallower than three times the trace noise or
-    truncated by the grid edge is rejected.
+    The background ``a * exp(i*2*pi*f*tau)`` comes from the off-resonant
+    edge samples.  Dividing it out leaves ``dev = |1 - S11 / background|``,
+    which equals ``kappa_e / |i*Delta + kappa/2|`` on either side of
+    critical coupling, so the peak of ``dev`` gives f0 and kappa_e and the
+    full width at half maximum of ``dev**2`` gives kappa without choosing a
+    coupling branch.  The resonance must stand out of ``dev`` by three
+    times its noise and lie fully inside the grid; otherwise ``FitError``.
     """
     freq = spectrum.frequencies_hz
-    mag = np.abs(spectrum.values)
     n = freq.size
 
-    smooth = _smooth(mag, max(3, n // 200))
-    i0 = int(np.argmin(smooth))
-    edge = max(5, n // 10)
-    baseline = float(np.median(np.concatenate([mag[:edge], mag[-edge:]])))
-    depth = baseline - mag[i0]
-    noise = _robust_noise(mag)
-    if depth < 3.0 * max(noise, 1e-12 * max(baseline, 1.0)):
-        raise FitError("no resolvable dip: depth is below 3x the trace noise")
-    if i0 < 3 or i0 > n - 4:
-        raise FitError("resonance dip truncated at the grid edge")
-
-    # full width at half-depth of |S11|^2; crossings located by interpolation
-    power = smooth**2
-    target = 0.5 * (power[i0] + baseline**2)
-    left = np.nonzero(power[:i0] > target)[0]
-    right = np.nonzero(power[i0:] > target)[0]
-    if left.size == 0 or right.size == 0:
-        raise FitError("resonance dip truncated: half-depth width not bracketed")
-    il = left[-1]
-    ir = i0 + right[0]
-    f_lo = np.interp(target, [power[il + 1], power[il]], [freq[il + 1], freq[il]])
-    f_hi = np.interp(target, [power[ir - 1], power[ir]], [freq[ir - 1], freq[ir]])
-    kappa = 2.0 * np.pi * max(f_hi - f_lo, freq[i0 + 1] - freq[i0])
-    kappa_e = kappa * (1.0 - mag[i0] / baseline) / 2.0
-    kappa_e = float(np.clip(kappa_e, 1e-6 * kappa, 0.499 * kappa))
-
     # background from the off-resonant edges: phase slope gives the delay
+    edge = max(5, n // 10)
     idx = np.concatenate([np.arange(edge), np.arange(n - edge, n)])
     phase = np.unwrap(np.angle(spectrum.values[idx]))
     slope, _ = np.polyfit(freq[idx], phase, 1)
     tau = slope / (2.0 * np.pi)
     a = np.mean(spectrum.values[idx] * np.exp(-1j * 2.0 * np.pi * freq[idx] * tau))
+    if not abs(a) > 0.0:
+        raise FitError("no resolvable dip: the off-resonant background vanishes")
+
+    dev = np.abs(1.0 - spectrum.values * np.exp(-1j * 2.0 * np.pi * freq * tau) / a)
+    smooth = _smooth(dev, max(3, n // 200))
+    i0 = int(np.argmax(smooth))
+    baseline = float(np.median(smooth[idx]))
+    if dev[i0] - baseline < 3.0 * max(_robust_noise(dev), 1e-12):
+        raise FitError("no resolvable dip: depth is below 3x the trace noise")
+    if i0 < 3 or i0 > n - 4:
+        raise FitError("resonance dip truncated at the grid edge")
+
+    # dev**2 is a Lorentzian of full width kappa; crossings by interpolation
+    power = smooth**2
+    target = 0.5 * power[i0]
+    left = np.nonzero(power[:i0] < target)[0]
+    right = np.nonzero(power[i0:] < target)[0]
+    if left.size == 0 or right.size == 0:
+        raise FitError("resonance dip truncated: half-depth width not bracketed")
+    il = left[-1]
+    ir = i0 + right[0]
+    f_lo = np.interp(target, [power[il], power[il + 1]], [freq[il], freq[il + 1]])
+    f_hi = np.interp(target, [power[ir], power[ir - 1]], [freq[ir], freq[ir - 1]])
+    kappa = 2.0 * np.pi * max(f_hi - f_lo, freq[i0 + 1] - freq[i0])
+    kappa_e = float(np.clip(kappa * dev[i0] / 2.0, 1e-6 * kappa, 0.999 * kappa))
 
     return ResonanceModelParams(f0_hz=float(freq[i0]), kappa_hz=float(kappa),
                                 kappa_e_hz=kappa_e, a=complex(a), tau_s=float(tau))
@@ -199,26 +202,24 @@ _MODEL_KINDS = ("lorentzian", "dark_mode")
 _DARK_MODE_MIN_CHI2 = 50.0
 
 
-def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian",
-                  init: ResonanceModelParams | None = None) -> ResonanceFitResult:
+def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> ResonanceFitResult:
     """Fit a reflection trace and return calibrated parameters with errors.
 
+    One Lorentzian fit runs from :func:`estimate_initial_params`, which
+    starts on the right side of critical coupling by itself.
     ``model_kind`` selects the plain Lorentzian or the dark-mode-loaded
     model; the dark mode is seeded from the largest residual feature left by
-    a Lorentzian prefit.  One-sigma uncertainties come from the
-    residual-variance-scaled Jacobian covariance at the optimum.
+    the Lorentzian fit and refined in a second fit.  One-sigma uncertainties
+    come from the residual-variance-scaled Jacobian covariance at the optimum.
     """
     if model_kind not in _MODEL_KINDS:
         raise ValidationError(f"model_kind must be one of {_MODEL_KINDS}")
-    auto_init = init is None
-    if auto_init:
-        init = estimate_initial_params(spectrum)
+    init = estimate_initial_params(spectrum)
 
     freq = spectrum.frequencies_hz
     data = spectrum.values
     fc = float(freq[(freq.size - 1) // 2])
     span = float(freq[-1] - freq[0])
-    noise = _robust_noise(np.abs(data))
 
     # Internal background convention: phase slope about the grid center keeps
     # tau and arg(a) from trading against each other during the fit.  A
@@ -242,32 +243,17 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian",
 
     res = fit_least_squares(residual, x0, x_scale=scale)
     n_iterations = res.n_iterations
-    if auto_init and np.sqrt(res.cost / freq.size) > 3.0 * max(noise, 1e-12):
-        # Retry from the overcoupled branch of the depth formula: the same
-        # dip depth is produced by kappa_e and kappa - kappa_e.
-        x0_alt = list(x0)
-        x0_alt[2] = max(init.kappa_hz - init.kappa_e_hz, 1e-6 * init.kappa_hz)
-        try:
-            res_alt = fit_least_squares(residual, x0_alt, x_scale=scale)
-            n_iterations += res_alt.n_iterations
-            if res_alt.cost < res.cost:
-                res = res_alt
-        except FitError:
-            pass
 
     with_dark = model_kind == "dark_mode"
     dark_resolved = True
     if with_dark:
         res_single = res
-        if init.dark is not None:
-            dark0 = [init.dark.f_dark_hz, init.dark.gamma_hz, init.dark.g_hz]
-        else:
-            rho = _smooth(np.abs(model(res.params) - data), 3)
-            i_d = int(np.argmax(rho))
-            kappa_fit = res.params[1]
-            gamma0 = max(kappa_fit / 10.0, 2.0 * np.pi * 2.0 * span / freq.size)
-            g0 = np.sqrt(0.1 * kappa_fit * gamma0)
-            dark0 = [float(freq[i_d]), gamma0, g0]
+        rho = _smooth(np.abs(model(res.params) - data), 3)
+        i_d = int(np.argmax(rho))
+        kappa_fit = res.params[1]
+        gamma0 = max(kappa_fit / 10.0, 2.0 * np.pi * 2.0 * span / freq.size)
+        g0 = np.sqrt(0.1 * kappa_fit * gamma0)
+        dark0 = [float(freq[i_d]), gamma0, g0]
         x1 = list(res.params) + dark0
         scale1 = scale + [dark0[1] / (2.0 * np.pi), dark0[1], dark0[1]]
         # a dark mode narrower than two grid steps is not resolvable; bounding

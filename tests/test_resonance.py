@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize as scipy_optimize
 
+from sawkit import resonance
 from sawkit.errors import FitError, ValidationError
+from sawkit.lsq import fit_least_squares
 from sawkit.resonance import (
     DarkModeParams,
     ResonanceModelParams,
@@ -125,6 +128,22 @@ class TestInitialEstimate:
         with pytest.raises(FitError, match="dip"):
             estimate_initial_params(sp)
 
+    def test_vanishing_background_rejected(self):
+        grid = np.linspace(6.8e8, 7.0e8, 64)
+        sp = ComplexSpectrum(grid, np.zeros(64, complex))
+        with pytest.raises(FitError, match="dip"):
+            estimate_initial_params(sp)
+
+    @pytest.mark.parametrize("qi,qe", [(2e4, 5e3), (2e5, 2e3)])
+    def test_overcoupled_start_on_its_own_branch(self, qi, qe):
+        # Qe < Qi: the same |S11| dip depth also fits kappa - kappa_e, so a
+        # magnitude-only start lands on the undercoupled branch
+        f0 = 688.4e6
+        kappa, kappa_e = rates_from_qs(f0, qi, qe)
+        sp = synth_s11(f0, kappa, kappa_e, resonance_grid(f0, qi, qe))
+        init = estimate_initial_params(sp)
+        assert init.kappa_e_hz == pytest.approx(kappa_e, rel=0.2)
+
     def test_truncated_dip_rejected(self):
         f0 = 6.9e8
         kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
@@ -215,6 +234,71 @@ class TestFitResonance:
             assert result.params.kappa_hz == pytest.approx(kappa, rel=0.05)
             assert result.params.kappa_e_hz == pytest.approx(kappa_e, rel=0.05)
             assert result.params.f0_hz == pytest.approx(f0, rel=1e-6)
+
+    @pytest.mark.parametrize("model_kind,fits", [("lorentzian", 1), ("dark_mode", 2)])
+    def test_one_prefit_per_trace(self, monkeypatch, model_kind, fits):
+        f0 = 679.564e6
+        kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
+        grid = resonance_grid(f0, 6.8e3, 1.4e4, points=4001)
+        sp = synth_s11(f0, kappa, kappa_e, grid,
+                       dark=(TWO_PI * 15e3, 75e3, TWO_PI * 10e3),
+                       noise_sigma=0.004, rng_seed=2)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, "fit_least_squares", counted)
+        fit_resonance(sp, model_kind=model_kind)
+        assert len(calls) == fits
+
+    @pytest.mark.parametrize("qi,qe,noise", [(2e5, 2e3, 0.004), (2e5, 2e3, 0.008),
+                                             (1e5, 500, 0.004)])
+    def test_strongly_overcoupled_traces_fit(self, qi, qe, noise):
+        f0 = 6.9e8
+        kappa, kappa_e = rates_from_qs(f0, qi, qe)
+        grid = resonance_grid(f0, qi, qe, span_linewidths=5.0, points=6001)
+        for seed in range(20):
+            result = fit_resonance(synth_s11(f0, kappa, kappa_e, grid,
+                                             noise_sigma=noise, rng_seed=seed))
+            assert result.qe == pytest.approx(qe, rel=0.03)
+            assert result.qi == pytest.approx(qi, rel=0.10)
+
+    @pytest.mark.parametrize("qi,qe", [(6.8e3, 1.4e4), (2e4, 5e3), (2e5, 2e3),
+                                       (4e3, 3e4)])
+    def test_matches_scipy_least_squares(self, qi, qe):
+        # same model and data, independent optimizer started at the truth.
+        # scipy's finite-difference steps are relative to max(1, |x|), so its
+        # parameters are kept near unit size or near zero: f0 as an offset
+        # from the grid center, the delay as the phase it turns over the span
+        f0, tau = 688.4e6, 12e-9
+        a = 0.8 * cmath.exp(2.1j)
+        kappa, kappa_e = rates_from_qs(f0, qi, qe)
+        grid = resonance_grid(f0, qi, qe, points=2001)
+        base = synth_s11(f0, kappa, kappa_e, grid, noise_sigma=0.004, rng_seed=5)
+        sp = ComplexSpectrum(grid, a * base.values * np.exp(1j * TWO_PI * grid * tau))
+        fc = float(grid[1000])
+        span = float(grid[-1] - grid[0])
+
+        def residual(x):
+            df0, kap, kap_e, a_re, a_im, turn = x
+            bg = (a_re + 1j * a_im) * np.exp(1j * turn * (grid - fc) / span)
+            resp = 1.0 - kap_e / (1j * TWO_PI * (grid - fc - df0) + kap / 2.0)
+            diff = bg * resp - sp.values
+            return np.concatenate([diff.real, diff.imag])
+
+        a_c = a * cmath.exp(1j * TWO_PI * fc * tau)
+        ref = scipy_optimize.least_squares(
+            residual, [f0 - fc, kappa, kappa_e, a_c.real, a_c.imag, TWO_PI * span * tau],
+            x_scale=[kappa / TWO_PI, kappa, kappa, 1.0, 1.0, 1.0], jac="3-point",
+            method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        result = fit_resonance(sp)
+        p = result.params
+        for key, ours, theirs in [("f0_hz", p.f0_hz - fc, ref.x[0]),
+                                  ("kappa_hz", p.kappa_hz, ref.x[1]),
+                                  ("kappa_e_hz", p.kappa_e_hz, ref.x[2])]:
+            assert abs(ours - theirs) < 0.01 * result.param_errors[key]
 
     def test_unknown_model_kind_rejected(self):
         grid = np.linspace(1e6, 2e6, 16)
