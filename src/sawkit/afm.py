@@ -1,9 +1,10 @@
 """Topograph analysis: scan-line flattening, three-point plane leveling,
-RMS roughness, and terrace step heights from a 3-Gaussian histogram fit.
+RMS roughness, and terrace step heights from an equally spaced comb of
+Gaussians fitted to the height histogram, gated against free centers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -13,6 +14,13 @@ from .spectra import AfmImage
 
 #: histogram bins never get finer than this (10 pm)
 HIST_BIN_FLOOR_M = 1.0e-11
+
+#: chi-square drop (in residual variances) of free centers over the comb
+#: from which the steps are reported as unequal
+_UNEQUAL_STEPS_MIN_CHI2 = 50.0
+
+#: a terrace solved below this share of the largest amplitude is absent
+_MIN_AMPLITUDE_SHARE = 0.05
 
 
 def remove_line_tilt(image: AfmImage, order=1) -> AfmImage:
@@ -36,13 +44,6 @@ def remove_line_tilt(image: AfmImage, order=1) -> AfmImage:
     return AfmImage(anchored - (basis @ coef).T, image.pixel_pitch_m)
 
 
-def _median3x3(h, px, py):
-    ny, nx = h.shape
-    x0, x1 = max(px - 1, 0), min(px + 2, nx)
-    y0, y1 = max(py - 1, 0), min(py + 2, ny)
-    return float(np.median(h[y0:y1, x0:x1]))
-
-
 def three_point_level(image: AfmImage, p1, p2, p3) -> AfmImage:
     """Subtract the plane through three sampled pixels (3x3 medians).
 
@@ -60,10 +61,10 @@ def three_point_level(image: AfmImage, p1, p2, p3) -> AfmImage:
     cross = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
     if cross == 0:
         raise ValidationError("the three points are collinear")
-    a = np.array([[x1 * dx, y1 * dy, 1.0],
-                  [x2 * dx, y2 * dy, 1.0],
-                  [x3 * dx, y3 * dy, 1.0]])
-    z = np.array([_median3x3(h, px, py) for px, py in pts])
+    a = np.array([[px * dx, py * dy, 1.0] for px, py in pts])
+    # slicing clips the 3x3 window at the far edges, max(..., 0) at the near
+    z = np.array([np.median(h[max(py - 1, 0):py + 2, max(px - 1, 0):px + 2])
+                  for px, py in pts])
     cx, cy, c0 = np.linalg.solve(a, z)
     xs = np.arange(image.nx) * dx
     ys = np.arange(image.ny)[:, None] * dy
@@ -77,16 +78,23 @@ def rms_roughness(image: AfmImage) -> float:
     return float(np.sqrt(np.mean((d - d.mean()) ** 2)))
 
 
+def _gaussians(x, centers, sigmas):
+    return np.exp(-0.5 * ((np.asarray(x)[:, None] - centers) / sigmas) ** 2)
+
+
 @dataclass(frozen=True)
 class StepHeightResult:
-    """Terrace statistics from a 3-Gaussian fit to the height histogram."""
+    """Terrace statistics from the Gaussian fit to the height histogram."""
 
-    centers_m: tuple          # fitted Gaussian centers, ascending
-    sigmas_m: tuple           # fitted Gaussian widths
+    centers_m: tuple          # fitted terrace centers, ascending
+    sigmas_m: tuple           # terrace widths (one shared value)
+    amplitudes: tuple         # solved terrace peaks, pixels per bin
     step_heights_m: tuple     # consecutive center differences
     mean_step_m: float
-    mean_step_err_m: float    # from the center covariance, root-sum-square
-    width_err_m: float        # mean fitted Gaussian width (the looser, width-based convention)
+    mean_step_err_m: float    # one sigma, from the fit covariance
+    width_err_m: float        # fitted terrace width (the looser, width-based convention)
+    unequal_delta_chi2: float  # cost drop of free centers below the comb, in residual variances
+    equal_steps: bool         # that drop stayed under _UNEQUAL_STEPS_MIN_CHI2
 
     def __post_init__(self):
         if any(s <= 0 for s in self.sigmas_m):
@@ -94,15 +102,12 @@ class StepHeightResult:
         if any(b <= a for a, b in zip(self.centers_m, self.centers_m[1:])):
             raise ValidationError("centers must be strictly ascending")
 
+    def evaluate(self, x):
+        """The fitted histogram model (pixels per bin) at heights ``x``."""
+        return _gaussians(x, self.centers_m, self.sigmas_m) @ np.asarray(self.amplitudes)
+
     def to_json_dict(self):
-        return {
-            "centers_m": list(self.centers_m),
-            "sigmas_m": list(self.sigmas_m),
-            "step_heights_m": list(self.step_heights_m),
-            "mean_step_m": self.mean_step_m,
-            "mean_step_err_m": self.mean_step_err_m,
-            "width_err_m": self.width_err_m,
-        }
+        return asdict(self)
 
 
 def height_histogram(image: AfmImage):
@@ -119,68 +124,81 @@ def height_histogram(image: AfmImage):
     return centers, counts
 
 
-def _top_modes(counts, n_modes, min_separation=3):
-    """Indices of the strongest local maxima, at least ``min_separation`` apart."""
-    kernel = np.ones(3) / 3.0
-    smooth = np.convolve(np.pad(counts.astype(float), 1, mode="edge"),
-                         kernel, mode="same")[1:-1]
-    peaks = [i for i in range(1, smooth.size - 1)
-             if smooth[i] > smooth[i - 1] and smooth[i] >= smooth[i + 1]]
-    peaks.sort(key=lambda i: smooth[i], reverse=True)
-    kept = []
-    for i in peaks:
-        if all(abs(i - j) >= min_separation for j in kept):
-            kept.append(i)
-        if len(kept) == n_modes:
+def _lloyd_start(x, w):
+    """Count-weighted 1-D k-means from the 1/6, 1/2 and 5/6 count quantiles:
+    three ascending centers and the pooled within-cluster spread."""
+    centers = x[np.searchsorted(np.cumsum(w) / w.sum(), [1 / 6, 1 / 2, 5 / 6])]
+    for _ in range(100):
+        label = np.argmin(np.abs(x[:, None] - centers), axis=1)
+        new = np.array([np.average(x[label == k], weights=w[label == k])
+                        if w[label == k].sum() > 0 else centers[k] for k in range(3)])
+        if np.array_equal(new, centers):
             break
-    return sorted(kept)
+        centers = new
+    return centers, np.sqrt(np.average((x - centers[label]) ** 2, weights=w))
+
+
+def _fit_terraces(x, y, centers_of, p0, lower):
+    """LM over ``p`` (centers ``centers_of(p)``, shared width ``p[-1]``) with the
+    amplitudes solved at each evaluation (variable projection); also returns them."""
+    def solve(p):
+        basis = _gaussians(x, centers_of(p), p[-1])
+        return basis, np.linalg.lstsq(basis, y, rcond=None)[0]
+
+    def residual(p):
+        basis, amps = solve(p)
+        return basis @ amps - y
+
+    res = fit_least_squares(residual, p0, x_scale=[p0[-1]] * len(p0), lower=lower)
+    return res, solve(res.params)[1]
 
 
 def fit_step_heights(image: AfmImage) -> StepHeightResult:
-    """Extract terrace step heights from a leveled image.
+    """Terrace step heights of a leveled image from its height histogram.
 
-    The height histogram is fitted with a sum of three Gaussians seeded at
-    the three strongest histogram modes; consecutive center differences are
-    the step heights.  Raises FitError when fewer than three modes resolve.
+    The model is ``sum_k A_k exp(-((x - mu0 - k*h) / sigma)**2 / 2)``, k = 0..2:
+    LM searches (mu0, h, sigma) from a k-means start and solves the A_k.
+    Fewer than three modes (equal Gaussians closer than 2 sigma merge; a
+    terrace under 5 % of the largest amplitude is absent) raise FitError.
+    A refit with free centers gates the equal spacing like the dark mode:
+    under ``_UNEQUAL_STEPS_MIN_CHI2`` both steps are ``h``, else the free ones.
     """
-    centers, counts = height_histogram(image)
-    modes = _top_modes(counts, 3)
-    if len(modes) < 3:
-        raise FitError(f"found {len(modes)} resolvable height modes, need 3")
-
-    bin_w = centers[1] - centers[0]
-    seps = np.diff([centers[i] for i in modes])
-    sigma0 = max(2.0 * bin_w, 0.25 * float(seps.min()))
-    p0, scale = [], []
-    for i in modes:
-        p0 += [float(counts[i]), float(centers[i]), sigma0]
-        scale += [max(float(counts[i]), 1.0), sigma0, sigma0]
-
-    x = centers
+    x, counts = height_histogram(image)
     y = counts.astype(float)
+    k = np.arange(3)
+    bin_w = x[1] - x[0] if x.size > 1 else HIST_BIN_FLOOR_M
+    start, spread = _lloyd_start(x, y)
+    h0 = (start[2] - start[0]) / 2.0
+    comb, amps = _fit_terraces(x, y, lambda p: p[0] + k * p[1],
+                               [start.mean() - h0, h0, max(spread, 2.0 * bin_w)],
+                               [-np.inf, 0.0, 0.5 * bin_w])
+    mu0, h, sigma = comb.params
+    kept = (mu0 + k * h)[amps >= _MIN_AMPLITUDE_SHARE * amps.max()]
+    n_modes = 1 + int(np.sum(np.diff(kept) >= 2.0 * sigma))
+    if n_modes < 3:
+        raise FitError(f"found {n_modes} resolvable height modes, need 3")
 
-    def residual(p):
-        total = np.zeros_like(x)
-        for k in range(3):
-            amp, mu, sig = p[3 * k:3 * k + 3]
-            total += amp * np.exp(-0.5 * ((x - mu) / sig) ** 2)
-        return total - y
-
-    res = fit_least_squares(residual, p0, x_scale=scale)
-    triples = sorted((res.params[3 * k + 1], abs(res.params[3 * k + 2]),
-                      res.param_errors[3 * k + 1]) for k in range(3))
-    mus = [t[0] for t in triples]
-    sigs = [t[1] for t in triples]
-    mu_errs = [t[2] for t in triples]
-    if mus[0] >= mus[1] or mus[1] >= mus[2]:
-        raise FitError("fitted modes degenerate: centers not distinct")
-    steps = (mus[1] - mus[0], mus[2] - mus[1])
-    step_errs = [np.hypot(mu_errs[0], mu_errs[1]), np.hypot(mu_errs[1], mu_errs[2])]
+    free, free_amps = _fit_terraces(x, y, lambda p: p[:3], [*(mu0 + k * h), sigma],
+                                    [-np.inf] * 3 + [0.5 * bin_w])
+    s2 = max(free.cost / max(1, x.size - 7), np.finfo(float).tiny)
+    delta_chi2 = float((comb.cost - free.cost) / s2)
+    equal = delta_chi2 < _UNEQUAL_STEPS_MIN_CHI2
+    if equal:
+        centers, steps, err = mu0 + k * h, (h, h), comb.param_errors[1]
+    else:
+        centers, amps, sigma = free.params[:3], free_amps, free.params[3]
+        if not centers[0] < centers[1] < centers[2]:
+            raise FitError("fitted modes degenerate: centers not distinct")
+        steps, cov = np.diff(centers), free.covariance
+        err = np.sqrt(max(cov[0, 0] + cov[2, 2] - 2.0 * cov[0, 2], 0.0)) / 2.0
     return StepHeightResult(
-        centers_m=tuple(mus),
-        sigmas_m=tuple(sigs),
-        step_heights_m=steps,
+        centers_m=tuple(float(c) for c in centers),
+        sigmas_m=(float(sigma),) * 3,
+        amplitudes=tuple(float(a) for a in amps),
+        step_heights_m=tuple(float(s) for s in steps),
         mean_step_m=float(np.mean(steps)),
-        mean_step_err_m=float(np.hypot(*step_errs) / 2.0),
-        width_err_m=float(np.mean(sigs)),
+        mean_step_err_m=float(err),
+        width_err_m=float(sigma),
+        unequal_delta_chi2=delta_chi2,
+        equal_steps=bool(equal),
     )

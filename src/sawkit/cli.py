@@ -215,9 +215,7 @@ def cmd_xps_quant(args) -> int:
             shifted, shift = parsed, 0.0
         else:
             shifted, shift = xps.charge_shift(parsed)
-        areas = {}
-        band_areas = {}
-        panels = []
+        areas, band_areas, band_fits, panels = {}, {}, {}, []
         for sp in shifted:
             be = sp.ascending().binding_energy_ev
             window = windows.get(sp.element_line, (float(be[0]), float(be[-1])))
@@ -230,6 +228,7 @@ def cmd_xps_quant(args) -> int:
             if sp.element_line in band_cfg:
                 fit = xps.fit_bands(sh.binding_energy_ev, sh.net, band_cfg[sp.element_line])
                 band_areas[sp.element_line] = [float(a) for a in fit.areas]
+                band_fits[sp.element_line] = fit.to_json_dict()
                 panel.add_line(sh.binding_energy_ev,
                                sh.background + fit.model.evaluate(sh.binding_energy_ev),
                                label="bands")
@@ -238,6 +237,7 @@ def cmd_xps_quant(args) -> int:
         doc = report.to_json_dict()
         doc["charge_shift_ev"] = shift
         doc["areas"] = {k: float(v) for k, v in areas.items()}
+        doc["band_fits"] = band_fits
         _write_report(args, "xps_quant", doc, lambda: panels)
     except (SawkitError, OSError) as exc:
         _write_error(args, "xps_quant", exc)
@@ -285,11 +285,7 @@ def cmd_afm(args) -> int:
             panel.add_line(centers, counts, label="histogram")
             if steps is not None:
                 grid = np.linspace(centers.min(), centers.max(), 400)
-                total = np.zeros_like(grid)
-                for mu, sig in zip(steps.centers_m, steps.sigmas_m):
-                    amp = counts[np.argmin(np.abs(centers - mu))]
-                    total += amp * np.exp(-0.5 * ((grid - mu) / sig) ** 2)
-                panel.add_line(grid, total, label="3-gaussian fit")
+                panel.add_line(grid, steps.evaluate(grid), label="terrace fit")
             return [panel]
 
         return doc, panels

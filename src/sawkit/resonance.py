@@ -276,7 +276,13 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     f0, kappa, kappa_e = x[0], x[1], x[2]
     if not np.isfinite(kappa) or kappa <= 0 or kappa_e <= 0 or kappa_e >= kappa:
         raise FitError("fit pinned at a physical bound (kappa_e -> kappa)")
-    a_pub = (x[3] + 1j * x[4]) * np.exp(-1j * 2.0 * np.pi * fc * x[5])
+    rot = np.exp(-1j * 2.0 * np.pi * fc * x[5])
+    a_pub = (x[3] + 1j * x[4]) * rot
+    # carry the covariance of (a_re, a_im, tau) through the turn back to f = 0
+    d_pub = np.array([rot, 1j * rot, -1j * 2.0 * np.pi * fc * a_pub])
+    jac = np.array([d_pub.real, d_pub.imag])
+    errors = res.param_errors.copy()
+    errors[3:5] = np.sqrt(np.diag(jac @ res.covariance[3:6, 3:6] @ jac.T))
     dark = None
     err_keys = ["f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im", "tau_s"]
     if with_dark:
@@ -293,7 +299,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     qi, qe = q_factors(params)
     return ResonanceFitResult(
         params=params,
-        param_errors={k: float(e) for k, e in zip(err_keys, res.param_errors)},
+        param_errors={k: float(e) for k, e in zip(err_keys, errors)},
         qi=float(qi),
         qe=float(qe),
         residual_rms=float(np.sqrt(res.cost / freq.size)),

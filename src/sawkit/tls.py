@@ -133,44 +133,39 @@ class TlsFitResult:
 def fit_fdelta(series) -> TlsFitResult:
     """Extract the TLS loss product from a temperature sweep.
 
-    The model is linear in the loss product (a known temperature shape times
-    ``F_delta``), so the weighted least-squares solution is closed form.
-    The shift is anchored at the sweep point closest to the series reference
-    temperature; that point's fitted frequency also supplies the mode
-    frequency inside the bracket.
+    The model ``f0(T) = c + c*F_delta*shape(T)`` is linear in ``c``, the
+    mode frequency at the reference temperature, and in ``c*F_delta``, so
+    the weighted least-squares solution is closed form and the error of
+    ``F_delta`` comes from their 2x2 covariance.  The bracket inside
+    ``shape`` takes the frequency of the sweep point closest to the
+    reference temperature, which changes the shift only at second order.
     """
     t = np.asarray(series.temperatures_k, dtype=float)
     f0 = np.asarray(series.f0_hz, dtype=float)
     err = np.asarray(series.f0_err_hz, dtype=float)
 
-    i_ref = int(np.argmin(np.abs(t - series.reference_temperature_k)))
-    f_ref = f0[i_ref]
-    t_ref = t[i_ref]
-
+    t_ref = series.reference_temperature_k
+    f_ref = f0[int(np.argmin(np.abs(t - t_ref)))]
     shape = (_bracket(f_ref, t) - _bracket(f_ref, t_ref)) / np.pi
-    data = f0 / f_ref - 1.0
-
-    denom_shape = float(shape @ shape)
-    if denom_shape == 0.0:
+    sw = 1.0 / err if np.all(err > 0) else np.ones_like(t)
+    design = np.column_stack([np.ones_like(t), shape]) * sw[:, None]
+    # solving for the offset from f_ref keeps the shift digits
+    (dc, d), _, rank, _ = np.linalg.lstsq(design, (f0 - f_ref) * sw, rcond=None)
+    if rank < 2:
         raise FitError("degenerate temperature shape: no usable spread in T")
+    c = f_ref + dc
+    f_delta = d / c
 
-    if np.all(err > 0):
-        w = 1.0 / err**2
-    else:
-        w = np.ones_like(t)
-    swd = float(np.sum(w * shape * data))
-    sws = float(np.sum(w * shape * shape))
-    f_delta = swd / sws
-
-    resid = data - f_delta * shape
-    dof = max(1, t.size - 1)
-    var = float(np.sum(w * resid**2) / dof / sws)
+    resid = f0 - c - d * shape
+    dof = max(1, t.size - 2)
+    cov = np.linalg.inv(design.T @ design) * float(np.sum((resid * sw) ** 2)) / dof
+    grad = np.array([-d / c**2, 1.0 / c])
     return TlsFitResult(
-        f_delta_tls=f_delta,
-        f_delta_err=float(np.sqrt(max(var, 0.0))),
-        f0_hz=float(f_ref),
-        reference_temperature_k=float(series.reference_temperature_k),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        f_delta_tls=float(f_delta),
+        f_delta_err=float(np.sqrt(max(grad @ cov @ grad, 0.0))),
+        f0_hz=float(c),
+        reference_temperature_k=float(t_ref),
+        residual_rms=float(np.sqrt(np.mean((resid / c) ** 2))),
         non_positive=bool(f_delta <= 0),
     )
 
@@ -265,18 +260,11 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
     qi = np.asarray(series.qi, dtype=float)
     qi_err = np.asarray(series.qi_err, dtype=float)
 
+    if fixed_beta is not None and not 0.0 < fixed_beta <= 2.0:
+        raise ValidationError("fixed beta must lie in (0, 2]")
     decades = np.log10(n.max() / n.min())
-    if fixed_beta is not None:
-        if not 0.0 < fixed_beta <= 2.0:
-            raise ValidationError("fixed beta must lie in (0, 2]")
-        beta_fixed = True
-        beta0 = float(fixed_beta)
-    elif decades < BETA_FREE_MIN_DECADES:
-        beta_fixed = True
-        beta0 = DEFAULT_BETA
-    else:
-        beta_fixed = False
-        beta0 = DEFAULT_BETA
+    beta_fixed = fixed_beta is not None or bool(decades < BETA_FREE_MIN_DECADES)
+    beta0 = DEFAULT_BETA if fixed_beta is None else float(fixed_beta)
 
     arg = HBAR * 2.0 * np.pi * series.f0_hz / (2.0 * KB * series.temperature_k)
     tanh_arg = np.tanh(arg)

@@ -84,6 +84,11 @@ def find_zero_crossings(curve: WalkoffCurve):
     """
     theta = curve.theta_deg
     eta = curve.eta_deg
+
+    def crossing(t, j, spacing):
+        return ZeroCrossing(float(t), float(_centered_slope(theta, eta, j)),
+                            float(spacing / 2.0))
+
     crossings = []
     for i in range(theta.size - 1):
         e0, e1 = eta[i], eta[i + 1]
@@ -91,28 +96,15 @@ def find_zero_crossings(curve: WalkoffCurve):
             # exact sample zero: a crossing only if the signs flip across it
             left = eta[i - 1] if i > 0 else 0.0
             if left * e1 < 0:
-                crossings.append(ZeroCrossing(
-                    theta_deg=float(theta[i]),
-                    slope_deg_per_deg=float(_centered_slope(theta, eta, i)),
-                    uncertainty_deg=float((theta[i + 1] - theta[i]) / 2.0),
-                ))
+                crossings.append(crossing(theta[i], i, theta[i + 1] - theta[i]))
             continue
         if e0 * e1 < 0:
             frac = e0 / (e0 - e1)
             t = theta[i] + frac * (theta[i + 1] - theta[i])
-            j = i if frac < 0.5 else i + 1
-            crossings.append(ZeroCrossing(
-                theta_deg=float(t),
-                slope_deg_per_deg=float(_centered_slope(theta, eta, j)),
-                uncertainty_deg=float((theta[i + 1] - theta[i]) / 2.0),
-            ))
+            crossings.append(crossing(t, i if frac < 0.5 else i + 1, theta[i + 1] - theta[i]))
     # trailing exact zero, falling or rising through it
     if eta[-1] == 0.0 and theta.size >= 2 and eta[-2] != 0.0:
-        crossings.append(ZeroCrossing(
-            theta_deg=float(theta[-1]),
-            slope_deg_per_deg=float(_centered_slope(theta, eta, theta.size - 1)),
-            uncertainty_deg=float((theta[-1] - theta[-2]) / 2.0),
-        ))
+        crossings.append(crossing(theta[-1], theta.size - 1, theta[-1] - theta[-2]))
     return crossings
 
 
@@ -123,13 +115,11 @@ def find_tangencies(curve: WalkoffCurve):
     ``TANGENCY_THRESHOLD_DEG``, excluding genuine crossings.
     """
     theta = curve.theta_deg
-    mag = np.abs(curve.eta_deg)
     eta = curve.eta_deg
+    mag = np.abs(eta)
     out = []
     for i in range(1, theta.size - 1):
-        if mag[i] <= mag[i - 1] and mag[i] < mag[i + 1] and mag[i] < TANGENCY_THRESHOLD_DEG:
-            if eta[i - 1] * eta[i + 1] > 0 and eta[i] != 0.0:
-                out.append((float(theta[i]), float(eta[i])))
-            elif eta[i] == 0.0 and eta[i - 1] * eta[i + 1] > 0:
-                out.append((float(theta[i]), 0.0))
+        if (mag[i] <= mag[i - 1] and mag[i] < mag[i + 1] and mag[i] < TANGENCY_THRESHOLD_DEG
+                and eta[i - 1] * eta[i + 1] > 0):
+            out.append((float(theta[i]), float(eta[i]) + 0.0))  # + 0.0 maps -0.0 to 0.0
     return out

@@ -20,6 +20,17 @@ def noise_image(sigma, shape=(128, 128), seed=0):
     return AfmImage(sigma * rng.standard_normal(shape), PITCH)
 
 
+def terrace_image(levels, fractions, seed, shape=(256, 256), noise=8e-11):
+    """Vertical terraces at ``levels`` covering ``fractions`` of the width."""
+    ny, nx = shape
+    bounds = np.round(np.cumsum([0.0, *fractions]) * nx).astype(int)
+    row = np.zeros(nx)
+    for level, lo, hi in zip(levels, bounds, bounds[1:]):
+        row[lo:hi] = level
+    rng = np.random.default_rng(seed)
+    return AfmImage(row + noise * rng.standard_normal(shape), PITCH)
+
+
 class TestRemoveLineTilt:
     def test_constant_image_becomes_zero(self):
         img = AfmImage(np.full((32, 32), 3.2e-9), PITCH)
@@ -163,3 +174,50 @@ class TestStepHeights:
         centers, counts = height_histogram(img)
         assert centers.size >= 2
         assert centers[1] - centers[0] >= 1e-11 - 1e-24
+
+    @pytest.mark.parametrize("fractions", [(0.6, 0.25, 0.15), (0.15, 0.7, 0.15),
+                                           (0.75, 0.15, 0.1)])
+    def test_uneven_terrace_areas(self, fractions):
+        # vicinal terraces are rarely equal in area; 50 images per mix
+        for seed in range(50):
+            result = fit_step_heights(terrace_image((0.0, 2e-10, 4e-10), fractions, seed))
+            for step in result.step_heights_m:
+                assert step == pytest.approx(2e-10, rel=0.15)
+
+    def test_equal_steps_pass_the_gate(self):
+        for seed in range(10):
+            result = fit_step_heights(synth_terrace_image((256, 256), rng_seed=seed))
+            assert result.equal_steps
+            assert result.unequal_delta_chi2 < 50.0
+            assert result.step_heights_m[0] == result.step_heights_m[1]
+
+    def test_unequal_steps_reported(self):
+        for seed in range(10):
+            img = terrace_image((0.0, 2e-10, 4.4e-10), (1 / 3, 1 / 3, 1 / 3), seed)
+            result = fit_step_heights(img)
+            assert not result.equal_steps
+            assert result.unequal_delta_chi2 >= 50.0
+            assert result.step_heights_m[0] == pytest.approx(2.0e-10, rel=0.15)
+            assert result.step_heights_m[1] == pytest.approx(2.4e-10, rel=0.15)
+
+    def test_double_step_is_an_error(self):
+        # 200 then 400 pm: the middle terrace of a 200 pm comb is missing
+        for seed in range(5):
+            img = terrace_image((0.0, 2e-10, 6e-10), (1 / 3, 1 / 3, 1 / 3), seed)
+            with pytest.raises(FitError, match="resolvable height modes"):
+                fit_step_heights(img)
+
+    def test_reported_sigma_matches_seed_scatter(self):
+        # 40 noise draws at the benchmark's image size: the median reported
+        # one-sigma step error has to match the scatter of the fitted steps
+        fits = [fit_step_heights(synth_terrace_image((256, 256), rng_seed=seed))
+                for seed in range(40)]
+        scatter = np.std([r.mean_step_m for r in fits], ddof=1)
+        reported = np.median([r.mean_step_err_m for r in fits])
+        assert scatter / 3.0 < reported < 3.0 * scatter
+
+    def test_model_accounts_for_every_pixel(self):
+        img = terrace_image((0.0, 2e-10, 4e-10), (0.6, 0.25, 0.15), seed=2)
+        result = fit_step_heights(img)
+        centers, counts = height_histogram(img)
+        assert result.evaluate(centers).sum() == pytest.approx(counts.sum(), rel=0.02)

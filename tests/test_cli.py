@@ -41,6 +41,17 @@ class TestSynth:
         doc = read_json(tmp_path / "terraces.afm.json")
         assert doc["steps"]["mean_step_m"] == pytest.approx(2.4e-10, rel=0.15)
 
+    def test_synth_afm_reports_step_gate(self, tmp_path):
+        grid = tmp_path / "terraces.txt"
+        assert run(["synth", "afm", "--nx", "160", "--ny", "160", "--seed", "5",
+                    "--output", grid]) == 0
+        assert run(["afm", grid, "--fit-steps", "--out", tmp_path, "--emit-svg"]) == 0
+        steps = read_json(tmp_path / "terraces.afm.json")["steps"]
+        assert steps["equal_steps"] is True
+        assert steps["unequal_delta_chi2"] < 50.0
+        assert steps["step_heights_m"][0] == steps["step_heights_m"][1]
+        assert "terrace fit" in (tmp_path / "terraces.afm.svg").read_text()
+
 
 class TestFitResonance:
     def synth_trace(self, tmp_path, name, seed=0, noise="0.004"):
@@ -135,6 +146,22 @@ class TestXpsQuant:
         assert doc["atomic_percent"]["O1s"] == pytest.approx(50.0, abs=1.0)
         assert doc["ratios_to_nb"]["O/Nb"] == pytest.approx(1.0, abs=0.05)
         assert (tmp_path / "xps_quant.svg").exists()
+
+    def test_band_fit_diagnostics_written(self, tmp_path):
+        indir = tmp_path / "xps"
+        indir.mkdir()
+        self.write_line(indir / "O1s.csv", "O1s", 530.0, 5000.0, 1)
+        self.write_line(indir / "Nb3d.csv", "Nb3d", 207.3, 5000.0, 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bands": {"O1s": [{"center_ev": 530.0}]}}))
+        assert run(["xps-quant", indir, "--config", cfg, "--out", tmp_path]) == 0
+        doc = read_json(tmp_path / "xps_quant.json")
+        fit = doc["band_fits"]["O1s"]
+        assert [b["area"] for b in fit["bands"]] == doc["band_areas"]["O1s"]
+        assert len(fit["area_errors"]) == 1
+        assert fit["degenerate"] is False
+        assert fit["n_iterations"] >= 1
+        assert list(doc["band_fits"]) == ["O1s"]
 
     def test_missing_nb_is_error(self, tmp_path):
         indir = tmp_path / "xps"

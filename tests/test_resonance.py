@@ -306,7 +306,7 @@ class TestFitResonance:
         with pytest.raises(ValidationError):
             fit_resonance(sp, model_kind="magnitude")
 
-    @pytest.mark.parametrize("key", ["f0_hz", "kappa_hz", "kappa_e_hz"])
+    @pytest.mark.parametrize("key", ["f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im"])
     def test_reported_sigma_matches_seed_scatter(self, key):
         # 30 noise draws of one trace: the median reported one-sigma error
         # has to match the scatter of the fitted values over the draws
@@ -316,6 +316,6 @@ class TestFitResonance:
         fits = [fit_resonance(synth_s11(f0, kappa, kappa_e, grid,
                                         noise_sigma=0.004, rng_seed=seed))
                 for seed in range(30)]
-        scatter = np.std([getattr(r.params, key) for r in fits], ddof=1)
+        scatter = np.std([r.params.to_json_dict()[key] for r in fits], ddof=1)
         reported = np.median([r.param_errors[key] for r in fits])
         assert scatter / 3.0 < reported < 3.0 * scatter

@@ -122,6 +122,17 @@ class TestFitFdelta:
             ratio = fit_fdelta(scaled).f_delta_tls / fit_fdelta(base).f_delta_tls
             assert ratio == pytest.approx(c, rel=1e-9)
 
+    def test_reported_sigma_matches_seed_scatter(self):
+        # 300 noise draws: every point's noise, the reference point's too,
+        # has to show up in the reported one-sigma error
+        t = np.linspace(0.010, 0.200, 30)
+        fits = [fit_fdelta(synth_temperature_sweep(2e-5, 6.9e8, t, noise_sigma_hz=10.0,
+                                                   rng_seed=seed))
+                for seed in range(300)]
+        scatter = np.std([r.f_delta_tls for r in fits], ddof=1)
+        reported = np.median([r.f_delta_err for r in fits])
+        assert scatter / 3.0 < reported < 3.0 * scatter
+
     def test_table_values_recover_under_noise(self):
         # loss products spanning the reported device range
         t = np.linspace(0.010, 0.200, 20)
