@@ -13,7 +13,6 @@ import numpy as np
 
 from sawkit.afm import (
     fit_step_heights,
-    height_histogram,
     remove_line_tilt,
     rms_roughness,
     three_point_level,
@@ -51,7 +50,7 @@ print(f"\ntilted terrace: mean height {np.mean(tilted.heights_m) * 1e12:+.0f} pm
       f"after leveling {np.mean(leveled.heights_m) * 1e12:+.1f} pm "
       f"(noise is 40 pm/px)")
 
-centers, counts = height_histogram(flattened)
+centers, counts = result.histogram
 grid = np.linspace(centers.min(), centers.max(), 400)
 panel = Panel(title="height histogram with equal-step terrace fit",
               xlabel="height (m)", ylabel="pixels")

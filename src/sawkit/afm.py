@@ -1,15 +1,17 @@
 """Topograph analysis: scan-line flattening, three-point plane leveling,
 RMS roughness, and terrace step heights from an equally spaced comb of
 Gaussians fitted to the height histogram, gated against free centers.
+The terrace amplitudes are solved, not searched (``lsq.fit_separable``), and
+the step result carries the histogram it was fitted to, for plotting.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_least_squares
+from .lsq import fit_separable
 from .spectra import AfmImage
 
 #: histogram bins never get finer than this (10 pm)
@@ -95,6 +97,7 @@ class StepHeightResult:
     width_err_m: float        # fitted terrace width (the looser, width-based convention)
     unequal_delta_chi2: float  # cost drop of free centers below the comb, in residual variances
     equal_steps: bool         # that drop stayed under _UNEQUAL_STEPS_MIN_CHI2
+    histogram: tuple = field(default=(), repr=False)  # fitted (bin centers, counts); no JSON
 
     def __post_init__(self):
         if any(s <= 0 for s in self.sigmas_m):
@@ -107,7 +110,7 @@ class StepHeightResult:
         return _gaussians(x, self.centers_m, self.sigmas_m) @ np.asarray(self.amplitudes)
 
     def to_json_dict(self):
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
 
 
 def height_histogram(image: AfmImage):
@@ -138,21 +141,6 @@ def _lloyd_start(x, w):
     return centers, np.sqrt(np.average((x - centers[label]) ** 2, weights=w))
 
 
-def _fit_terraces(x, y, centers_of, p0, lower):
-    """LM over ``p`` (centers ``centers_of(p)``, shared width ``p[-1]``) with the
-    amplitudes solved at each evaluation (variable projection); also returns them."""
-    def solve(p):
-        basis = _gaussians(x, centers_of(p), p[-1])
-        return basis, np.linalg.lstsq(basis, y, rcond=None)[0]
-
-    def residual(p):
-        basis, amps = solve(p)
-        return basis @ amps - y
-
-    res = fit_least_squares(residual, p0, x_scale=[p0[-1]] * len(p0), lower=lower)
-    return res, solve(res.params)[1]
-
-
 def fit_step_heights(image: AfmImage) -> StepHeightResult:
     """Terrace step heights of a leveled image from its height histogram.
 
@@ -169,24 +157,25 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
     bin_w = x[1] - x[0] if x.size > 1 else HIST_BIN_FLOOR_M
     start, spread = _lloyd_start(x, y)
     h0 = (start[2] - start[0]) / 2.0
-    comb, amps = _fit_terraces(x, y, lambda p: p[0] + k * p[1],
-                               [start.mean() - h0, h0, max(spread, 2.0 * bin_w)],
-                               [-np.inf, 0.0, 0.5 * bin_w])
-    mu0, h, sigma = comb.params
+    sigma0 = max(spread, 2.0 * bin_w)
+    comb = fit_separable(lambda p: _gaussians(x, p[0] + k * p[1], p[2]), y,
+                         [start.mean() - h0, h0, sigma0], x_scale=[sigma0] * 3,
+                         lower=[-np.inf, 0.0, 0.5 * bin_w])
+    (mu0, h, sigma), amps = comb.params[:3], comb.params[3:]
     kept = (mu0 + k * h)[amps >= _MIN_AMPLITUDE_SHARE * amps.max()]
     n_modes = 1 + int(np.sum(np.diff(kept) >= 2.0 * sigma))
     if n_modes < 3:
         raise FitError(f"found {n_modes} resolvable height modes, need 3")
 
-    free, free_amps = _fit_terraces(x, y, lambda p: p[:3], [*(mu0 + k * h), sigma],
-                                    [-np.inf] * 3 + [0.5 * bin_w])
+    free = fit_separable(lambda p: _gaussians(x, p[:3], p[3]), y, [*(mu0 + k * h), sigma],
+                         x_scale=[sigma] * 4, lower=[-np.inf] * 3 + [0.5 * bin_w])
     s2 = max(free.cost / max(1, x.size - 7), np.finfo(float).tiny)
     delta_chi2 = float((comb.cost - free.cost) / s2)
     equal = delta_chi2 < _UNEQUAL_STEPS_MIN_CHI2
     if equal:
         centers, steps, err = mu0 + k * h, (h, h), comb.param_errors[1]
     else:
-        centers, amps, sigma = free.params[:3], free_amps, free.params[3]
+        centers, sigma, amps = free.params[:3], free.params[3], free.params[4:]
         if not centers[0] < centers[1] < centers[2]:
             raise FitError("fitted modes degenerate: centers not distinct")
         steps, cov = np.diff(centers), free.covariance
@@ -201,4 +190,5 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
         width_err_m=float(sigma),
         unequal_delta_chi2=delta_chi2,
         equal_steps=bool(equal),
+        histogram=(x, counts),
     )

@@ -279,7 +279,8 @@ def cmd_afm(args) -> int:
             doc["steps"] = steps.to_json_dict()
 
         def panels():
-            centers, counts = afm_mod.height_histogram(hist_img)
+            centers, counts = (afm_mod.height_histogram(hist_img) if steps is None
+                               else steps.histogram)
             panel = Panel(title="height histogram", xlabel="height (m)",
                           ylabel="pixels")
             panel.add_line(centers, counts, label="histogram")

@@ -4,10 +4,13 @@ Every nonlinear fitter in the package goes through :func:`fit_least_squares`,
 so convergence behavior, iteration accounting, and covariance estimation are
 uniform across analyses.  Residual functions return a 1-d float array; the
 cost is the plain sum of squared residuals (callers bake in any weights).
+A model that is a non-negative sum of nonlinear columns goes through
+:func:`fit_separable`, which searches only the column parameters and solves
+the coefficients (variable projection, Golub & Pereyra 1973).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +36,6 @@ class LeastSquaresResult:
     # Costs of the accepted states, starting at the initial point.  Strictly
     # non-increasing: only downhill steps are ever accepted.
     cost_history: list = field(default_factory=list)
-    pinned_low: np.ndarray | None = None
-    pinned_high: np.ndarray | None = None
 
 
 def numeric_jacobian(fun, p, r0=None, x_scale=None):
@@ -153,9 +154,50 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
         cost=cost,
         n_iterations=n_iter,
         cost_history=history,
-        pinned_low=np.isfinite(lo) & (p <= lo),
-        pinned_high=np.isfinite(hi) & (p >= hi),
     )
+
+
+def _nonneg_solve(basis, data):
+    """Least-squares coefficients of ``basis`` for ``data``, each >= 0: the
+    columns whose coefficients come out negative are dropped and the rest
+    solved again (an active set in the spirit of Lawson & Hanson 1974)."""
+    coef = np.zeros(basis.shape[1])
+    keep = np.ones(basis.shape[1], dtype=bool)
+    while keep.any():
+        coef[keep] = np.linalg.lstsq(basis[:, keep], data, rcond=None)[0]
+        if np.all(coef >= 0.0):
+            break
+        keep &= coef > 0.0
+        coef[~keep] = 0.0
+    return coef
+
+
+def fit_separable(basis, data, p0, *, x_scale, lower=None, upper=None):
+    """Fit ``data ~ basis(p) @ c`` with ``c >= 0`` solved at every evaluation.
+
+    LM searches only ``p`` (through :func:`fit_least_squares`); the residual
+    it sees is ``basis(p) @ c(p) - data``.  The result holds ``p`` followed by
+    ``c``, and its errors and covariance come from the full Jacobian
+    ``[dr/dp at fixed c | basis]`` at the optimum, so they carry the
+    correlation of the coefficients with the searched parameters.
+    """
+    data = np.asarray(data, dtype=float)
+
+    def residual(p):
+        b = basis(p)
+        return b @ _nonneg_solve(b, data) - data
+
+    res = fit_least_squares(residual, p0, x_scale=x_scale, lower=lower, upper=upper)
+    b = basis(res.params)
+    coef = _nonneg_solve(b, data)
+    jac = np.hstack([numeric_jacobian(lambda p: basis(p) @ coef - data, res.params,
+                                      r0=res.residual, x_scale=x_scale), b])
+    col_norm = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
+    scale = np.concatenate([np.maximum(np.abs(res.params), x_scale),
+                            np.maximum(np.abs(coef), 1.0 / col_norm)])
+    covariance = _scaled_covariance(jac, res.cost, scale)
+    return replace(res, params=np.concatenate([res.params, coef]), covariance=covariance,
+                   param_errors=np.sqrt(np.clip(np.diag(covariance), 0.0, None)))
 
 
 def _scaled_covariance(jac, cost, scale):

@@ -5,7 +5,9 @@ sensitivity-weighted atomic percentages.
 Band profiles are area-normalized pseudo-Voigts, a linear mix of a
 Lorentzian (half width at half maximum ``gamma_ev``) and a Gaussian
 (standard deviation ``sigma_ev``); a band's fitted amplitude therefore IS
-its area.
+its area.  The bands of one line share ``sigma_ev`` and ``gamma_ev``, as is
+usual for the components of one core level: the fit searches the centers
+and that one width pair and solves the areas.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_least_squares
+from .lsq import fit_separable
 from .spectra import XpsSpectrum
 
 #: literature binding energy of the Nb3d5/2 line in lithium niobate, used as
@@ -205,6 +207,8 @@ class BandModel:
         bands = tuple(self.bands)
         if not bands:
             raise ValidationError("band model needs at least one band")
+        if len({(b.sigma_ev, b.gamma_ev) for b in bands}) > 1:
+            raise ValidationError("the bands of one line must share sigma_ev and gamma_ev")
         object.__setattr__(self, "bands", bands)
 
     def evaluate(self, x):
@@ -240,11 +244,13 @@ class BandFitResult:
 
 
 def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
-    """Fit band amplitudes, centers, and widths to a background-subtracted line.
+    """Fit the bands of ``model`` to a background-subtracted line.
 
-    Centers are box-constrained to each band's ``center_bound_ev`` around its
-    nominal position; amplitudes to >= 0.  A width fitted below the grid step
-    is reported as a collapsed band.  Mix factors stay fixed.
+    LM searches each band center, box-constrained to its ``center_bound_ev``
+    around the nominal position, and the line's shared ``sigma_ev`` and
+    ``gamma_ev``; the band areas are solved, non-negative, at every step
+    (:func:`lsq.fit_separable`).  Mix factors stay fixed.  A band carrying
+    area whose width falls below the grid step raises FitError.
     """
     be = np.asarray(be_ev, dtype=float)
     y = np.asarray(signal, dtype=float)
@@ -255,65 +261,20 @@ def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
     grid_step = float(np.median(np.diff(be)))
 
     bands = model.bands
-    # free parameters per band: [amplitude, center, sigma?, gamma?]
-    # sigma is skipped for a pure Lorentzian (mix=1), gamma for pure Gaussian
-    specs = []
-    p0, lower, upper, scale = [], [], [], []
-    y_scale = max(float(np.max(np.abs(y))), 1e-30)
-    for b in bands:
-        amp0 = b.amplitude
-        if amp0 == 0.0:
-            height = max(float(np.interp(b.center_ev, be, y)), 1e-3 * y_scale)
-            amp0 = height / pseudo_voigt(0.0, 0.0, b.sigma_ev, b.gamma_ev, b.mix)
-        idx = {}
-        idx["amplitude"] = len(p0)
-        p0.append(amp0)
-        lower.append(0.0)
-        upper.append(np.inf)
-        scale.append(max(amp0, 1e-3 * y_scale))
-        idx["center"] = len(p0)
-        p0.append(b.center_ev)
-        lower.append(b.center_ev - b.center_bound_ev)
-        upper.append(b.center_ev + b.center_bound_ev)
-        scale.append(max(b.sigma_ev, b.gamma_ev))
-        if b.mix < 1.0:
-            idx["sigma"] = len(p0)
-            p0.append(b.sigma_ev)
-            lower.append(0.05 * grid_step)
-            upper.append(np.inf)
-            scale.append(b.sigma_ev)
-        if b.mix > 0.0:
-            idx["gamma"] = len(p0)
-            p0.append(b.gamma_ev)
-            lower.append(0.05 * grid_step)
-            upper.append(np.inf)
-            scale.append(b.gamma_ev)
-        specs.append(idx)
-
-    def build(p):
-        fitted = []
-        for b, idx in zip(bands, specs):
-            fitted.append(replace(
-                b,
-                amplitude=float(p[idx["amplitude"]]),
-                center_ev=float(p[idx["center"]]),
-                sigma_ev=float(p[idx["sigma"]]) if "sigma" in idx else b.sigma_ev,
-                gamma_ev=float(p[idx["gamma"]]) if "gamma" in idx else b.gamma_ev,
-            ))
-        return BandModel(tuple(fitted))
-
-    def residual(p):
-        total = np.zeros_like(y)
-        for b, idx in zip(bands, specs):
-            sigma = p[idx["sigma"]] if "sigma" in idx else b.sigma_ev
-            gamma = p[idx["gamma"]] if "gamma" in idx else b.gamma_ev
-            total += p[idx["amplitude"]] * pseudo_voigt(be, p[idx["center"]],
-                                                        sigma, gamma, b.mix)
-        return total - y
-
-    res = fit_least_squares(residual, p0, x_scale=scale, lower=lower, upper=upper)
-    fitted = build(res.params)
-    areas = np.array([b.amplitude for b in fitted.bands])
+    n = len(bands)
+    sigma0, gamma0 = bands[0].sigma_ev, bands[0].gamma_ev
+    mixes = np.array([b.mix for b in bands])
+    res = fit_separable(
+        lambda p: pseudo_voigt(be[:, None], p[:n], p[n], p[n + 1], mixes), y,
+        [*(b.center_ev for b in bands), sigma0, gamma0],
+        x_scale=[max(sigma0, gamma0)] * n + [sigma0, gamma0],
+        lower=[b.center_ev - b.center_bound_ev for b in bands] + [0.05 * grid_step] * 2,
+        upper=[b.center_ev + b.center_bound_ev for b in bands] + [np.inf] * 2)
+    centers, (sigma, gamma), areas = res.params[:n], res.params[n:n + 2], res.params[n + 2:]
+    fitted = BandModel(tuple(
+        replace(b, center_ev=float(c), sigma_ev=float(sigma), gamma_ev=float(gamma),
+                amplitude=float(a))
+        for b, c, a in zip(bands, centers, areas)))
     total_area = float(areas.sum())
     for b in fitted.bands:
         width = b.mix * b.gamma_ev * 2.0 + (1.0 - b.mix) * b.sigma_ev * 2.355
@@ -321,7 +282,8 @@ def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
         # fitted to (near) zero amplitude may shrink harmlessly
         if width < grid_step and b.amplitude > 0.01 * max(total_area, 1e-30):
             raise FitError(f"band at {b.center_ev:.2f} eV collapsed below the grid step")
-    area_errors = np.array([res.param_errors[idx["amplitude"]] for idx in specs])
+    area_errors = res.param_errors[n + 2:]
+    y_scale = max(float(np.max(np.abs(y))), 1e-30)
     degenerate = bool(np.any(area_errors >
                              np.maximum(areas, 0.05 * total_area + 1e-3 * y_scale)))
     return BandFitResult(

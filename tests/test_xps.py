@@ -189,6 +189,40 @@ class TestFitBands:
         assert result.areas.sum() == pytest.approx(total_counts, rel=0.02)
 
 
+#: O1s metal-oxide, C=O and C-O band centers and areas, as in the benchmark
+O1S_AREAS = (9000.0, 1400.0, 700.0)
+O1S_MODEL = BandModel(tuple(Band(center_ev=c, sigma_ev=0.6, gamma_ev=0.5, mix=0.3)
+                            for c in O1S_BAND_CENTERS_EV))
+
+
+class TestO1sBandAreas:
+    def test_minor_band_areas_with_another_band_shape(self):
+        # bands of mix 0.2, sigma 0.7 and gamma 0.4 on a Shirley step against
+        # the model's 0.3 / 0.6 / 0.5: the organic oxygen areas, which set
+        # the surface comparison, stay within 5 % on every seed
+        be = np.linspace(522.0, 540.0, 361)
+        bands = [(c, 0.7, 0.4, 0.2, a) for c, a in zip(O1S_BAND_CENTERS_EV, O1S_AREAS)]
+        for seed in range(60):
+            sp = synth_xps_spectrum(be, bands, step=(40.0, 170.0, None, 0),
+                                    step_shape="shirley", noise_sigma=0.5, rng_seed=seed)
+            sh = shirley_background(sp, (524.0, 538.0))
+            fit = fit_bands(sh.binding_energy_ev, sh.net, O1S_MODEL)
+            assert fit.areas[1:] == pytest.approx(O1S_AREAS[1:], rel=0.05)
+
+    def test_reported_area_sigma_matches_seed_scatter(self):
+        # 60 noise draws on a line without a step: the median reported area
+        # error of every band has to match the scatter of its fitted area
+        be = np.linspace(524.0, 538.0, 281)
+        clean = sum(a * pseudo_voigt(be, c, 0.6, 0.5, 0.3)
+                    for c, a in zip(O1S_BAND_CENTERS_EV, O1S_AREAS))
+        fits = [fit_bands(be, clean + 0.5 * np.random.default_rng(seed).standard_normal(be.size),
+                          O1S_MODEL) for seed in range(60)]
+        scatter = np.std([f.areas for f in fits], axis=0, ddof=1)
+        reported = np.median([f.area_errors for f in fits], axis=0)
+        assert np.all(scatter / 3.0 < reported)
+        assert np.all(reported < 3.0 * scatter)
+
+
 class TestAtomicPercentages:
     def test_equal_areas_equal_factors(self):
         table = SensitivityTable({"O1s": 1.0, "C1s": 1.0})
