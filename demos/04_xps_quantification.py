@@ -62,10 +62,9 @@ for sp in referenced:
     asc = sp.ascending()
     window = (float(asc.binding_energy_ev[0]), float(asc.binding_energy_ev[-1]))
     sh = shirley_background(sp, window)
-    net = asc.counts - sh.background
-    areas[sp.element_line] = float(np.trapezoid(net, sh.binding_energy_ev))
+    areas[sp.element_line] = sh.area
     if sp.element_line == "O1s":
-        o1s_net = (sh.binding_energy_ev, net)
+        o1s_net = (sh.binding_energy_ev, sh.net)
     panel = Panel(title=sp.element_line, xlabel="binding energy (eV)",
                   ylabel="counts")
     panel.add_line(sh.binding_energy_ev, asc.counts, label="data")

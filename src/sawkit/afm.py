@@ -11,15 +11,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_separable
+from .lsq import fit_separable, nested_gate
 from .spectra import AfmImage
 
 #: histogram bins never get finer than this (10 pm)
 HIST_BIN_FLOOR_M = 1.0e-11
-
-#: chi-square drop (in residual variances) of free centers over the comb
-#: from which the steps are reported as unequal
-_UNEQUAL_STEPS_MIN_CHI2 = 50.0
 
 #: a terrace solved below this share of the largest amplitude is absent
 _MIN_AMPLITUDE_SHARE = 0.05
@@ -96,7 +92,7 @@ class StepHeightResult:
     mean_step_err_m: float    # one sigma, from the fit covariance
     width_err_m: float        # fitted terrace width (the looser, width-based convention)
     unequal_delta_chi2: float  # cost drop of free centers below the comb, in residual variances
-    equal_steps: bool         # that drop stayed under _UNEQUAL_STEPS_MIN_CHI2
+    equal_steps: bool         # that drop stayed under lsq.NESTED_MIN_CHI2
     histogram: tuple = field(default=(), repr=False)  # fitted (bin centers, counts); no JSON
 
     def __post_init__(self):
@@ -149,7 +145,7 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
     Fewer than three modes (equal Gaussians closer than 2 sigma merge; a
     terrace under 5 % of the largest amplitude is absent) raise FitError.
     A refit with free centers gates the equal spacing like the dark mode:
-    under ``_UNEQUAL_STEPS_MIN_CHI2`` both steps are ``h``, else the free ones.
+    under ``lsq.NESTED_MIN_CHI2`` both steps are ``h``, else the free ones.
     """
     x, counts = height_histogram(image)
     y = counts.astype(float)
@@ -169,10 +165,8 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
 
     free = fit_separable(lambda p: _gaussians(x, p[:3], p[3]), y, [*(mu0 + k * h), sigma],
                          x_scale=[sigma] * 4, lower=[-np.inf] * 3 + [0.5 * bin_w])
-    s2 = max(free.cost / max(1, x.size - 7), np.finfo(float).tiny)
-    delta_chi2 = float((comb.cost - free.cost) / s2)
-    equal = delta_chi2 < _UNEQUAL_STEPS_MIN_CHI2
-    if equal:
+    delta_chi2, unequal = nested_gate(comb.cost, free.cost, x.size - 7)
+    if not unequal:
         centers, steps, err = mu0 + k * h, (h, h), comb.param_errors[1]
     else:
         centers, sigma, amps = free.params[:3], free.params[3], free.params[4:]
@@ -189,6 +183,6 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
         mean_step_err_m=float(err),
         width_err_m=float(sigma),
         unequal_delta_chi2=delta_chi2,
-        equal_steps=bool(equal),
+        equal_steps=not unequal,
         histogram=(x, counts),
     )

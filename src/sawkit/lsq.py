@@ -1,12 +1,15 @@
 """Damped least squares (Levenberg-Marquardt) with a numeric Jacobian.
 
 Every nonlinear fitter in the package goes through :func:`fit_least_squares`,
-so convergence behavior, iteration accounting, and covariance estimation are
-uniform across analyses.  Residual functions return a 1-d float array; the
-cost is the plain sum of squared residuals (callers bake in any weights).
-A model that is a non-negative sum of nonlinear columns goes through
+so convergence behavior and iteration accounting are uniform across
+analyses.  Residual functions return a 1-d float array; the cost is the
+plain sum of squared residuals (callers bake in any weights).  A model that
+is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
-the coefficients (variable projection, Golub & Pereyra 1973).
+the coefficients (variable projection, Golub & Pereyra 1973).  Every
+reported covariance comes from :func:`with_covariance`, one numeric
+Jacobian of a residual at its optimum, and every nested-model comparison
+from :func:`nested_gate`.
 """
 from __future__ import annotations
 
@@ -25,17 +28,25 @@ STEP_TOL = 1e-12
 LAM0 = 1e-3
 
 
+#: cost drop, in residual variances of the larger model, from which a
+#: nested model's extra parameters count as resolved
+NESTED_MIN_CHI2 = 50.0
+
+
 @dataclass
 class LeastSquaresResult:
     params: np.ndarray
-    param_errors: np.ndarray
-    covariance: np.ndarray
     residual: np.ndarray
     cost: float
     n_iterations: int
     # Costs of the accepted states, starting at the initial point.  Strictly
     # non-increasing: only downhill steps are ever accepted.
     cost_history: list = field(default_factory=list)
+    covariance: np.ndarray | None = None  # set by with_covariance
+
+    @property
+    def param_errors(self):
+        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
 def numeric_jacobian(fun, p, r0=None, x_scale=None):
@@ -143,18 +154,27 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
         raise FitError(f"no convergence after {MAX_ITER} iterations "
                        f"(cost {cost:.3e})")
 
-    jac = numeric_jacobian(fun, p, r0=r, x_scale=x_scale)
-    covariance = _scaled_covariance(jac, cost, np.maximum(np.abs(p), x_scale))
-    errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    return LeastSquaresResult(
-        params=p,
-        param_errors=errors,
-        covariance=covariance,
-        residual=r,
-        cost=cost,
-        n_iterations=n_iter,
-        cost_history=history,
-    )
+    return LeastSquaresResult(params=p, residual=r, cost=cost, n_iterations=n_iter,
+                              cost_history=history)
+
+
+def with_covariance(fun, res, x_scale):
+    """``res`` with the covariance of its optimum attached: one numeric
+    Jacobian of ``fun`` (which is ``res.residual`` at ``res.params``), steps as
+    in the fit, through :func:`_scaled_covariance`."""
+    x_scale = np.asarray(x_scale, dtype=float)
+    jac = numeric_jacobian(fun, res.params, r0=res.residual, x_scale=x_scale)
+    return replace(res, covariance=_scaled_covariance(
+        jac, res.cost, np.maximum(np.abs(res.params), x_scale)))
+
+
+def nested_gate(cost_small, cost_big, dof_big):
+    """(delta chi2, resolved) of a larger nested model: the cost drop in the
+    larger model's residual variances (``cost_big / dof_big``), resolved
+    from ``NESTED_MIN_CHI2`` up."""
+    s2 = max(cost_big / max(1, dof_big), np.finfo(float).tiny)
+    delta = float((cost_small - cost_big) / s2)
+    return delta, delta >= NESTED_MIN_CHI2
 
 
 def _nonneg_solve(basis, data):
@@ -177,11 +197,12 @@ def fit_separable(basis, data, p0, *, x_scale, lower=None, upper=None):
 
     LM searches only ``p`` (through :func:`fit_least_squares`); the residual
     it sees is ``basis(p) @ c(p) - data``.  The result holds ``p`` followed by
-    ``c``, and its errors and covariance come from the full Jacobian
-    ``[dr/dp at fixed c | basis]`` at the optimum, so they carry the
-    correlation of the coefficients with the searched parameters.
+    ``c``, with the covariance of the full residual ``basis(p) @ c - data``
+    over both, so it carries the correlation of the coefficients with the
+    searched parameters.
     """
     data = np.asarray(data, dtype=float)
+    m = len(p0)
 
     def residual(p):
         b = basis(p)
@@ -190,14 +211,10 @@ def fit_separable(basis, data, p0, *, x_scale, lower=None, upper=None):
     res = fit_least_squares(residual, p0, x_scale=x_scale, lower=lower, upper=upper)
     b = basis(res.params)
     coef = _nonneg_solve(b, data)
-    jac = np.hstack([numeric_jacobian(lambda p: basis(p) @ coef - data, res.params,
-                                      r0=res.residual, x_scale=x_scale), b])
     col_norm = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
-    scale = np.concatenate([np.maximum(np.abs(res.params), x_scale),
-                            np.maximum(np.abs(coef), 1.0 / col_norm)])
-    covariance = _scaled_covariance(jac, res.cost, scale)
-    return replace(res, params=np.concatenate([res.params, coef]), covariance=covariance,
-                   param_errors=np.sqrt(np.clip(np.diag(covariance), 0.0, None)))
+    return with_covariance(lambda q: basis(q[:m]) @ q[m:] - data,
+                           replace(res, params=np.concatenate([res.params, coef])),
+                           np.concatenate([x_scale, 1.0 / col_norm]))
 
 
 def _scaled_covariance(jac, cost, scale):

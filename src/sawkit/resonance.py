@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_least_squares
+from .lsq import fit_least_squares, nested_gate, with_covariance
 from .spectra import ComplexSpectrum
 
 
@@ -197,10 +197,6 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
 
 _MODEL_KINDS = ("lorentzian", "dark_mode")
 
-# minimum chi-square improvement (in residual-variance units) for the
-# three-parameter dark pole to count as resolved
-_DARK_MODE_MIN_CHI2 = 50.0
-
 
 def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> ResonanceFitResult:
     """Fit a reflection trace and return calibrated parameters with errors.
@@ -247,7 +243,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     with_dark = model_kind == "dark_mode"
     dark_resolved = True
     if with_dark:
-        res_single = res
+        cost_single = res.cost
         rho = _smooth(np.abs(model(res.params) - data), 3)
         i_d = int(np.argmax(rho))
         kappa_fit = res.params[1]
@@ -255,22 +251,21 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         g0 = np.sqrt(0.1 * kappa_fit * gamma0)
         dark0 = [float(freq[i_d]), gamma0, g0]
         x1 = list(res.params) + dark0
-        scale1 = scale + [dark0[1] / (2.0 * np.pi), dark0[1], dark0[1]]
+        scale = scale + [dark0[1] / (2.0 * np.pi), dark0[1], dark0[1]]
         # a dark mode narrower than two grid steps is not resolvable; bounding
         # gamma keeps the extra pole from chasing single-sample noise
         gamma_floor = 2.0 * np.pi * 2.0 * span / freq.size
         lower = [-np.inf] * 6 + [freq[0], gamma_floor, 0.0]
         upper = [np.inf] * 8 + [np.inf]
-        res = fit_least_squares(residual, x1, x_scale=scale1,
+        res = fit_least_squares(residual, x1, x_scale=scale,
                                 lower=lower, upper=upper)
         n_iterations += res.n_iterations
         # Nested-model gate: the extra pole costs three parameters and its
         # position is searched, so a noise-level cost improvement does not
         # establish a dark mode.  Below threshold the coupling is reported
         # as zero (the single-mode model stands).
-        s2 = res_single.cost / max(1, 2 * freq.size - 6)
-        dark_resolved = (res_single.cost - res.cost) > \
-            _DARK_MODE_MIN_CHI2 * max(s2, np.finfo(float).tiny)
+        _, dark_resolved = nested_gate(cost_single, res.cost, 2 * freq.size - 9)
+    res = with_covariance(residual, res, scale)
 
     x = res.params
     f0, kappa, kappa_e = x[0], x[1], x[2]

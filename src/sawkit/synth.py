@@ -15,7 +15,7 @@ from .xps import pseudo_voigt
 
 
 def synth_s11(f0_hz, kappa_hz, kappa_e_hz, freq_grid_hz, *, dark=None,
-              noise_sigma=0.0, rng_seed=0, meta=None) -> ComplexSpectrum:
+              noise_sigma=0.0, rng_seed=0) -> ComplexSpectrum:
     """Synthesize a reflection trace with optional dark mode and noise.
 
     ``dark`` is ``(g, delta_b_hz, gamma)`` where ``delta_b_hz`` is the dark
@@ -39,7 +39,7 @@ def synth_s11(f0_hz, kappa_hz, kappa_e_hz, freq_grid_hz, *, dark=None,
         rng = np.random.default_rng(rng_seed)
         vals = vals + noise_sigma * (rng.standard_normal(freq.size)
                                      + 1j * rng.standard_normal(freq.size))
-    return ComplexSpectrum(freq, vals, meta or {})
+    return ComplexSpectrum(freq, vals)
 
 
 def synth_temperature_sweep(f_delta_tls, f0_hz, temperatures_k, *,

@@ -8,7 +8,10 @@ temperature ``T_ref``::
 
 so the shift is exactly zero at the reference temperature.  ``F_delta`` is
 the product of the TLS filling fraction and the intrinsic loss tangent; it is
-the single scalar the temperature-sweep fit extracts.
+the single scalar the temperature-sweep fit extracts.  The power-sweep fit
+reads it from the saturation of the internal loss with drive, which is
+linear in ``F_delta`` and the residual loss ``1/Q_res``: both are solved and
+only the critical phonon number and the exponent are searched.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_least_squares
+from .lsq import fit_separable
 
 HBAR = 1.054571817e-34  # J s (exact SI)
 KB = 1.380649e-23       # J / K (exact SI)
@@ -207,6 +210,11 @@ class PowerModelParams:
         }
 
 
+def _saturation(log_ratio, beta):
+    """1 / sqrt(1 + (n/n_c)**beta) from ``ln(n/n_c)``, free of overflow."""
+    return np.exp(-0.5 * np.logaddexp(0.0, beta * log_ratio))
+
+
 def qi_power_model(params: PowerModelParams, mean_phonon_number):
     """Total internal Q at a given drive level.
 
@@ -216,7 +224,8 @@ def qi_power_model(params: PowerModelParams, mean_phonon_number):
     if np.any(n <= 0):
         raise ValidationError("mean phonon number must be positive")
     arg = HBAR * 2.0 * np.pi * params.f0_hz / (2.0 * KB * params.temperature_k)
-    tls_loss = params.f_delta_tls * np.tanh(arg) / np.sqrt(1.0 + (n / params.n_c) ** params.beta)
+    tls_loss = params.f_delta_tls * np.tanh(arg) * _saturation(np.log(n / params.n_c),
+                                                               params.beta)
     out = 1.0 / (tls_loss + 1.0 / params.q_i_res)
     if np.isscalar(mean_phonon_number):
         return float(out)
@@ -251,10 +260,15 @@ class PowerSweepFitResult:
 def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
     """Fit the saturation model to a power sweep, minimizing error in 1/Q.
 
-    ``fixed_beta`` pins the saturation exponent; when it is None the exponent
-    is fitted only if the sweep spans at least four decades of phonon number
-    (it is weakly identified on shorter sweeps) and held at 0.5 otherwise.
-    Positive parameters are fitted in log space, so no bound can be violated.
+    ``1/Q = F_delta * tanh(hbar w / 2 kB T) * s(n) + 1/Q_res`` is linear in
+    ``F_delta`` and ``1/Q_res``, so LM searches only ``ln n_c`` (and the
+    exponent) and the two loss rates are solved, non-negative
+    (:func:`lsq.fit_separable`).  ``fixed_beta`` pins the saturation
+    exponent; when it is None the exponent is fitted only if the sweep spans
+    at least four decades of phonon number (it is weakly identified on
+    shorter sweeps) and held at 0.5 otherwise.  A loss rate that solves to
+    zero (a sweep without saturation, or without a residual loss) raises
+    FitError.
     """
     n = np.asarray(series.mean_phonon_number, dtype=float)
     qi = np.asarray(series.qi, dtype=float)
@@ -268,58 +282,40 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
 
     arg = HBAR * 2.0 * np.pi * series.f0_hz / (2.0 * KB * series.temperature_k)
     tanh_arg = np.tanh(arg)
-
-    # Initial guesses from the sweep extremes: the high-power plateau is the
-    # residual Q, the low-power deficit is the unsaturated TLS loss.
-    q_res0 = float(qi.max()) * 1.05
-    loss_lo = max(1.0 / qi.min() - 1.0 / q_res0, 1e-3 / qi.min())
-    f_delta0 = loss_lo / tanh_arg
-    order = np.argsort(n)
-    excess = 1.0 / qi[order] - 1.0 / q_res0
-    half = loss_lo / 2.0
-    below = np.nonzero(excess < half)[0]
-    n_c0 = float(n[order[below[0]]]) if below.size else float(np.sqrt(n.min() * n.max()))
-
     if np.all(qi_err > 0):
         w = qi**2 / qi_err  # 1/sigma of the 1/Q data
     else:
-        w = np.full_like(qi, qi.mean() ** 2 / qi.mean())  # uniform in 1/Q units
+        w = np.full_like(qi, qi.mean())  # uniform in 1/Q units
 
-    def unpack(p):
-        f_delta = np.exp(p[0])
-        n_c = np.exp(p[1])
-        q_res = np.exp(p[2])
-        beta = beta0 if beta_fixed else p[3]
-        return f_delta, n_c, q_res, beta
+    # n_c starts where 1/Q has dropped halfway from its low-power value
+    order = np.argsort(n)
+    below = np.nonzero(1.0 / qi[order] < 0.5 * (1.0 / qi.min() + 1.0 / qi.max()))[0]
+    n_c0 = float(n[order[below[0]]]) if below.size else float(np.sqrt(n.min() * n.max()))
 
-    def residual(p):
-        f_delta, n_c, q_res, beta = unpack(p)
-        inv_q = f_delta * tanh_arg / np.sqrt(1.0 + (n / n_c) ** beta) + 1.0 / q_res
-        return w * (inv_q - 1.0 / qi)
+    def basis(p):
+        beta = beta0 if beta_fixed else p[1]
+        return w[:, None] * np.column_stack(
+            [tanh_arg * _saturation(np.log(n) - p[0], beta), np.ones_like(n)])
 
-    p0 = [np.log(f_delta0), np.log(n_c0), np.log(q_res0)]
-    scale = [1.0, 1.0, 1.0]
-    lower = [-np.inf, -np.inf, -np.inf]
-    upper = [np.inf, np.inf, np.inf]
-    if not beta_fixed:
-        p0.append(beta0)
-        scale.append(0.5)
-        lower.append(1e-3)
-        upper.append(2.0)
-
-    res = fit_least_squares(residual, p0, x_scale=scale, lower=lower, upper=upper)
-    f_delta, n_c, q_res, beta = unpack(res.params)
-
-    # log-space sigma -> linear sigma
+    m = 1 if beta_fixed else 2  # searched: ln n_c, then beta when free
+    res = fit_separable(basis, w / qi, [np.log(n_c0), beta0][:m], x_scale=[1.0, 0.5][:m],
+                        lower=[-np.inf, 1e-3][:m], upper=[np.inf, 2.0][:m])
+    f_delta, inv_q_res = res.params[-2:]
+    if f_delta <= 0.0 or inv_q_res <= 0.0:
+        raise FitError("a loss rate solved to zero: the sweep shows no "
+                       + ("TLS saturation" if f_delta <= 0.0 else "residual loss"))
+    n_c = np.exp(res.params[0])
+    beta = beta0 if beta_fixed else res.params[1]
+    sigma = res.param_errors
     errs = {
-        "f_delta_tls": f_delta * res.param_errors[0],
-        "n_c": n_c * res.param_errors[1],
-        "q_i_res": q_res * res.param_errors[2],
-        "beta": float(res.param_errors[3]) if not beta_fixed else 0.0,
+        "f_delta_tls": float(sigma[-2]),
+        "n_c": float(n_c * sigma[0]),
+        "q_i_res": float(sigma[-1] / inv_q_res**2),
+        "beta": 0.0 if beta_fixed else float(sigma[1]),
     }
     params = PowerModelParams(
         f_delta_tls=float(f_delta), n_c=float(n_c), beta=float(beta),
-        q_i_res=float(q_res), temperature_k=float(series.temperature_k),
+        q_i_res=float(1.0 / inv_q_res), temperature_k=float(series.temperature_k),
         f0_hz=float(series.f0_hz),
     )
     return PowerSweepFitResult(

@@ -109,8 +109,12 @@ class ShirleyBackground:
         return float(np.trapezoid(self.net, self.binding_energy_ev))
 
 
-def shirley_background(spectrum: XpsSpectrum, window, tol=1e-6,
-                       max_iter=50) -> ShirleyBackground:
+#: Shirley iteration settings; :func:`shirley_background` says how each acts
+SHIRLEY_TOL = 1e-6
+SHIRLEY_MAX_ITER = 50
+
+
+def shirley_background(spectrum: XpsSpectrum, window) -> ShirleyBackground:
     """Iterative Shirley background over ``window = (lo_ev, hi_ev)``.
 
     The background at energy E interpolates between the endpoint count
@@ -118,7 +122,8 @@ def shirley_background(spectrum: XpsSpectrum, window, tol=1e-6,
     the low-BE edge up to E (the inelastic step rises toward high binding
     energy).  Endpoint levels are 3-point averages to suppress endpoint
     noise.  Iteration stops when the largest change drops below
-    ``tol * (|I_hi - I_lo| + eps)``; the converged background is clipped to
+    ``SHIRLEY_TOL * (|I_hi - I_lo| + eps)``, and ``SHIRLEY_MAX_ITER`` passes
+    without that raise FitError; the converged background is clipped to
     never exceed the data.
     """
     asc = spectrum.ascending()
@@ -140,7 +145,7 @@ def shirley_background(spectrum: XpsSpectrum, window, tol=1e-6,
 
     bg = np.full(n, i_lo)
     de = np.gradient(e)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, SHIRLEY_MAX_ITER + 1):
         s = y - bg
         # rectangle accumulation: each sample's weight lands at its own
         # position, which keeps an ideal step an exact fixed point
@@ -152,14 +157,9 @@ def shirley_background(spectrum: XpsSpectrum, window, tol=1e-6,
             new_bg = i_lo + (i_hi - i_lo) * area / total
         delta = float(np.max(np.abs(new_bg - bg)))
         bg = new_bg
-        if delta < tol * scale:
+        if delta < SHIRLEY_TOL * scale:
             return ShirleyBackground(e, y, np.minimum(bg, y), iteration)
-    raise FitError(f"Shirley background did not converge in {max_iter} iterations")
-
-
-def integrated_peak_area(spectrum: XpsSpectrum, window) -> float:
-    """Background-subtracted counts integrated over the window (trapezoid)."""
-    return shirley_background(spectrum, window).area
+    raise FitError(f"Shirley background did not converge in {SHIRLEY_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +337,11 @@ class XpsQuantReport:
 
 
 def atomic_percentages(integrated_areas, table: SensitivityTable,
-                       want_ratios=None, band_areas=None) -> XpsQuantReport:
+                       band_areas=None) -> XpsQuantReport:
     """Sensitivity-weighted atomic percentages from integrated line areas.
 
     percent(x) = (area_x / F_x) / sum_i(area_i / F_i) * 100.  Ratios to Nb
-    are included when a Nb3d area is present; pass ``want_ratios=True`` to
-    make a missing Nb line an error instead, or False to skip ratios.
+    are included when a Nb3d area is present.
     """
     if not integrated_areas:
         raise ValidationError("no integrated areas supplied")
@@ -355,11 +354,8 @@ def atomic_percentages(integrated_areas, table: SensitivityTable,
         raise ValidationError("all areas are zero; percentages undefined")
     percent = {line: 100.0 * w / total for line, w in weighted.items()}
 
-    has_nb = "Nb3d" in percent
-    if want_ratios is True and not has_nb:
-        raise ValidationError("ratios to Nb requested but no Nb3d area present")
     ratios = {}
-    if want_ratios is not False and has_nb:
+    if "Nb3d" in percent:
         nb = percent["Nb3d"]
         for line, value in percent.items():
             if line == "Nb3d" or nb == 0:

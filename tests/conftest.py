@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sawkit.spectra import PowerSweepSeries
+
 TWO_PI = 2.0 * np.pi
 EULER_GAMMA = 0.5772156649015328606
 
@@ -46,6 +48,13 @@ def resonance_grid(f0_hz, qi, qe, span_linewidths=2.5, points=3001):
 def dip_depth(qi, qe):
     """|S11| drop at resonance for an undercoupled mode with unit background."""
     return 1.0 - abs(qe - qi) / (qe + qi)
+
+
+def flat_power_sweep():
+    """Q = 2600 with 1 % noise over ten decades of drive: nothing saturates."""
+    n = np.geomspace(1.0, 1e10, 25)
+    qi = 2600.0 * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(n.size))
+    return PowerSweepSeries(n, qi, 0.01 * qi, temperature_k=0.010, f0_hz=6.9e8)
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ import pytest
 
 from sawkit import afm
 from sawkit.cli import main
-from sawkit.spectra import parse_tempsweep_csv
+from sawkit.spectra import format_powersweep_csv, parse_tempsweep_csv
+from conftest import flat_power_sweep
 
 
 def run(args):
@@ -134,6 +135,13 @@ class TestSweepCommands:
         assert run(["fit-powersweep", csv, "--out", tmp_path]) == 0
         doc = read_json(tmp_path / "power.power.json")
         assert doc["params"]["f_delta_tls"] == pytest.approx(5.66e-4, rel=0.10)
+
+    def test_flat_powersweep_writes_error_record(self, tmp_path):
+        csv = tmp_path / "flat.csv"
+        csv.write_text(format_powersweep_csv(flat_power_sweep()))
+        assert run(["fit-powersweep", csv, "--out", tmp_path]) == 1
+        assert "solved to zero" in read_json(tmp_path / "flat.error.json")["error"]
+        assert not (tmp_path / "flat.power.json").exists()
 
 
 class TestXpsQuant:

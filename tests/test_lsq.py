@@ -3,7 +3,8 @@ import pytest
 
 from sawkit import lsq
 from sawkit.errors import FitError
-from sawkit.lsq import fit_least_squares, fit_separable, numeric_jacobian
+from sawkit.lsq import (fit_least_squares, fit_separable, nested_gate,
+                        numeric_jacobian, with_covariance)
 
 
 def test_recovers_linear_model_with_analytic_covariance(rng):
@@ -13,7 +14,11 @@ def test_recovers_linear_model_with_analytic_covariance(rng):
     sigma = 0.05
     y = design @ truth + sigma * rng.standard_normal(x.size)
 
-    res = fit_least_squares(lambda p: design @ p - y, [0.0, 0.0], x_scale=[1.0, 1.0])
+    def residual(p):
+        return design @ p - y
+
+    res = with_covariance(residual, fit_least_squares(residual, [0.0, 0.0],
+                                                      x_scale=[1.0, 1.0]), [1.0, 1.0])
     expected = np.linalg.lstsq(design, y, rcond=None)[0]
     assert np.allclose(res.params, expected, atol=1e-9)
 
@@ -87,8 +92,11 @@ def test_separable_matches_full_search(rng):
     # errors and covariance of searching all three
     x = np.linspace(0, 4, 60)
     y = exp_plus_offset(x, rng, 0.5)
-    full = fit_least_squares(lambda q: q[1] * np.exp(-q[0] * x) + q[2] - y,
-                             [1.0, 2.0, 0.3], x_scale=[1.0, 1.0, 1.0])
+    def residual(q):
+        return q[1] * np.exp(-q[0] * x) + q[2] - y
+
+    full = with_covariance(residual, fit_least_squares(residual, [1.0, 2.0, 0.3],
+                                                       x_scale=[1.0] * 3), [1.0] * 3)
     sep = fit_separable(exp_basis(x), y, [1.0], x_scale=[1.0])
     assert np.allclose(sep.params, full.params, rtol=1e-6)
     assert np.allclose(sep.covariance, full.covariance, rtol=1e-6)
@@ -110,3 +118,27 @@ def test_separable_absent_component_solves_to_zero():
                                       [1.0, 2.0], x_scale=[1.0, 1.0])
             assert np.allclose(sep.params[:2], alone.params, rtol=1e-6)
     assert zeros >= 3
+
+
+def test_separable_takes_one_jacobian_per_iteration_and_one_for_the_covariance(
+        monkeypatch, rng):
+    jacobians = []
+
+    def counted(*args, **kwargs):
+        jacobians.append(args)
+        return numeric_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(lsq, "numeric_jacobian", counted)
+    x = np.linspace(0, 4, 60)
+    sep = fit_separable(exp_basis(x), exp_plus_offset(x, rng, 0.5), [1.0], x_scale=[1.0])
+    assert len(jacobians) == sep.n_iterations + 1
+
+
+def test_nested_gate_counts_in_variances_of_the_larger_model():
+    # 100 points, larger model with 10 parameters: s2 = 9 / 90 = 0.1
+    delta, resolved = nested_gate(14.0, 9.0, 90)
+    assert delta == pytest.approx(50.0)
+    assert resolved
+    delta, resolved = nested_gate(13.9, 9.0, 90)
+    assert delta == pytest.approx(49.0)
+    assert not resolved

@@ -1,13 +1,15 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize as scipy_optimize
 
-from sawkit import resonance
+from sawkit import lsq, resonance
 from sawkit.errors import FitError, ValidationError
 from sawkit.lsq import fit_least_squares
+from sawkit.lsq import numeric_jacobian as lsq_numeric_jacobian
 from sawkit.resonance import (
     DarkModeParams,
     ResonanceModelParams,
@@ -152,6 +154,55 @@ class TestInitialEstimate:
         sp = synth_s11(f0, kappa, kappa_e, grid)
         with pytest.raises(FitError, match="truncat"):
             estimate_initial_params(sp)
+
+
+def _lorentzian_draw(seed):
+    f0, qi, qe = 688.4e6, 6.8e3, 1.4e4
+    kappa, kappa_e = rates_from_qs(f0, qi, qe)
+    grid = resonance_grid(f0, qi, qe, span_linewidths=5.0, points=2001)
+    return fit_resonance(synth_s11(f0, kappa, kappa_e, grid, noise_sigma=0.004,
+                                   rng_seed=seed))
+
+
+def _dark_mode_draw(seed):
+    # the 75 kHz dark mode of test_dark_mode_detuning_recovered
+    f0 = 679.564e6
+    kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
+    grid = resonance_grid(f0, 6.8e3, 1.4e4, points=4001)
+    sp = synth_s11(f0, kappa, kappa_e, grid, dark=(TWO_PI * 15e3, 75e3, TWO_PI * 10e3),
+                   noise_sigma=dip_depth(6.8e3, 1.4e4) / 100.0, rng_seed=seed)
+    return fit_resonance(sp, model_kind="dark_mode")
+
+
+def _delayed_draw(seed):
+    # a high-Q mode behind a 29 ns delay and a rotated, attenuated
+    # background: 2*pi*f0*tau is 125 rad, so the published f = 0 background
+    # differs from the fitted grid-center one by a large turn
+    f0, qi, qe, tau = 688.4e6, 1.9e4, 3e4, 29e-9
+    a = 0.4 * cmath.exp(1.3j)
+    kappa, kappa_e = rates_from_qs(f0, qi, qe)
+    grid = resonance_grid(f0, qi, qe, span_linewidths=5.0, points=6001)
+    rng = np.random.default_rng(seed)
+    noise = 0.004 * (rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+    values = a * synth_s11(f0, kappa, kappa_e, grid).values \
+        * np.exp(1j * TWO_PI * grid * tau) + noise
+    return fit_resonance(ComplexSpectrum(grid, values))
+
+
+#: one fitter of a noise draw per case of the seed-scatter test
+SIGMA_CASES = {"lorentzian": _lorentzian_draw, "dark_mode": _dark_mode_draw,
+               "delayed": _delayed_draw}
+_BASE_KEYS = ("f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im", "tau_s")
+SIGMA_KEYS = (
+    [pytest.param("lorentzian", k, id=k) for k in _BASE_KEYS]
+    + [pytest.param("dark_mode", k, id=f"dark-{k}") for k in ("f_dark_hz", "gamma_hz", "g_hz")]
+    + [pytest.param("delayed", k, id=f"delayed-{k}") for k in _BASE_KEYS])
+
+
+@functools.cache
+def seed_fits(case):
+    """Fits of 30 noise draws of one case, shared by the keys of the case."""
+    return [SIGMA_CASES[case](seed) for seed in range(30)]
 
 
 class TestFitResonance:
@@ -306,16 +357,26 @@ class TestFitResonance:
         with pytest.raises(ValidationError):
             fit_resonance(sp, model_kind="magnitude")
 
-    @pytest.mark.parametrize("key", ["f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im"])
-    def test_reported_sigma_matches_seed_scatter(self, key):
+    @pytest.mark.parametrize("case,key", SIGMA_KEYS)
+    def test_reported_sigma_matches_seed_scatter(self, case, key):
         # 30 noise draws of one trace: the median reported one-sigma error
         # has to match the scatter of the fitted values over the draws
-        f0, qi, qe = 688.4e6, 6.8e3, 1.4e4
-        kappa, kappa_e = rates_from_qs(f0, qi, qe)
-        grid = resonance_grid(f0, qi, qe, span_linewidths=5.0, points=2001)
-        fits = [fit_resonance(synth_s11(f0, kappa, kappa_e, grid,
-                                        noise_sigma=0.004, rng_seed=seed))
-                for seed in range(30)]
-        scatter = np.std([r.params.to_json_dict()[key] for r in fits], ddof=1)
+        fits = seed_fits(case)
+        values = []
+        for r in fits:
+            d = r.params.to_json_dict()
+            values.append({**d, **(d["dark"] or {})}[key])
+        scatter = np.std(values, ddof=1)
         reported = np.median([r.param_errors[key] for r in fits])
         assert scatter / 3.0 < reported < 3.0 * scatter
+
+    def test_one_jacobian_per_iteration_and_one_for_the_covariance(self, monkeypatch):
+        jacobians = []
+
+        def counted(*args, **kwargs):
+            jacobians.append(args)
+            return lsq_numeric_jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(lsq, "numeric_jacobian", counted)
+        result = SIGMA_CASES["dark_mode"](0)
+        assert len(jacobians) == result.n_iterations + 1

@@ -18,6 +18,7 @@ from sawkit.tls import (
     re_digamma_half_plus_imag,
     tls_frequency_shift,
 )
+from conftest import flat_power_sweep
 
 #: the y grid the digamma accuracy claim is declared on
 DIGAMMA_Y_GRID = (0.0, 0.01, 0.1, 1.0, 5.0, 8.0, 20.0, 100.0)
@@ -264,6 +265,11 @@ class TestFitPowerSweep:
         fit = fit_power_sweep(series)
         assert not fit.beta_fixed
         assert fit.beta_unidentifiable
+
+    def test_flat_sweep_raises(self):
+        # the TLS loss rate solves to zero, which no saturation model reports
+        with pytest.raises(FitError, match="solved to zero"):
+            fit_power_sweep(flat_power_sweep())
 
     def test_constant_q_gives_negligible_tls_loss(self):
         n = np.geomspace(1.0, 1e8, 12)
