@@ -22,6 +22,12 @@ Temperature sweeps (``temperature_K,f0_hz,f0_err_hz``), power sweeps
 (``n_mean,qi,qi_err``) and walk-off curves (``theta_deg,eta_deg``) use plain
 CSV with the same comment convention.  A file that breaks a container's
 invariant is reported as a :class:`~sawkit.errors.ParseError`.
+
+Each reader takes the comments and the header line by line, then reads all
+numeric rows with one ``np.loadtxt`` call: blank lines, ``#`` comments
+between rows, CRLF endings and spaces around fields are all accepted.  Only
+once a row is found faulty, by the loader or by a later check, are the lines
+walked one by one, to name the faulty line in the error.
 """
 from __future__ import annotations
 
@@ -206,51 +212,79 @@ class WalkoffCurve:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _split_lines(text):
-    """Yield (1-based line number, stripped content) for non-blank lines."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield i, line
+def _content_lines(text):
+    """The stripped non-blank lines of ``text``."""
+    return list(filter(None, map(str.strip, text.splitlines())))
+
+
+def _numbered_rows(text):
+    """(1-based line number, content) of the header and each data row.
+
+    The same lines as :func:`_content_lines` without the comments, walked one
+    by one; only the error paths below use it, to name a line.
+    """
+    return [(i, line) for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
+            if line and line[0] != "#"]
+
+
+def _row_error(text, message, row):
+    """A ParseError naming the line of data row ``row``; row -1 is the header."""
+    return ParseError(message, line=_numbered_rows(text)[row + 1][0])
+
+
+def _unreadable(text, ncols, delimiter, exc):
+    """The ParseError for rows that ``np.loadtxt`` did not read as ``ncols`` floats.
+
+    Walks the rows after the header to name the first bad line: a wrong field
+    count, or a field the loader rejects (``1_000`` is one, though ``float``
+    takes it).
+    """
+    for lineno, line in _numbered_rows(text)[1:]:
+        fields = line.partition("#")[0].split(delimiter)
+        if len(fields) != ncols:
+            return ParseError(f"expected {ncols} fields, got {len(fields)}", line=lineno)
+        try:
+            np.loadtxt([line], delimiter=delimiter, comments="#")
+        except ValueError:
+            return ParseError(f"non-numeric field in row {line!r}", line=lineno)
+    return ParseError(f"unreadable rows: {exc}")
+
+
+def _load_rows(lines, ncols, delimiter, text):
+    """The data rows among ``lines`` (comments allowed) as one float array."""
+    try:
+        rows = np.loadtxt(lines, delimiter=delimiter, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise _unreadable(text, ncols, delimiter, exc) from None
+    if rows.shape[1] != ncols:
+        raise _unreadable(text, ncols, delimiter, f"{rows.shape[1]} columns")
+    return rows
 
 
 def _read_csv(text, header):
-    """Scan the ``# key=value`` comments, the header line and the numeric rows.
+    """Read the ``# key=value`` comments, check the header line, load the rows.
 
-    Returns (meta dict, line number of each row, float array of shape
-    ``(rows, len(header))``).
+    Returns (meta dict, float array of shape ``(rows, len(header))``).  The
+    rows are read by one ``np.loadtxt`` call; a fault found in them, here or
+    by the caller, is named by its line through :func:`_row_error` or
+    :func:`_unreadable`.
     """
+    lines = _content_lines(text)
+    comments = [line[1:] for line in lines if line[0] == "#"]
     meta = {}
-    linenos = []
-    rows = []
-    header_seen = False
-    for lineno, line in _split_lines(text):
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        fields = line.split(",")
-        if not header_seen:
-            if [t.strip() for t in fields] != list(header):
-                raise ParseError(f"expected header {','.join(header)!r}, got {line!r}",
-                                 line=lineno)
-            header_seen = True
-            continue
-        if len(fields) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}",
-                             line=lineno)
-        try:
-            rows.append([float(t) for t in fields])
-        except ValueError:
-            raise ParseError(f"non-numeric field in row {line!r}", line=lineno) from None
-        linenos.append(lineno)
-    if not header_seen:
+    for body in comments:
+        key, eq, value = body.partition("=")
+        if eq:
+            meta[key.strip()] = value.strip()
+    start = next((i for i, line in enumerate(lines) if line[0] != "#"), None)
+    if start is None:
         raise ParseError(f"missing header {','.join(header)!r}")
-    if not rows:
+    if [t.strip() for t in lines[start].split(",")] != list(header):
+        raise _row_error(text, f"expected header {','.join(header)!r}, "
+                         f"got {lines[start]!r}", -1)
+    if len(lines) - 1 == len(comments):
         raise ParseError("no data rows")
-    return meta, linenos, np.array(rows)
+    return meta, _load_rows(lines[start + 1:], len(header), ",", text)
 
 
 def _build(cls, *args, **kwargs):
@@ -274,11 +308,11 @@ def _meta_float(meta, key, default=None):
 
 def parse_s11_csv(text) -> ComplexSpectrum:
     """Parse a reflection trace.  See the module docstring for the format."""
-    meta, linenos, cols = _read_csv(text, ("freq_hz", "re", "im"))
+    meta, cols = _read_csv(text, ("freq_hz", "re", "im"))
     freq = cols[:, 0]
     bad = np.nonzero(np.diff(freq) <= 0)[0]
     if bad.size:
-        raise ParseError("frequency not strictly increasing", line=linenos[bad[0] + 1])
+        raise _row_error(text, "frequency not strictly increasing", bad[0] + 1)
     # assigned, not re + 1j*im, which would turn a -0.0 real part into 0.0
     values = np.empty(freq.size, dtype=complex)
     values.real = cols[:, 1]
@@ -288,53 +322,41 @@ def parse_s11_csv(text) -> ComplexSpectrum:
 
 def parse_xps_csv(text) -> XpsSpectrum:
     """Parse an XPS line scan; the ``# line=<element>`` header is required."""
-    meta, linenos, cols = _read_csv(text, ("be_ev", "counts"))
+    meta, cols = _read_csv(text, ("be_ev", "counts"))
     if "line" not in meta:
         raise ParseError("missing '# line=<element>' header")
     be, counts = cols[:, 0], cols[:, 1]
     neg = np.nonzero(counts < 0)[0]
     if neg.size:
-        raise ParseError("negative counts", line=linenos[neg[0]])
+        raise _row_error(text, "negative counts", neg[0])
     d = np.diff(be)
     if not (np.all(d > 0) or np.all(d < 0)):
         bad = np.nonzero(d * d[0] <= 0)[0]
-        raise ParseError("binding-energy axis not strictly monotone",
-                         line=linenos[bad[0] + 1])
+        raise _row_error(text, "binding-energy axis not strictly monotone", bad[0] + 1)
     return _build(XpsSpectrum, be, counts, meta["line"])
 
 
 def parse_afm_grid(text) -> AfmImage:
     """Parse an AFM height grid; header is ``nx ny dx_m dy_m``."""
-    lines = [(n, s) for n, s in _split_lines(text) if not s.startswith("#")]
+    lines = [line for line in _content_lines(text) if line[0] != "#"]
     if not lines:
         raise ParseError("empty AFM grid file")
-    head_no, head = lines[0]
-    parts = head.split()
+    parts = lines[0].split()
     if len(parts) != 4:
-        raise ParseError("header must be 'nx ny dx_m dy_m'", line=head_no)
+        raise _row_error(text, "header must be 'nx ny dx_m dy_m'", -1)
     try:
         nx, ny = int(parts[0]), int(parts[1])
         dx, dy = float(parts[2]), float(parts[3])
     except ValueError:
-        raise ParseError("non-numeric header field", line=head_no) from None
+        raise _row_error(text, "non-numeric header field", -1) from None
     if nx < 0 or ny < 0:
-        raise ParseError("negative grid dimension", line=head_no)
-    data_rows = lines[1:]
-    if len(data_rows) != ny:
-        raise ParseError(f"header claims {ny} rows but {len(data_rows)} present",
-                         line=head_no)
-    heights = np.empty((ny, nx))
-    for j, (lineno, line) in enumerate(data_rows):
-        fields = line.split()
-        if len(fields) != nx:
-            raise ParseError(f"expected {nx} heights, got {len(fields)}", line=lineno)
-        try:
-            row = np.array([float(t) for t in fields])
-        except ValueError:
-            raise ParseError("non-numeric height", line=lineno) from None
-        if not np.all(np.isfinite(row)):
-            raise ParseError("non-finite height", line=lineno)
-        heights[j] = row
+        raise _row_error(text, "negative grid dimension", -1)
+    if len(lines) - 1 != ny:
+        raise _row_error(text, f"header claims {ny} rows but {len(lines) - 1} present", -1)
+    heights = _load_rows(lines[1:], nx, None, text) if ny else np.empty((0, nx))
+    bad = np.nonzero(~np.isfinite(heights).all(axis=1))[0]
+    if bad.size:
+        raise _row_error(text, "non-finite height", bad[0])
     return _build(AfmImage, heights, (dx, dy))
 
 
@@ -344,7 +366,7 @@ def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
     An optional ``# reference_temperature_K=...`` metadata line overrides the
     0.200 K default.
     """
-    meta, _, cols = _read_csv(text, ("temperature_K", "f0_hz", "f0_err_hz"))
+    meta, cols = _read_csv(text, ("temperature_K", "f0_hz", "f0_err_hz"))
     t_ref = _meta_float(meta, "reference_temperature_K", 0.200)
     return _build(TemperatureSweepSeries, *cols.T, reference_temperature_k=t_ref)
 
@@ -355,7 +377,7 @@ def parse_powersweep_csv(text) -> PowerSweepSeries:
     ``# temperature_K=...`` and ``# f0_hz=...`` metadata lines carry the
     operating point the model needs.
     """
-    meta, _, cols = _read_csv(text, ("n_mean", "qi", "qi_err"))
+    meta, cols = _read_csv(text, ("n_mean", "qi", "qi_err"))
     return _build(PowerSweepSeries, *cols.T,
                   temperature_k=_meta_float(meta, "temperature_K"),
                   f0_hz=_meta_float(meta, "f0_hz"))
@@ -363,7 +385,7 @@ def parse_powersweep_csv(text) -> PowerSweepSeries:
 
 def parse_walkoff_csv(text) -> WalkoffCurve:
     """Parse a ``theta_deg,eta_deg`` walk-off curve."""
-    _, _, cols = _read_csv(text, ("theta_deg", "eta_deg"))
+    _, cols = _read_csv(text, ("theta_deg", "eta_deg"))
     return _build(WalkoffCurve, *cols.T)
 
 

@@ -102,6 +102,13 @@ class TestFitResonance:
         assert "reflection phase" in svg
         assert "polyline" in svg
 
+    def test_long_trace_plot_stays_small(self, tmp_path):
+        path = tmp_path / "long.csv"
+        run(["synth", "s11", "--f0-hz", "688.4e6", "--qi", "6800", "--qe", "14000",
+             "--points", "6001", "--noise", "0.004", "--seed", "1", "--output", path])
+        assert run(["fit-resonance", path, "--out", tmp_path, "--emit-svg"]) == 0
+        assert (tmp_path / "long.fit.svg").stat().st_size <= 80 * 1024
+
     def test_dark_model_flag(self, tmp_path):
         path = tmp_path / "d.csv"
         run(["synth", "s11", "--f0-hz", "679.564e6", "--qi", "6800", "--qe",

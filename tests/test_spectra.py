@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sawkit.spectra import (
     TemperatureSweepSeries,
     WalkoffCurve,
     XpsSpectrum,
+    _read_csv,
     format_afm_grid,
     format_powersweep_csv,
     format_s11_csv,
@@ -184,6 +187,108 @@ class TestParsers:
         with pytest.raises(ParseError) as err:
             parse_afm_grid("\n".join(rows))
         assert err.value.line == 1
+
+
+
+S11_ROWS = [
+    ("1e6", "0.5", "-0.1"),
+    ("1000001", "0.25", "0"),
+    ("1000002", "-1.5", "2e-3"),
+    ("1.000003e6", "1", "-0"),
+    ("1000004", ".75", "3.5"),
+    ("1000005", "-2E-1", "1e+0"),
+    ("1000006", "0.125", "-0.0625"),
+    ("1000007", "7", "-7"),
+]
+S11_EXPECTED = np.array([
+    [1e6, 0.5, -0.1], [1000001.0, 0.25, 0.0], [1000002.0, -1.5, 0.002],
+    [1000003.0, 1.0, -0.0], [1000004.0, 0.75, 3.5], [1000005.0, -0.2, 1.0],
+    [1000006.0, 0.125, -0.0625], [1000007.0, 7.0, -7.0]])
+
+
+def assert_s11_expected(sp):
+    assert sp.frequencies_hz.tobytes() == S11_EXPECTED[:, 0].tobytes()
+    assert sp.values.real.tobytes() == S11_EXPECTED[:, 1].tobytes()
+    assert sp.values.imag.tobytes() == S11_EXPECTED[:, 2].tobytes()
+
+
+class TestParsePaths:
+    """Layouts the one-call table read takes, and faults it names by line."""
+
+    def test_comment_line_between_rows(self):
+        rows = [",".join(r) for r in S11_ROWS]
+        text = "\n".join(["# a=1", "freq_hz,re,im", *rows[:3], "# b = 2",
+                          "#no key", *rows[3:]]) + "\n"
+        sp = parse_s11_csv(text)
+        assert sp.meta == {"a": "1", "b": "2"}
+        assert_s11_expected(sp)
+
+    def test_blank_lines(self):
+        rows = [",".join(r) for r in S11_ROWS]
+        text = "\n\nfreq_hz,re,im\n\n" + "\n  \n".join(rows) + "\n\t\n\n"
+        assert_s11_expected(parse_s11_csv(text))
+
+    def test_crlf_line_endings(self):
+        rows = [",".join(r) for r in S11_ROWS]
+        text = "\r\n".join(["# a=1", "freq_hz,re,im", *rows, ""]) + "\r\n"
+        sp = parse_s11_csv(text)
+        assert sp.meta == {"a": "1"}
+        assert_s11_expected(sp)
+
+    def test_spaces_around_fields(self):
+        rows = [f" {f} ,\t{r}  , {i}\t" for f, r, i in S11_ROWS]
+        text = "\n".join([" freq_hz , re,im", *rows]) + "\n"
+        assert_s11_expected(parse_s11_csv(text))
+
+    def test_afm_comments_and_blank_lines(self):
+        rows = [" ".join(f"{0.25 * (i - j)}" for i in range(16)) for j in range(16)]
+        text = "\r\n".join(["# scan 1", "16 16 1e-09 2e-09", "", *rows[:8],
+                             "# mid", "  ", *rows[8:]])
+        img = parse_afm_grid(text)
+        expected = 0.25 * (np.arange(16)[None, :] - np.arange(16)[:, None])
+        assert np.array_equal(img.heights_m, expected)
+        assert img.pixel_pitch_m == (1e-9, 2e-9)
+
+    def test_one_call_read_matches_row_loop(self, rng):
+        values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 3))
+        formats = ["{:.17g}", "{!r}", "{:.6e}", "{:.3f}", "{:.12G}"]
+        rows = [",".join(formats[(i + k) % 5].format(v) for k, v in enumerate(row))
+                for i, row in enumerate(values.tolist())]
+        text = "\n".join(["theta_deg,eta_deg,extra", *rows]) + "\n"
+        _, cols = _read_csv(text, ("theta_deg", "eta_deg", "extra"))
+        reference = np.array([[float(t) for t in row.split(",")] for row in rows])
+        assert cols.tobytes() == reference.tobytes()
+
+    def test_underscore_digits_name_their_line(self):
+        lines = make_s11_text().splitlines()
+        lines[4] = "1_000_003,0.5,-0.1"   # line 5; float() would take it
+        with pytest.raises(ParseError) as err:
+            parse_s11_csv("\n".join(lines))
+        assert err.value.line == 5
+        assert "non-numeric" in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_afm_non_finite_height_names_line(self, bad):
+        rows = ["16 16 1e-09 1e-09"] + [" ".join(["0"] * 16)] * 16
+        rows[6] = " ".join(["0"] * 9 + [bad] + ["0"] * 6)   # line 7
+        with pytest.raises(ParseError) as err:
+            parse_afm_grid("\n".join(rows))
+        assert err.value.line == 7
+        assert "non-finite height" in str(err.value)
+
+    def test_afm_non_numeric_height_names_line(self):
+        rows = ["16 16 1e-09 1e-09"] + [" ".join(["0"] * 16)] * 16
+        rows[12] = " ".join(["0"] * 15 + ["x"])   # line 13
+        with pytest.raises(ParseError) as err:
+            parse_afm_grid("\n".join(rows))
+        assert err.value.line == 13
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n# note=1\n\n  \n"])
+    def test_header_without_rows_warns_nothing(self, tail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows"):
+                parse_s11_csv("# a=1\nfreq_hz,re,im" + tail)
 
 
 class TestRoundTrips:
