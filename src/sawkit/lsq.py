@@ -1,15 +1,18 @@
-"""Damped least squares (Levenberg-Marquardt) with a numeric Jacobian.
+"""Damped least squares (Levenberg-Marquardt).
 
 Every nonlinear fitter in the package goes through :func:`fit_least_squares`,
 so convergence behavior and iteration accounting are uniform across
 analyses.  Residual functions return a 1-d float array; the cost is the
-plain sum of squared residuals (callers bake in any weights).  A model that
+plain sum of squared residuals (callers bake in any weights).  The LM steps
+use a forward-difference Jacobian unless the caller hands in the exact one
+(the resonance model does).  A model that
 is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
 the coefficients (variable projection, Golub & Pereyra 1973).  Every
 reported covariance comes from :func:`with_covariance`, one numeric
-Jacobian of a residual at its optimum, and every nested-model comparison
-from :func:`nested_gate`.
+Jacobian of a residual at its optimum, also where the steps had an exact
+one, so every reported sigma is taken the same way; every nested-model
+comparison comes from :func:`nested_gate`.
 """
 from __future__ import annotations
 
@@ -79,8 +82,13 @@ def _damped_step(a, g, d, lam):
         return np.linalg.lstsq(a + lam * np.diag(d), -g, rcond=None)[0]
 
 
-def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
+def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None):
     """Minimize ``sum(fun(p)**2)`` from ``p0`` by damped least squares.
+
+    ``jac``, when given, maps ``p`` to the ``(m, n)`` Jacobian of ``fun`` and
+    is called once per iteration in place of :func:`numeric_jacobian`, which
+    costs ``n`` evaluations of ``fun``.  It only steers the search: the
+    covariance of the optimum comes from :func:`with_covariance`.
 
     The normal equations are damped with the Marquardt scaling
     ``(J'J + lam * diag(J'J))`` and ``lam``, starting at ``LAM0``, is adapted:
@@ -112,9 +120,12 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
     n_iter = 0
 
     for n_iter in range(1, MAX_ITER + 1):
-        jac = numeric_jacobian(fun, p, r0=r, x_scale=x_scale)
-        a = jac.T @ jac
-        g = jac.T @ r
+        if jac is None:
+            jac_p = numeric_jacobian(fun, p, r0=r, x_scale=x_scale)
+        else:
+            jac_p = jac(p)
+        a = jac_p.T @ jac_p
+        g = jac_p.T @ r
         d = np.diag(a).copy()
         d[d <= 0] = max(d.max(), 1.0) * 1e-14
 
@@ -145,7 +156,8 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None):
             lam = min(lam * 10.0, 1e15)
         if not accepted:
             # No downhill direction at any damping: stationary to numerical
-            # precision, which is as converged as a numeric Jacobian gets.
+            # precision, which is as converged as the Jacobian (numeric or
+            # exact) can show.
             converged = True
         if converged:
             break

@@ -101,12 +101,23 @@ def bare_s11(freq_hz, f0_hz, kappa, kappa_e, f_dark_hz=None, gamma=0.0, g=0.0):
     ``kappa``, ``kappa_e``, ``gamma`` and ``g`` are angular rates (s^-1);
     no background scale or cable delay is applied here.
     """
+    return 1.0 - kappa_e / _denominator(freq_hz, f0_hz, kappa, f_dark_hz, gamma, g)[0]
+
+
+def _denominator(freq_hz, f0_hz, kappa, f_dark_hz=None, gamma=0.0, g=0.0):
+    """(den, pole) of the response ``1 - kappa_e / den``.
+
+    ``den = i*Delta + kappa/2`` plus the dark mode's ``g**2 / pole`` with
+    ``pole = i*Delta_b + gamma/2``; ``pole`` is None without a dark mode.
+    """
     delta = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f0_hz)
     den = 1j * delta + kappa / 2.0
+    pole = None
     if f_dark_hz is not None:
         delta_b = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f_dark_hz)
-        den = den + g**2 / (1j * delta_b + gamma / 2.0)
-    return 1.0 - kappa_e / den
+        pole = 1j * delta_b + gamma / 2.0
+        den = den + g**2 / pole
+    return den, pole
 
 
 def eval_s11(params: ResonanceModelParams, freq_hz):
@@ -198,6 +209,59 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
 _MODEL_KINDS = ("lorentzian", "dark_mode")
 
 
+def _fit_functions(freq, data, fc):
+    """(model, residual, jacobian) of the internal parameter vector.
+
+    Internal background convention: the phase slope is taken about the grid
+    center ``fc``, which keeps tau and arg(a) from trading against each other
+    during the fit.  The vector is (f0, kappa, kappa_e, a_re, a_im, tau); a
+    9-vector appends the dark mode (f_dark, gamma, g).  ``residual`` stacks
+    the real and imaginary parts of ``model - data``, and ``jacobian`` gives
+    its exact derivatives, one column per parameter.
+    """
+    n = freq.size
+    iturn = 1j * 2.0 * np.pi * (freq - fc)  # d/dtau of the delay's exponent
+
+    def model(x):
+        f0, kappa, kappa_e, a_re, a_im, tau = x[:6]
+        resp = bare_s11(freq, f0, kappa, kappa_e, *x[6:])
+        bg = (a_re + 1j * a_im) * np.exp(iturn * tau)
+        return bg * resp
+
+    def residual(x):
+        diff = model(x) - data
+        return np.concatenate([diff.real, diff.imag])
+
+    def jacobian(x):
+        f0, kappa, kappa_e, a_re, a_im, tau = x[:6]
+        den, pole = _denominator(freq, f0, kappa, *x[6:])
+        rot = np.exp(iturn * tau)
+        e = rot * (1.0 - kappa_e / den)  # d model / d a_re
+        bg = (a_re + 1j * a_im) * rot
+        dm_dden = bg * kappa_e / den**2
+        jac = np.empty((2 * n, len(x)), order="F")
+
+        def put(k, col):
+            jac[:n, k] = col.real
+            jac[n:, k] = col.imag
+
+        put(0, -2j * np.pi * dm_dden)
+        put(1, 0.5 * dm_dden)
+        put(2, -bg / den)
+        put(3, e)
+        put(4, 1j * e)
+        put(5, iturn * (a_re + 1j * a_im) * e)
+        if pole is not None:
+            g = x[8]
+            dm_dpole = dm_dden * (g / pole) ** 2  # -(d model / d pole)
+            put(6, 2j * np.pi * dm_dpole)
+            put(7, -0.5 * dm_dpole)
+            put(8, dm_dden * 2.0 * g / pole)
+        return jac
+
+    return model, residual, jacobian
+
+
 def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> ResonanceFitResult:
     """Fit a reflection trace and return calibrated parameters with errors.
 
@@ -205,8 +269,9 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     starts on the right side of critical coupling by itself.
     ``model_kind`` selects the plain Lorentzian or the dark-mode-loaded
     model; the dark mode is seeded from the largest residual feature left by
-    the Lorentzian fit and refined in a second fit.  One-sigma uncertainties
-    come from the residual-variance-scaled Jacobian covariance at the optimum.
+    the Lorentzian fit and refined in a second fit.  The LM steps use the
+    exact Jacobian of the model; one-sigma uncertainties come from the
+    residual-variance-scaled covariance of a numeric Jacobian at the optimum.
     """
     if model_kind not in _MODEL_KINDS:
         raise ValidationError(f"model_kind must be one of {_MODEL_KINDS}")
@@ -217,19 +282,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     fc = float(freq[(freq.size - 1) // 2])
     span = float(freq[-1] - freq[0])
 
-    # Internal background convention: phase slope about the grid center keeps
-    # tau and arg(a) from trading against each other during the fit.  A
-    # 9-vector appends the dark mode (f_dark, gamma, g) to the 6 base values.
-    def model(x):
-        f0, kappa, kappa_e, a_re, a_im, tau = x[:6]
-        resp = bare_s11(freq, f0, kappa, kappa_e, *x[6:])
-        bg = (a_re + 1j * a_im) * np.exp(1j * 2.0 * np.pi * (freq - fc) * tau)
-        return bg * resp
-
-    def residual(x):
-        diff = model(x) - data
-        return np.concatenate([diff.real, diff.imag])
-
+    model, residual, jacobian = _fit_functions(freq, data, fc)
     a_int = init.a * np.exp(1j * 2.0 * np.pi * fc * init.tau_s)
     x0 = [init.f0_hz, init.kappa_hz, init.kappa_e_hz,
           a_int.real, a_int.imag, init.tau_s]
@@ -237,7 +290,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     scale = [init.kappa_hz / (2.0 * np.pi), init.kappa_hz, init.kappa_hz,
              mag_a, mag_a, 1.0 / (2.0 * np.pi * span)]
 
-    res = fit_least_squares(residual, x0, x_scale=scale)
+    res = fit_least_squares(residual, x0, x_scale=scale, jac=jacobian)
     n_iterations = res.n_iterations
 
     with_dark = model_kind == "dark_mode"
@@ -258,7 +311,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         lower = [-np.inf] * 6 + [freq[0], gamma_floor, 0.0]
         upper = [np.inf] * 8 + [np.inf]
         res = fit_least_squares(residual, x1, x_scale=scale,
-                                lower=lower, upper=upper)
+                                lower=lower, upper=upper, jac=jacobian)
         n_iterations += res.n_iterations
         # Nested-model gate: the extra pole costs three parameters and its
         # position is searched, so a noise-level cost improvement does not

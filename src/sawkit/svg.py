@@ -191,9 +191,7 @@ def render_panels(panels, width=640, panel_height=320) -> str:
                 out.append(f'<line x1="{sx(x):.2f}" y1="{oy + m_top}" x2="{sx(x):.2f}" '
                            f'y2="{oy + m_top + ph}" stroke="#888888" '
                            'stroke-dasharray="4 3"/>')
-        for x, y, color, _ in panel.lines:
-            px, py = drawn(x, y)
-            out.append(_polyline(px, py, color, 'stroke-width="1.4"'))
+        # data first, so that a fit line is painted over its data
         for x, y, color, _ in panel.points:
             px, py = drawn(x, y)
             if x.size > pw:
@@ -203,6 +201,9 @@ def render_panels(panels, width=640, panel_height=320) -> str:
                 continue
             for a, b in zip(px.tolist(), py.tolist()):
                 out.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.2" fill="{color}"/>')
+        for x, y, color, _ in panel.lines:
+            px, py = drawn(x, y)
+            out.append(_polyline(px, py, color, 'stroke-width="1.4"'))
         labeled = [(c, l) for _, _, c, l in panel.lines + panel.points if l]
         for i, (color, label) in enumerate(labeled):
             ly = oy + m_top + 14 + 14 * i

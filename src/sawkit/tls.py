@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_separable
+from .lsq import fit_separable, nested_gate
 
 HBAR = 1.054571817e-34  # J s (exact SI)
 KB = 1.380649e-23       # J / K (exact SI)
@@ -268,7 +268,8 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
     at least four decades of phonon number (it is weakly identified on
     shorter sweeps) and held at 0.5 otherwise.  A loss rate that solves to
     zero (a sweep without saturation, or without a residual loss) raises
-    FitError.
+    FitError, and so does a saturation term that does not pass
+    :func:`lsq.nested_gate` against a constant 1/Q.
     """
     n = np.asarray(series.mean_phonon_number, dtype=float)
     qi = np.asarray(series.qi, dtype=float)
@@ -298,12 +299,18 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
             [tanh_arg * _saturation(np.log(n) - p[0], beta), np.ones_like(n)])
 
     m = 1 if beta_fixed else 2  # searched: ln n_c, then beta when free
-    res = fit_separable(basis, w / qi, [np.log(n_c0), beta0][:m], x_scale=[1.0, 0.5][:m],
+    data = w / qi
+    res = fit_separable(basis, data, [np.log(n_c0), beta0][:m], x_scale=[1.0, 0.5][:m],
                         lower=[-np.inf, 1e-3][:m], upper=[np.inf, 2.0][:m])
     f_delta, inv_q_res = res.params[-2:]
     if f_delta <= 0.0 or inv_q_res <= 0.0:
         raise FitError("a loss rate solved to zero: the sweep shows no "
                        + ("TLS saturation" if f_delta <= 0.0 else "residual loss"))
+    # the saturation term has to beat a constant 1/Q, the weighted mean
+    flat_resid = data - w * (w @ data) / (w @ w)
+    _, saturates = nested_gate(float(flat_resid @ flat_resid), res.cost, n.size - m - 2)
+    if not saturates:
+        raise FitError("the sweep shows no TLS saturation")
     n_c = np.exp(res.params[0])
     beta = beta0 if beta_fixed else res.params[1]
     sigma = res.param_errors

@@ -50,10 +50,10 @@ def dip_depth(qi, qe):
     return 1.0 - abs(qe - qi) / (qe + qi)
 
 
-def flat_power_sweep():
+def flat_power_sweep(seed=0):
     """Q = 2600 with 1 % noise over ten decades of drive: nothing saturates."""
     n = np.geomspace(1.0, 1e10, 25)
-    qi = 2600.0 * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(n.size))
+    qi = 2600.0 * (1.0 + 0.01 * np.random.default_rng(seed).standard_normal(n.size))
     return PowerSweepSeries(n, qi, 0.01 * qi, temperature_k=0.010, f0_hz=6.9e8)
 
 

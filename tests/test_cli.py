@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestFitResonance:
         assert "reflection magnitude" in svg
         assert "reflection phase" in svg
         assert "polyline" in svg
+
+    def test_fit_line_is_drawn_over_the_data(self, tmp_path):
+        # in each panel the 4.4 px data band comes first in the file, so the
+        # 1.4 px fit polyline is painted over it
+        trace = self.synth_trace(tmp_path, "m.csv")
+        assert run(["fit-resonance", trace, "--out", tmp_path, "--emit-svg"]) == 0
+        svg = (tmp_path / "m.fit.svg").read_text()
+        widths = re.findall(r'<polyline [^>]*stroke-width="([0-9.]+)"', svg)
+        assert widths == ["4.4", "1.4"] * 2
 
     def test_long_trace_plot_stays_small(self, tmp_path):
         path = tmp_path / "long.csv"

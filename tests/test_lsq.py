@@ -50,6 +50,32 @@ def test_cost_history_non_increasing(rng):
     assert res.n_iterations <= 200
 
 
+def test_given_jacobian_replaces_the_numeric_one(monkeypatch, rng):
+    # the same optimum as the numeric path, without a single finite difference
+    x = np.linspace(0, 4, 60)
+    y = 3.0 * np.exp(-1.3 * x) + 0.02 * rng.standard_normal(x.size)
+
+    def residual(p):
+        return p[0] * np.exp(-p[1] * x) - y
+
+    def jacobian(p):
+        decay = np.exp(-p[1] * x)
+        return np.column_stack([decay, -p[0] * x * decay])
+
+    numeric = fit_least_squares(residual, [1.0, 0.3])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return numeric_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(lsq, "numeric_jacobian", counted)
+    exact = fit_least_squares(residual, [1.0, 0.3], jac=jacobian)
+    assert calls == []
+    assert np.allclose(exact.params, numeric.params, rtol=1e-6)
+    assert exact.cost == pytest.approx(numeric.cost, rel=1e-9)
+
+
 def test_bound_projection_reports_pinned():
     def residual(p):
         return np.array([p[0] - 5.0, 0.1 * (p[1] - 1.0)])

@@ -371,12 +371,65 @@ class TestFitResonance:
         assert scatter / 3.0 < reported < 3.0 * scatter
 
     def test_one_jacobian_per_iteration_and_one_for_the_covariance(self, monkeypatch):
-        jacobians = []
+        # the LM steps call the exact Jacobian once per iteration; the only
+        # numeric Jacobian is the covariance one at the optimum
+        exact, numeric = [], []
 
-        def counted(*args, **kwargs):
-            jacobians.append(args)
+        def counted_fit(fun, p0, *, jac, **kwargs):
+            def counted_jac(p):
+                exact.append(p)
+                return jac(p)
+
+            return fit_least_squares(fun, p0, jac=counted_jac, **kwargs)
+
+        def counted_numeric(*args, **kwargs):
+            numeric.append(args)
             return lsq_numeric_jacobian(*args, **kwargs)
 
-        monkeypatch.setattr(lsq, "numeric_jacobian", counted)
+        monkeypatch.setattr(resonance, "fit_least_squares", counted_fit)
+        monkeypatch.setattr(lsq, "numeric_jacobian", counted_numeric)
         result = SIGMA_CASES["dark_mode"](0)
-        assert len(jacobians) == result.n_iterations + 1
+        assert len(exact) == result.n_iterations
+        assert len(numeric) == 1
+
+
+def _random_model_point(rng, f0, kappa, span, dark):
+    """Internal parameter vector near a mode at ``f0`` of loss rate ``kappa``."""
+    kap = kappa * rng.uniform(0.5, 2.0)
+    a = rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(-np.pi, np.pi))
+    x = [f0 + rng.uniform(-1.0, 1.0) * kap / TWO_PI, kap, kap * rng.uniform(0.05, 0.95),
+         a.real, a.imag, rng.uniform(-3e-8, 3e-8)]
+    scale = [kap / TWO_PI, kap, kap, 1.0, 1.0, 1.0 / (TWO_PI * span)]
+    if dark:
+        gamma = kap * rng.uniform(0.02, 0.5)
+        x += [f0 + rng.uniform(-1.0, 1.0) * kap / TWO_PI, gamma,
+              math.sqrt(kap * gamma) * rng.uniform(0.1, 1.0)]
+        scale += [gamma / TWO_PI, gamma, gamma]
+    return np.array(x), np.array(scale)
+
+
+@pytest.mark.parametrize("dark", [False, True], ids=["6-param", "9-param"])
+@pytest.mark.parametrize("qi,qe", [(6.8e3, 1.4e4), (1.9e4, 3e4), (2e5, 2e3)],
+                         ids=["device", "delayed-high-q", "overcoupled"])
+def test_exact_jacobian_matches_numeric(rng, qi, qe, dark):
+    # forward differences of the same residual, with the two frequencies
+    # differentiated as offsets from the grid center so that their steps
+    # follow the linewidth, not the 0.7 GHz carrier; the rounding of
+    # f - f0 still leaves up to 6e-5 of the column norm in those columns
+    f0 = 688.4e6
+    kappa, _ = rates_from_qs(f0, qi, qe)
+    grid = resonance_grid(f0, qi, qe, span_linewidths=5.0, points=6001)
+    fc = float(grid[3000])
+    span = float(grid[-1] - grid[0])
+    data = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    _, residual, jacobian = resonance._fit_functions(grid, data, fc)
+    for _ in range(5):
+        x, scale = _random_model_point(rng, f0, kappa, span, dark)
+        offset = np.zeros(x.size)
+        offset[[0, 6][:1 + dark]] = fc
+        exact = jacobian(x)
+        numeric = lsq_numeric_jacobian(lambda y: residual(y + offset), x - offset,
+                                       x_scale=scale)
+        assert exact.shape == (2 * grid.size, x.size)
+        err = np.linalg.norm(exact - numeric, axis=0) / np.linalg.norm(exact, axis=0)
+        assert np.all(err < 3e-4), err

@@ -257,23 +257,41 @@ class TestFitPowerSweep:
         assert fit.params.f_delta_tls == pytest.approx(p.f_delta_tls, rel=0.01)
 
     def test_weak_saturation_flags_beta_unidentifiable(self):
-        # barely visible TLS loss: the exponent uncertainty exceeds its value
+        # barely visible TLS loss, resolved at delta chi2 = 67: the exponent
+        # uncertainty exceeds its value
+        p = PowerModelParams(f_delta_tls=2.5e-5, n_c=1e5, beta=0.5,
+                             q_i_res=2.6e3, temperature_k=0.010, f0_hz=6.9e8)
+        series = synth_power_sweep(p, np.geomspace(1.0, 1e9, 20),
+                                   noise_frac=0.01, rng_seed=5)
+        fit = fit_power_sweep(series)
+        assert not fit.beta_fixed
+        assert fit.beta_unidentifiable
+
+    def test_saturation_below_the_gate_raises(self):
+        # F*delta = 2e-5 on this draw lowers the cost of a constant 1/Q by
+        # 30 residual variances, short of lsq.NESTED_MIN_CHI2
         p = PowerModelParams(f_delta_tls=2e-5, n_c=1e5, beta=0.5,
                              q_i_res=2.6e3, temperature_k=0.010, f0_hz=6.9e8)
         series = synth_power_sweep(p, np.geomspace(1.0, 1e9, 20),
                                    noise_frac=0.01, rng_seed=3)
-        fit = fit_power_sweep(series)
-        assert not fit.beta_fixed
-        assert fit.beta_unidentifiable
+        with pytest.raises(FitError, match="^the sweep shows no TLS saturation"):
+            fit_power_sweep(series)
 
     def test_flat_sweep_raises(self):
         # the TLS loss rate solves to zero, which no saturation model reports
         with pytest.raises(FitError, match="solved to zero"):
             fit_power_sweep(flat_power_sweep())
 
-    def test_constant_q_gives_negligible_tls_loss(self):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_flat_sweep_never_reports_tls_loss(self, seed):
+        # whatever the noise draw, a flat sweep is an error: a loss rate
+        # solves to zero, or the saturation term fails the nested-model gate
+        with pytest.raises(FitError):
+            fit_power_sweep(flat_power_sweep(seed))
+
+    def test_constant_q_raises(self):
+        # an exactly constant Q is fitted as well by a constant 1/Q
         n = np.geomspace(1.0, 1e8, 12)
         series = PowerSweepSeries(n, np.full(12, 5e3), np.zeros(12), 0.01, 6.9e8)
-        fit = fit_power_sweep(series)
-        assert fit.params.f_delta_tls < 1e-3 * (1.0 / 5e3)
-        assert fit.params.q_i_res == pytest.approx(5e3, rel=0.01)
+        with pytest.raises(FitError, match="no TLS saturation"):
+            fit_power_sweep(series)
