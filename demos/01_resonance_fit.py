@@ -40,7 +40,7 @@ print(f"  residual rms = {result.residual_rms:.2e}, "
 panel = Panel(title="S11 magnitude", xlabel="frequency (Hz)", ylabel="|S11|")
 panel.add_points(grid[::10], np.abs(trace.values[::10]), label="data")
 panel.add_line(grid, np.abs(eval_s11(result.params, grid)), label="fit")
-(OUT / "resonance_fit.svg").write_text(render_panels([panel]))
+(OUT / "resonance_fit.svg").write_text(render_panels([panel]), encoding="utf-8")
 
 print("\n=== dark-mode fit ===")
 gamma = 2 * np.pi * 10e3
@@ -59,5 +59,5 @@ panel = Panel(title="S11 with dark mode", xlabel="frequency (Hz)",
 panel.add_points(grid[::10], np.abs(trace.values[::10]), label="data")
 panel.add_line(grid, np.abs(eval_s11(result.params, grid)), label="fit")
 panel.add_vline(dark.f_dark_hz)
-(OUT / "resonance_dark_mode.svg").write_text(render_panels([panel]))
+(OUT / "resonance_dark_mode.svg").write_text(render_panels([panel]), encoding="utf-8")
 print(f"\nplots written to {OUT}/")

@@ -35,5 +35,5 @@ for truth in loss_products:
     panel.add_line(fine, tls_frequency_shift(fit.f_delta_tls, f0, fine),
                    label=f"{fit.f_delta_tls:.2e}")
 
-(OUT / "temperature_sweeps.svg").write_text(render_panels([panel]))
+(OUT / "temperature_sweeps.svg").write_text(render_panels([panel]), encoding="utf-8")
 print(f"\nplot written to {OUT}/temperature_sweeps.svg")

@@ -40,5 +40,5 @@ if fit.beta_unidentifiable:
     print("  note: beta is not identified by this sweep")
 panel.add_points(np.log10(series.mean_phonon_number), series.qi,
                  label="noisy sweep")
-(OUT / "power_saturation.svg").write_text(render_panels([panel]))
+(OUT / "power_saturation.svg").write_text(render_panels([panel]), encoding="utf-8")
 print(f"\nplot written to {OUT}/power_saturation.svg")

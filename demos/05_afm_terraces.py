@@ -58,5 +58,5 @@ panel.add_line(centers, counts, label="histogram")
 panel.add_line(grid, result.evaluate(grid), label="fit")
 for mu in result.centers_m:
     panel.add_vline(mu)
-(OUT / "terrace_histogram.svg").write_text(render_panels([panel]))
+(OUT / "terrace_histogram.svg").write_text(render_panels([panel]), encoding="utf-8")
 print(f"\nplot written to {OUT}/terrace_histogram.svg")

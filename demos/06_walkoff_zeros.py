@@ -41,5 +41,5 @@ panel.add_points(theta[::3], raw.eta_deg[::3], label="raw")
 panel.add_line(theta, smoothed.eta_deg, label="smoothed")
 for z in zeros:
     panel.add_vline(z.theta_deg)
-(OUT / "walkoff_zeros.svg").write_text(render_panels([panel]))
+(OUT / "walkoff_zeros.svg").write_text(render_panels([panel]), encoding="utf-8")
 print(f"\nplot written to {OUT}/walkoff_zeros.svg")

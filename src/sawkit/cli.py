@@ -7,10 +7,18 @@ canonical JSON (sorted keys, newline-terminated) and plots deterministic SVG,
 so reruns are byte-identical and diffs in CI stay meaningful.  A failing
 input produces an ``<stem>.error.json`` record and, with ``--keep-going``,
 the batch continues; the exit code is 0 only when every input succeeded.
+Inputs and configs are read, and reports written, as UTF-8 whatever the
+locale; an input that is not UTF-8 is recorded like any other malformed one.
+
+A process builds the argument parser once: the first ``main`` call builds
+it and later calls only parse and dispatch, so an in-process batch driver
+pays ``parse_args`` per command, not the construction of the whole tree.
+A shell invocation of ``sawkit`` runs ``main`` once either way.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,8 +41,16 @@ def _canonical_json(obj) -> str:
 def _write_atomic(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _read_input(path: Path) -> str:
+    """The text of one input file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
 
 
 def _gather_inputs(paths):
@@ -70,12 +86,18 @@ def _run_batch(args, suffix, analyze):
 
     ``analyze(text)`` returns ``(report, panels)``; the report goes to
     ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``.
-    Returns the exit code: 0 only when every input succeeded.
+    Returns the exit code: 0 only when every input succeeded, and 1 when
+    the inputs name no file at all.
     """
+    files = _gather_inputs(args.inputs)
+    if not files:
+        _write_error(args, args.command.replace("-", "_"),
+                     SawkitError(f"no input files found in {', '.join(args.inputs)}"))
+        return 1
     failures = 0
-    for f in _gather_inputs(args.inputs):
+    for f in files:
         try:
-            _write_report(args, f"{f.stem}.{suffix}", *analyze(f.read_text()))
+            _write_report(args, f"{f.stem}.{suffix}", *analyze(_read_input(f)))
         except (SawkitError, OSError) as exc:
             failures += 1
             _write_error(args, f.stem, exc, source=f)
@@ -188,8 +210,8 @@ def _check_xps_config(cfg):
 
 def _load_xps_config(path):
     try:
-        cfg = json.loads(Path(path).read_text()) if path else {}
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"config {path}: {exc}") from None
     _check_xps_config(cfg)
     table = xps.SensitivityTable(cfg["sensitivity"]) if "sensitivity" in cfg \
@@ -205,10 +227,13 @@ def _load_xps_config(path):
 
 
 def cmd_xps_quant(args) -> int:
+    source = None  # the spectrum being read, named in its error record
     try:
         table, windows, band_cfg = _load_xps_config(args.config)
-        parsed = [spectra.parse_xps_csv(f.read_text())
-                  for f in _gather_inputs(args.inputs)]
+        parsed = []
+        for source in _gather_inputs(args.inputs):
+            parsed.append(spectra.parse_xps_csv(_read_input(source)))
+        source = None
         if not parsed:
             raise SawkitError("no XPS spectra found")
         if args.no_charge_shift:
@@ -240,7 +265,7 @@ def cmd_xps_quant(args) -> int:
         doc["band_fits"] = band_fits
         _write_report(args, "xps_quant", doc, lambda: panels)
     except (SawkitError, OSError) as exc:
-        _write_error(args, "xps_quant", exc)
+        _write_error(args, "xps_quant", exc, source=source)
         return 1
     return 0
 
@@ -384,7 +409,13 @@ def cmd_synth(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sawkit`` parser, built on the first call and shared after it.
+
+    ``parse_args`` returns a fresh namespace on every call, so one parser
+    serves every ``main`` call of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="sawkit",
         description="Batch analyses for SAW-resonator surface characterization")

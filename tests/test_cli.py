@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sawkit import afm
+from sawkit import afm, cli
 from sawkit.cli import main
 from sawkit.spectra import format_powersweep_csv, parse_tempsweep_csv
 from conftest import flat_power_sweep
@@ -221,6 +222,18 @@ class TestXpsQuant:
         assert run(["xps-quant", indir, "--out", tmp_path]) != 0
         assert (tmp_path / "xps_quant.error.json").exists()
 
+    def test_non_utf8_line_file_is_recorded(self, tmp_path):
+        indir = tmp_path / "xps"
+        indir.mkdir()
+        self.write_line(indir / "Nb3d.csv", "Nb3d", 207.3, 5000.0, 2)
+        (indir / "O1s.csv").write_bytes(NOT_UTF8)
+        out = tmp_path / "results"
+        assert run(["xps-quant", indir, "--out", out]) == 1
+        record = read_json(out / "xps_quant.error.json")
+        assert "not UTF-8" in record["error"]
+        assert record["input"].endswith("O1s.csv")
+        assert not (out / "xps_quant.json").exists()
+
 
 class TestAfmCommand:
     def test_constant_grid_zero_roughness(self, tmp_path):
@@ -291,14 +304,18 @@ def afm_with_level_points(points):
 
 
 def xps_with_config(text):
-    """``text`` None leaves the config file missing."""
+    """``text`` (str or raw bytes) None leaves the config file missing."""
     def build(tmp_path):
         TestXpsQuant().write_line(tmp_path / "Nb3d.csv", "Nb3d", 207.3, 5000.0, 2)
         cfg = tmp_path / "cfg.json"
         if text is not None:
-            cfg.write_text(text)
+            cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         return ["xps-quant", tmp_path / "Nb3d.csv", "--config", cfg], "xps_quant"
     return build
+
+
+#: bytes no UTF-8 decoder accepts: a UTF-16 byte-order mark, then UTF-16 text
+NOT_UTF8 = b"\xff\xfe" + "frequency_hz,re,im\n".encode("utf-16-le")
 
 
 def sweep_with_metadata(kind, key):
@@ -322,6 +339,7 @@ OUTSIDE_INPUT_ERRORS = {
     "bands-with-different-widths": xps_with_config(json.dumps({"bands": {"Nb3d": [
         {"center_ev": 207.3, "sigma_ev": 0.5}, {"center_ev": 210.0, "sigma_ev": 0.7}]}})),
     "malformed-config": xps_with_config("{not json"),
+    "config-not-utf8": xps_with_config(NOT_UTF8),
     "missing-config": xps_with_config(None),
     "config-non-numeric-sensitivity": xps_with_config(
         json.dumps({"sensitivity": {"Nb3d": "x"}})),
@@ -334,22 +352,45 @@ OUTSIDE_INPUT_ERRORS = {
 }
 
 
+def run_batch_with_bad_middle(tmp_path, command, keep_going, bad_bytes):
+    """Run ``command`` over inputs a, b, c where b holds ``bad_bytes``."""
+    suffix, write_good = PER_FILE_COMMANDS[command]
+    indir = tmp_path / "inputs"
+    indir.mkdir()
+    write_good(indir / "a.csv", 1)
+    (indir / "b.csv").write_bytes(bad_bytes)
+    write_good(indir / "c.csv", 2)
+    out = tmp_path / "results"
+    argv = [command, indir, "--out", out] + (["--keep-going"] if keep_going else [])
+    assert run(argv) == 1
+    assert (out / f"a.{suffix}.json").exists()
+    record = read_json(out / "b.error.json")
+    assert "b.csv" in record["input"]
+    assert (out / f"c.{suffix}.json").exists() == keep_going
+    return record
+
+
 class TestBatchErrors:
     @pytest.mark.parametrize("keep_going", [True, False], ids=["keep-going", "stop"])
     @pytest.mark.parametrize("command", sorted(PER_FILE_COMMANDS))
     def test_corrupt_input_mid_batch(self, tmp_path, command, keep_going):
-        suffix, write_good = PER_FILE_COMMANDS[command]
-        indir = tmp_path / "inputs"
+        run_batch_with_bad_middle(tmp_path, command, keep_going, b"corrupt\n")
+
+    @pytest.mark.parametrize("keep_going", [True, False], ids=["keep-going", "stop"])
+    @pytest.mark.parametrize("command", sorted(PER_FILE_COMMANDS))
+    def test_non_utf8_input_mid_batch(self, tmp_path, command, keep_going):
+        record = run_batch_with_bad_middle(tmp_path, command, keep_going, NOT_UTF8)
+        assert "not UTF-8" in record["error"]
+
+    @pytest.mark.parametrize("command", sorted(PER_FILE_COMMANDS))
+    def test_empty_batch_is_an_error(self, tmp_path, command):
+        indir = tmp_path / "empty"
         indir.mkdir()
-        write_good(indir / "a.csv", 1)
-        (indir / "b.csv").write_text("corrupt\n")
-        write_good(indir / "c.csv", 2)
         out = tmp_path / "results"
-        argv = [command, indir, "--out", out] + (["--keep-going"] if keep_going else [])
-        assert run(argv) == 1
-        assert (out / f"a.{suffix}.json").exists()
-        assert "b.csv" in read_json(out / "b.error.json")["input"]
-        assert (out / f"c.{suffix}.json").exists() == keep_going
+        assert run([command, indir, "--out", out]) == 1
+        record = f"{command.replace('-', '_')}.error.json"
+        assert "no input files found" in read_json(out / record)["error"]
+        assert [p.name for p in out.iterdir()] == [record]
 
     @pytest.mark.parametrize("case", sorted(OUTSIDE_INPUT_ERRORS))
     def test_outside_input_errors_are_recorded(self, tmp_path, case):
@@ -382,3 +423,64 @@ class TestParserStrictness:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             run(["transmogrify"])
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        sweep = tmp_path / "sweep.csv"
+        assert run(["synth", "tempsweep", "--points", "20", "--output", sweep]) == 0
+        n_tree = len(built)
+        assert built.count("sawkit") == 1
+        write_walkoff(tmp_path / "curve.csv", 0)
+        assert run(["fit-tempsweep", sweep, "--out", tmp_path]) == 0
+        assert run(["walkoff", tmp_path / "curve.csv", "--out", tmp_path]) == 0
+        assert len(built) == n_tree
+
+    def test_main_uses_the_built_parser(self, monkeypatch):
+        parsed = []
+        parser = cli.build_parser()
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda argv: parsed.append(argv) or parse_args(argv))
+        with pytest.raises(SystemExit):
+            run(["transmogrify"])
+        assert parsed == [["transmogrify"]]
+        assert cli.build_parser() is parser
+
+    def test_fixed_beta_does_not_carry_over(self, tmp_path):
+        csv = tmp_path / "power.csv"
+        PER_FILE_COMMANDS["fit-powersweep"][1](csv, 1)
+        fixed, free = tmp_path / "fixed", tmp_path / "free"
+        assert run(["fit-powersweep", csv, "--fixed-beta", "0.5", "--out", fixed]) == 0
+        assert read_json(fixed / "power.power.json")["beta_fixed"] is True
+        assert run(["fit-powersweep", csv, "--out", free]) == 0
+        assert read_json(free / "power.power.json")["beta_fixed"] is False
+
+    def test_emit_svg_does_not_carry_over(self, tmp_path):
+        curve = tmp_path / "curve.csv"
+        write_walkoff(curve, 0)
+        plotted, plain = tmp_path / "plotted", tmp_path / "plain"
+        assert run(["walkoff", curve, "--emit-svg", "--out", plotted]) == 0
+        assert (plotted / "curve.walkoff.svg").exists()
+        assert run(["walkoff", curve, "--out", plain]) == 0
+        assert [p.name for p in plain.iterdir()] == ["curve.walkoff.json"]
+
+    def test_rejected_flag_leaves_the_next_call_working(self, tmp_path):
+        curve = tmp_path / "curve.csv"
+        write_walkoff(curve, 0)
+        with pytest.raises(SystemExit) as exc:
+            run(["walkoff", curve, "--frobnicate", "--out", tmp_path])
+        assert exc.value.code == 2
+        assert run(["walkoff", curve, "--out", tmp_path]) == 0
+        assert (tmp_path / "curve.walkoff.json").exists()
