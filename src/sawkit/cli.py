@@ -7,6 +7,8 @@ canonical JSON (sorted keys, newline-terminated) and plots deterministic SVG,
 so reruns are byte-identical and diffs in CI stay meaningful.  A failing
 input produces an ``<stem>.error.json`` record and, with ``--keep-going``,
 the batch continues; the exit code is 0 only when every input succeeded.
+xps-quant and synth, which write one file per run, record a failure as
+``xps_quant.error.json`` or ``synth.error.json`` under ``--out``.
 Inputs and configs are read, and reports written, as UTF-8 whatever the
 locale; an input that is not UTF-8 is recorded like any other malformed one.
 
@@ -39,10 +41,16 @@ def _canonical_json(obj) -> str:
 
 
 def _write_atomic(path: Path, text: str):
+    """Write ``text`` to ``path`` through ``<name>.tmp``, which a failed
+    write or rename removes again."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_input(path: Path) -> str:
@@ -363,6 +371,16 @@ def cmd_walkoff(args) -> int:
 
 def cmd_synth(args) -> int:
     out = Path(args.output) if args.output else Path(args.out) / f"{args.kind}.csv"
+    try:
+        _write_atomic(out, _synth_text(args))
+    except (SawkitError, OSError) as exc:
+        _write_error(args, "synth", exc)
+        return 1
+    return 0
+
+
+def _synth_text(args) -> str:
+    """The fixture file of kind ``args.kind``, drawn from ``args.seed``."""
     if args.kind == "s11":
         w0 = TWO_PI * args.f0_hz
         kappa_e = w0 / args.qe
@@ -377,14 +395,14 @@ def cmd_synth(args) -> int:
                     TWO_PI * args.dark_gamma_hz)
         sp = synth.synth_s11(args.f0_hz, kappa, kappa_e, grid, dark=dark,
                              noise_sigma=args.noise, rng_seed=args.seed)
-        _write_atomic(out, spectra.format_s11_csv(sp))
-    elif args.kind == "tempsweep":
+        return spectra.format_s11_csv(sp)
+    if args.kind == "tempsweep":
         temps = np.linspace(args.t_min_k, args.t_max_k, args.points)
         series = synth.synth_temperature_sweep(
             args.f_delta, args.f0_hz, temps, noise_sigma_hz=args.noise_hz,
             rng_seed=args.seed, reference_temperature_k=args.t_ref_k)
-        _write_atomic(out, spectra.format_tempsweep_csv(series))
-    elif args.kind == "powersweep":
+        return spectra.format_tempsweep_csv(series)
+    if args.kind == "powersweep":
         params = tls.PowerModelParams(
             f_delta_tls=args.f_delta, n_c=args.n_c, beta=args.beta,
             q_i_res=args.q_res, temperature_k=args.temperature_k,
@@ -392,17 +410,16 @@ def cmd_synth(args) -> int:
         phonons = np.geomspace(args.n_min, args.n_max, args.points)
         series = synth.synth_power_sweep(params, phonons, noise_frac=args.noise_frac,
                                          rng_seed=args.seed)
-        _write_atomic(out, spectra.format_powersweep_csv(series))
-    elif args.kind == "afm":
+        return spectra.format_powersweep_csv(series)
+    if args.kind == "afm":
         image = synth.synth_terrace_image(
             (args.ny, args.nx), (args.pitch_m, args.pitch_m),
             step_m=args.step_m, n_terraces=args.terraces,
             noise_sigma_m=args.noise_m,
             tilt_m_per_px=(args.tilt_x, args.tilt_y), rng_seed=args.seed)
-        _write_atomic(out, spectra.format_afm_grid(image))
-    else:  # pragma: no cover - argparse restricts choices
-        raise SawkitError(f"unknown synth kind {args.kind}")
-    return 0
+        return spectra.format_afm_grid(image)
+    # argparse restricts the choices
+    raise SawkitError(f"unknown synth kind {args.kind}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

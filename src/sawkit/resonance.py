@@ -209,6 +209,27 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
 _MODEL_KINDS = ("lorentzian", "dark_mode")
 
 
+def _one_slot(compute):
+    """``compute`` remembered for its last arguments only, its arrays read-only.
+
+    ``get(*args)`` returns ``compute(*args)``, computed afresh unless the
+    exact bytes of ``args`` equal those of the previous call.
+    """
+    slot = [None, None]  # [key, value]
+
+    def get(*args):
+        key = b"".join(np.asarray(arg).tobytes() for arg in args)
+        if key != slot[0]:
+            value = compute(*args)
+            for arr in value:
+                if arr is not None:
+                    arr.flags.writeable = False
+            slot[:] = key, value
+        return slot[1]
+
+    return get
+
+
 def _fit_functions(freq, data, fc):
     """(model, residual, jacobian) of the internal parameter vector.
 
@@ -218,24 +239,40 @@ def _fit_functions(freq, data, fc):
     9-vector appends the dark mode (f_dark, gamma, g).  ``residual`` stacks
     the real and imaginary parts of ``model - data``, and ``jacobian`` gives
     its exact derivatives, one column per parameter.
+
+    The three functions share two pieces of the model, each kept for the
+    last parameter value it was computed at: the denominator and pole of
+    :func:`_denominator`, keyed on the exact bytes of (f0, kappa[, f_dark,
+    gamma, g]), and the delay phasor ``exp(i*2*pi*(f - fc)*tau)``, keyed on
+    the exact bytes of tau.  So neither piece is recomputed by the Jacobian
+    at the point just evaluated, nor by a step from that point in kappa_e,
+    a_re or a_im.  The pieces are read-only and live only as long as the
+    closures, so nothing is kept from one fit to the next.
     """
     n = freq.size
     iturn = 1j * 2.0 * np.pi * (freq - fc)  # d/dtau of the delay's exponent
+    den_pole = _one_slot(lambda f0, kappa, dark: _denominator(freq, f0, kappa, *dark))
+    phasor = _one_slot(lambda tau: (np.exp(iturn * tau),))
+
+    def pieces(x):
+        """(den, pole, rot) at ``x``."""
+        x = np.asarray(x, dtype=float)
+        den, pole = den_pole(x[0], x[1], x[6:])
+        (rot,) = phasor(x[5])
+        return den, pole, rot
 
     def model(x):
-        f0, kappa, kappa_e, a_re, a_im, tau = x[:6]
-        resp = bare_s11(freq, f0, kappa, kappa_e, *x[6:])
-        bg = (a_re + 1j * a_im) * np.exp(iturn * tau)
-        return bg * resp
+        den, _, rot = pieces(x)
+        kappa_e, a_re, a_im = x[2:5]
+        return (a_re + 1j * a_im) * rot * (1.0 - kappa_e / den)
 
     def residual(x):
         diff = model(x) - data
         return np.concatenate([diff.real, diff.imag])
 
     def jacobian(x):
-        f0, kappa, kappa_e, a_re, a_im, tau = x[:6]
-        den, pole = _denominator(freq, f0, kappa, *x[6:])
-        rot = np.exp(iturn * tau)
+        den, pole, rot = pieces(x)
+        kappa_e, a_re, a_im = x[2:5]
         e = rot * (1.0 - kappa_e / den)  # d model / d a_re
         bg = (a_re + 1j * a_im) * rot
         dm_dden = bg * kappa_e / den**2
@@ -272,6 +309,11 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     the Lorentzian fit and refined in a second fit.  The LM steps use the
     exact Jacobian of the model; one-sigma uncertainties come from the
     residual-variance-scaled covariance of a numeric Jacobian at the optimum.
+    Residual, Jacobian and model share the denominator (keyed on f0, kappa
+    and the dark mode) and the delay phasor (keyed on tau) of the last point
+    evaluated (:func:`_fit_functions`).  The Jacobian at an accepted step
+    and the dark-mode seed at the Lorentzian optimum recompute neither, and
+    the covariance columns of a_re, a_im and tau reuse the denominator.
     """
     if model_kind not in _MODEL_KINDS:
         raise ValidationError(f"model_kind must be one of {_MODEL_KINDS}")

@@ -330,6 +330,12 @@ def sweep_with_metadata(kind, key):
     return build
 
 
+def synth_with_flags(kind, *flags):
+    def build(tmp_path):
+        return ["synth", kind, *flags], "synth"
+    return build
+
+
 #: malformed flag, config or metadata -> builder of (argv, error record stem)
 OUTSIDE_INPUT_ERRORS = {
     "level-points-missing-coordinate": afm_with_level_points("1,2 3"),
@@ -349,6 +355,11 @@ OUTSIDE_INPUT_ERRORS = {
         "tempsweep", "reference_temperature_K"),
     "non-numeric-f0": sweep_with_metadata("powersweep", "f0_hz"),
     "non-numeric-temperature": sweep_with_metadata("powersweep", "temperature_K"),
+    "synth-negative-qi": synth_with_flags("s11", "--qi", "-5"),
+    "synth-too-few-s11-points": synth_with_flags("s11", "--points", "3"),
+    "synth-afm-too-narrow": synth_with_flags("afm", "--nx", "4"),
+    "synth-beta-out-of-range": synth_with_flags("powersweep", "--beta", "5"),
+    "synth-too-few-temperatures": synth_with_flags("tempsweep", "--points", "2"),
 }
 
 
@@ -391,6 +402,14 @@ class TestBatchErrors:
         record = f"{command.replace('-', '_')}.error.json"
         assert "no input files found" in read_json(out / record)["error"]
         assert [p.name for p in out.iterdir()] == [record]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        PER_FILE_COMMANDS["fit-resonance"][1](tmp_path / "s11.csv", 1)
+        out = tmp_path / "results"
+        (out / "s11.fit.json").mkdir(parents=True)  # the report cannot replace it
+        assert run(["fit-resonance", tmp_path / "s11.csv", "--out", out]) == 1
+        assert read_json(out / "s11.error.json")["error"]
+        assert not list(out.glob("*.tmp"))
 
     @pytest.mark.parametrize("case", sorted(OUTSIDE_INPUT_ERRORS))
     def test_outside_input_errors_are_recorded(self, tmp_path, case):

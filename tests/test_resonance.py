@@ -392,6 +392,91 @@ class TestFitResonance:
         assert len(exact) == result.n_iterations
         assert len(numeric) == 1
 
+    def test_jacobian_and_covariance_reuse_the_denominator(self, monkeypatch):
+        # the exact Jacobian runs at the point LM has just evaluated, so it
+        # computes no denominator; the covariance columns of a_re, a_im and
+        # tau reuse the one of the column before them
+        phase = ["search"]
+        counts = {"search": 0, "jacobian": 0, "covariance": 0}
+        columns = []
+        denominator = resonance._denominator
+
+        def counted_denominator(*args):
+            counts[phase[0]] += 1
+            return denominator(*args)
+
+        def in_phase(name, fun):
+            def wrapped(*args, **kwargs):
+                phase[0] = name
+                try:
+                    return fun(*args, **kwargs)
+                finally:
+                    phase[0] = "search"
+            return wrapped
+
+        def counted_fit(fun, p0, *, jac, **kwargs):
+            return fit_least_squares(fun, p0, jac=in_phase("jacobian", jac), **kwargs)
+
+        def counted_numeric(fun, p, *args, **kwargs):
+            columns.append(len(p))
+            return in_phase("covariance", lsq_numeric_jacobian)(fun, p, *args, **kwargs)
+
+        monkeypatch.setattr(resonance, "_denominator", counted_denominator)
+        monkeypatch.setattr(resonance, "fit_least_squares", counted_fit)
+        monkeypatch.setattr(lsq, "numeric_jacobian", counted_numeric)
+        SIGMA_CASES["dark_mode"](0)
+        assert counts["search"] > 0
+        assert counts["jacobian"] == 0
+        assert columns == [9]
+        assert 0 < counts["covariance"] < columns[0]
+
+
+@pytest.mark.parametrize("dark", [False, True], ids=["6-param", "9-param"])
+def test_shared_pieces_never_stale(rng, monkeypatch, dark):
+    # one set of closures driven through the points a fit visits gives, at
+    # every point, bit for bit what fresh closures give there
+    handed_out = []
+    one_slot = resonance._one_slot
+
+    def recording_one_slot(compute):
+        get = one_slot(compute)
+
+        def recorded(*args):
+            value = get(*args)
+            handed_out.extend(a for a in value if a is not None)
+            return value
+        return recorded
+
+    f0 = 688.4e6
+    kappa, _ = rates_from_qs(f0, 6.8e3, 1.4e4)
+    grid = resonance_grid(f0, 6.8e3, 1.4e4, points=2001)
+    fc = float(grid[1000])
+    data = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    x0, scale = _random_model_point(rng, f0, kappa, float(grid[-1] - grid[0]), dark)
+    # LM-like trial points, then one-parameter steps about the last of them as
+    # a forward-difference Jacobian takes them, then back to earlier points
+    trials = [x0 + 0.1 * scale * rng.standard_normal(x0.size) for _ in range(4)]
+    base = trials[-1]
+    steps = []
+    for i in range(base.size):
+        step = base.copy()
+        step[i] += np.sqrt(np.finfo(float).eps) * max(abs(base[i]), scale[i])
+        steps.append(step)
+    points = [x0, *trials, *steps, base, x0, trials[1], trials[1]]
+
+    monkeypatch.setattr(resonance, "_one_slot", recording_one_slot)
+    _, residual, jacobian = resonance._fit_functions(grid, data, fc)
+    for k, x in enumerate(points):
+        # residual then Jacobian, as LM calls them, or the Jacobian alone
+        r = residual(x) if k % 3 else None
+        jac = jacobian(x)
+        _, fresh_residual, fresh_jacobian = resonance._fit_functions(grid, data, fc)
+        if r is not None:
+            assert np.array_equal(r, fresh_residual(x))
+        assert np.array_equal(jac, fresh_jacobian(x))
+    assert handed_out
+    assert not any(a.flags.writeable for a in handed_out)
+
 
 def _random_model_point(rng, f0, kappa, span, dark):
     """Internal parameter vector near a mode at ``f0`` of loss rate ``kappa``."""
