@@ -35,7 +35,7 @@ result = fit_step_heights(flattened)
 print(f"terrace centers (pm): "
       + ", ".join(f"{c * 1e12:.0f}" for c in result.centers_m))
 print(f"mean step: {result.mean_step_m * 1e12:.0f} pm "
-      f"+/- {result.width_err_m * 1e12:.0f} pm (width convention), "
+      f"+/- {result.sigma_m * 1e12:.0f} pm (terrace width), "
       f"+/- {result.mean_step_err_m * 1e12:.1f} pm (fit covariance)")
 print(f"equal-step gate: delta chi2 {result.unequal_delta_chi2:.1f} of free centers "
       f"over the comb -> {'equal' if result.equal_steps else 'unequal'} steps")

@@ -85,25 +85,24 @@ class StepHeightResult:
     """Terrace statistics from the Gaussian fit to the height histogram."""
 
     centers_m: tuple          # fitted terrace centers, ascending
-    sigmas_m: tuple           # terrace widths (one shared value)
+    sigma_m: float            # fitted terrace width, shared by every terrace
     amplitudes: tuple         # solved terrace peaks, pixels per bin
     step_heights_m: tuple     # consecutive center differences
     mean_step_m: float
     mean_step_err_m: float    # one sigma, from the fit covariance
-    width_err_m: float        # fitted terrace width (the looser, width-based convention)
     unequal_delta_chi2: float  # cost drop of free centers below the comb, in residual variances
     equal_steps: bool         # that drop stayed under lsq.NESTED_MIN_CHI2
     histogram: tuple = field(default=(), repr=False)  # fitted (bin centers, counts); no JSON
 
     def __post_init__(self):
-        if any(s <= 0 for s in self.sigmas_m):
-            raise ValidationError("fitted widths must be positive")
+        if self.sigma_m <= 0:
+            raise ValidationError("fitted width must be positive")
         if any(b <= a for a, b in zip(self.centers_m, self.centers_m[1:])):
             raise ValidationError("centers must be strictly ascending")
 
     def evaluate(self, x):
         """The fitted histogram model (pixels per bin) at heights ``x``."""
-        return _gaussians(x, self.centers_m, self.sigmas_m) @ np.asarray(self.amplitudes)
+        return _gaussians(x, self.centers_m, self.sigma_m) @ np.asarray(self.amplitudes)
 
     def to_json_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
@@ -123,25 +122,13 @@ def height_histogram(image: AfmImage):
     return centers, counts
 
 
-def _lloyd_start(x, w):
-    """Count-weighted 1-D k-means from the 1/6, 1/2 and 5/6 count quantiles:
-    three ascending centers and the pooled within-cluster spread."""
-    centers = x[np.searchsorted(np.cumsum(w) / w.sum(), [1 / 6, 1 / 2, 5 / 6])]
-    for _ in range(100):
-        label = np.argmin(np.abs(x[:, None] - centers), axis=1)
-        new = np.array([np.average(x[label == k], weights=w[label == k])
-                        if w[label == k].sum() > 0 else centers[k] for k in range(3)])
-        if np.array_equal(new, centers):
-            break
-        centers = new
-    return centers, np.sqrt(np.average((x - centers[label]) ** 2, weights=w))
-
-
 def fit_step_heights(image: AfmImage) -> StepHeightResult:
     """Terrace step heights of a leveled image from its height histogram.
 
     The model is ``sum_k A_k exp(-((x - mu0 - k*h) / sigma)**2 / 2)``, k = 0..2:
-    LM searches (mu0, h, sigma) from a k-means start and solves the A_k.
+    LM searches (mu0, h, sigma) and solves the A_k.  The search starts at
+    the count quantiles (k + 1/2)/3, with sigma the counts' spread about the
+    nearest of them.
     Fewer than three modes (equal Gaussians closer than 2 sigma merge; a
     terrace under 5 % of the largest amplitude is absent) raise FitError.
     A refit with free centers gates the equal spacing like the dark mode:
@@ -151,7 +138,8 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
     y = counts.astype(float)
     k = np.arange(3)
     bin_w = x[1] - x[0] if x.size > 1 else HIST_BIN_FLOOR_M
-    start, spread = _lloyd_start(x, y)
+    start = x[np.searchsorted(np.cumsum(y) / y.sum(), (k + 0.5) / 3)]
+    spread = np.sqrt(np.average(np.min((x[:, None] - start) ** 2, axis=1), weights=y))
     h0 = (start[2] - start[0]) / 2.0
     sigma0 = max(spread, 2.0 * bin_w)
     comb = fit_separable(lambda p: _gaussians(x, p[0] + k * p[1], p[2]), y,
@@ -176,12 +164,11 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
         err = np.sqrt(max(cov[0, 0] + cov[2, 2] - 2.0 * cov[0, 2], 0.0)) / 2.0
     return StepHeightResult(
         centers_m=tuple(float(c) for c in centers),
-        sigmas_m=(float(sigma),) * 3,
+        sigma_m=float(sigma),
         amplitudes=tuple(float(a) for a in amps),
         step_heights_m=tuple(float(s) for s in steps),
         mean_step_m=float(np.mean(steps)),
         mean_step_err_m=float(err),
-        width_err_m=float(sigma),
         unequal_delta_chi2=delta_chi2,
         equal_steps=not unequal,
         histogram=(x, counts),

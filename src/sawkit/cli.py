@@ -89,11 +89,12 @@ def _write_error(args, name, exc, source=None):
     print(f"error: {source or name}: {exc}", file=sys.stderr)
 
 
-def _run_batch(args, suffix, analyze):
+def _run_batch(args, suffix, analyze, written=None):
     """Analyze every input file on its own, honoring --keep-going.
 
     ``analyze(text)`` returns ``(report, panels)``; the report goes to
-    ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``.
+    ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``, and
+    each report whose files were written is appended to ``written``.
     Returns the exit code: 0 only when every input succeeded, and 1 when
     the inputs name no file at all.
     """
@@ -105,7 +106,10 @@ def _run_batch(args, suffix, analyze):
     failures = 0
     for f in files:
         try:
-            _write_report(args, f"{f.stem}.{suffix}", *analyze(_read_input(f)))
+            report, panels = analyze(_read_input(f))
+            _write_report(args, f"{f.stem}.{suffix}", report, panels)
+            if written is not None:
+                written.append(report)
         except (SawkitError, OSError) as exc:
             failures += 1
             _write_error(args, f.stem, exc, source=f)
@@ -240,7 +244,11 @@ def cmd_xps_quant(args) -> int:
         table, windows, band_cfg = _load_xps_config(args.config)
         parsed = []
         for source in _gather_inputs(args.inputs):
-            parsed.append(spectra.parse_xps_csv(_read_input(source)))
+            sp = spectra.parse_xps_csv(_read_input(source))
+            if any(sp.element_line == other.element_line for other in parsed):
+                raise ValidationError(f"line {sp.element_line} is given twice; "
+                                      "one spectrum per element line")
+            parsed.append(sp)
         source = None
         if not parsed:
             raise SawkitError("no XPS spectra found")
@@ -293,14 +301,10 @@ def _parse_level_points(text):
 
 
 def cmd_afm(args) -> int:
-    rq_values = []
-
     def analyze(text):
         image = spectra.parse_afm_grid(text)
         flattened = afm_mod.remove_line_tilt(image, order=args.order)
-        rq = afm_mod.rms_roughness(flattened)
-        rq_values.append(rq)
-        doc = {"r_q_m": rq, "order": args.order}
+        doc = {"r_q_m": afm_mod.rms_roughness(flattened), "order": args.order}
         hist_img = image
         if args.level_points:
             hist_img = afm_mod.three_point_level(image,
@@ -324,7 +328,9 @@ def cmd_afm(args) -> int:
 
         return doc, panels
 
-    code = _run_batch(args, "afm", analyze)
+    reports = []
+    code = _run_batch(args, "afm", analyze, written=reports)
+    rq_values = [doc["r_q_m"] for doc in reports]
     if len(rq_values) > 1:
         summary = {"n_images": len(rq_values),
                    "r_q_mean_m": float(np.mean(rq_values)),

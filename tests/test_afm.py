@@ -151,8 +151,8 @@ class TestStepHeights:
             assert result.centers_m[0] < result.centers_m[1] < result.centers_m[2]
             assert len(result.step_heights_m) == 2
             assert result.mean_step_err_m > 0
-            # width-based uncertainty tracks the terrace noise
-            assert result.width_err_m == pytest.approx(8e-11, rel=0.3)
+            # the shared terrace width tracks the terrace noise
+            assert result.sigma_m == pytest.approx(8e-11, rel=0.3)
 
     def test_single_terrace_reports_mode_count(self):
         img = synth_terrace_image((128, 128), n_terraces=1,

@@ -133,6 +133,15 @@ class TestFitResonance:
         detune = dark["f_dark_hz"] - doc["params"]["f0_hz"]
         assert detune == pytest.approx(75e3, rel=0.05)
 
+    def test_dark_model_without_a_dark_mode_reports_the_lorentzian(self, tmp_path):
+        trace = self.synth_trace(tmp_path, "m.csv", noise="0.005")
+        assert run(["fit-resonance", trace, "--model", "dark", "--out", tmp_path / "d"]) == 0
+        assert run(["fit-resonance", trace, "--out", tmp_path / "l"]) == 0
+        dark, lorentz = (read_json(tmp_path / out / "m.fit.json") for out in "dl")
+        assert dark["params"]["dark"] is None
+        assert dark.pop("n_iterations") > lorentz.pop("n_iterations")
+        assert dark == lorentz
+
 
 class TestSweepCommands:
     def test_tempsweep_roundtrip(self, tmp_path):
@@ -215,6 +224,19 @@ class TestXpsQuant:
         assert len({(b["sigma_ev"], b["gamma_ev"]) for b in bands}) == 1
         assert sum(b["area"] for b in bands) == pytest.approx(5000.0, rel=0.05)
 
+    def test_repeated_line_is_error(self, tmp_path):
+        # two O1s files must not quietly become one: the report is refused
+        indir = tmp_path / "xps"
+        indir.mkdir()
+        self.write_line(indir / "O1s_a.csv", "O1s", 530.0, 100.0, 1)
+        self.write_line(indir / "O1s_b.csv", "O1s", 530.0, 900.0, 3)
+        self.write_line(indir / "Nb3d.csv", "Nb3d", 207.3, 5000.0, 2)
+        assert run(["xps-quant", indir, "--out", tmp_path]) == 1
+        assert not (tmp_path / "xps_quant.json").exists()
+        record = read_json(tmp_path / "xps_quant.error.json")
+        assert "O1s is given twice" in record["error"]
+        assert record["input"] == str(indir / "O1s_b.csv")
+
     def test_missing_nb_is_error(self, tmp_path):
         indir = tmp_path / "xps"
         indir.mkdir()
@@ -254,6 +276,20 @@ class TestAfmCommand:
         summary = read_json(tmp_path / "afm_summary.json")
         assert summary["n_images"] == 3
         assert summary["r_q_mean_m"] > 0
+
+    def test_summary_counts_only_written_reports(self, tmp_path):
+        # the single-terrace image fails its step fit after R_q is known
+        indir = tmp_path / "grids"
+        indir.mkdir()
+        for name, terraces in (("a", 3), ("b", 1), ("c", 3)):
+            run(["synth", "afm", "--nx", "160", "--ny", "160", "--seed", "5",
+                 "--terraces", terraces, "--output", indir / f"{name}.txt"])
+        assert run(["afm", indir, "--fit-steps", "--keep-going", "--out", tmp_path]) == 1
+        assert (tmp_path / "b.error.json").exists()
+        rq = [read_json(tmp_path / f"{name}.afm.json")["r_q_m"] for name in "ac"]
+        summary = read_json(tmp_path / "afm_summary.json")
+        assert summary["n_images"] == 2
+        assert summary["r_q_mean_m"] == pytest.approx(np.mean(rq), rel=1e-12)
 
 
 class TestWalkoffCommand:
