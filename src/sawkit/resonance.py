@@ -236,9 +236,10 @@ def _fit_functions(freq, data, fc):
     Internal background convention: the phase slope is taken about the grid
     center ``fc``, which keeps tau and arg(a) from trading against each other
     during the fit.  The vector is (f0, kappa, kappa_e, a_re, a_im, tau); a
-    9-vector appends the dark mode (f_dark, gamma, g).  ``residual`` stacks
-    the real and imaginary parts of ``model - data``, and ``jacobian`` gives
-    its exact derivatives, one column per parameter.
+    9-vector appends the dark mode (f_dark, gamma, g).  ``residual`` is
+    ``model - data`` viewed as floats, so its rows interleave the real and
+    imaginary part of each frequency, and ``jacobian`` gives its exact
+    derivatives in the same rows, one column per parameter.
 
     The three functions share two pieces of the model, each kept for the
     last parameter value it was computed at: the denominator and pole of
@@ -249,7 +250,6 @@ def _fit_functions(freq, data, fc):
     a_re or a_im.  The pieces are read-only and live only as long as the
     closures, so nothing is kept from one fit to the next.
     """
-    n = freq.size
     iturn = 1j * 2.0 * np.pi * (freq - fc)  # d/dtau of the delay's exponent
     den_pole = _one_slot(lambda f0, kappa, dark: _denominator(freq, f0, kappa, *dark))
     phasor = _one_slot(lambda tau: (np.exp(iturn * tau),))
@@ -267,8 +267,7 @@ def _fit_functions(freq, data, fc):
         return (a_re + 1j * a_im) * rot * (1.0 - kappa_e / den)
 
     def residual(x):
-        diff = model(x) - data
-        return np.concatenate([diff.real, diff.imag])
+        return (model(x) - data).view(float)
 
     def jacobian(x):
         den, pole, rot = pieces(x)
@@ -276,41 +275,43 @@ def _fit_functions(freq, data, fc):
         e = rot * (1.0 - kappa_e / den)  # d model / d a_re
         bg = (a_re + 1j * a_im) * rot
         dm_dden = bg * kappa_e / den**2
-        jac = np.empty((2 * n, len(x)), order="F")
-
-        def put(k, col):
-            jac[:n, k] = col.real
-            jac[n:, k] = col.imag
-
-        put(0, -2j * np.pi * dm_dden)
-        put(1, 0.5 * dm_dden)
-        put(2, -bg / den)
-        put(3, e)
-        put(4, 1j * e)
-        put(5, iturn * (a_re + 1j * a_im) * e)
+        jt = np.empty((len(x), freq.size), complex)  # one row per parameter
+        jt[0] = -2j * np.pi * dm_dden
+        jt[1] = 0.5 * dm_dden
+        jt[2] = -bg / den
+        jt[3] = e
+        jt[4] = 1j * e
+        jt[5] = iturn * (a_re + 1j * a_im) * e
         if pole is not None:
             g = x[8]
             dm_dpole = dm_dden * (g / pole) ** 2  # -(d model / d pole)
-            put(6, 2j * np.pi * dm_dpole)
-            put(7, -0.5 * dm_dpole)
-            put(8, dm_dden * 2.0 * g / pole)
-        return jac
+            jt[6] = 2j * np.pi * dm_dpole
+            jt[7] = -0.5 * dm_dpole
+            jt[8] = dm_dden * 2.0 * g / pole
+        return jt.view(float).T
 
     return model, residual, jacobian
+
+
+def _physical(res):
+    """``res`` if its rates hold finite 0 < kappa_e < kappa, else FitError."""
+    if not (np.isfinite(res.params[1]) and 0.0 < res.params[2] < res.params[1]):
+        raise FitError("fit pinned at a physical bound (kappa_e -> kappa)")
+    return res
 
 
 def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> ResonanceFitResult:
     """Fit a reflection trace and return calibrated parameters with errors.
 
     One Lorentzian fit runs from :func:`estimate_initial_params`, which
-    starts on the right side of critical coupling by itself.
-    ``model_kind`` selects the plain Lorentzian or the dark-mode-loaded
-    model; the dark mode is seeded from the largest residual feature left by
-    the Lorentzian fit and refined in a second fit.  That fit is reported
-    only when ``lsq.nested_gate`` resolves its cost drop; otherwise, or when
-    it does not converge, the Lorentzian fit is reported with ``dark`` None
-    and ``n_iterations`` counting both fits.  The LM steps use the
-    exact Jacobian of the model; one-sigma uncertainties come from the
+    starts on the right side of critical coupling by itself.  ``model_kind``
+    selects the plain Lorentzian or the dark-mode-loaded model; the dark mode
+    is seeded from the largest residual feature left by the Lorentzian fit and
+    refined in a second fit that keeps its pole within the trace's span.  That
+    fit is reported only when ``lsq.nested_gate`` resolves its cost drop;
+    otherwise, or when it does not converge, the Lorentzian fit is reported
+    with ``dark`` None and ``n_iterations`` counting both fits.  The LM steps
+    use the exact Jacobian of the model; one-sigma uncertainties come from the
     residual-variance-scaled covariance of a numeric Jacobian at the optimum.
     Residual, Jacobian and model share the denominator (keyed on f0, kappa
     and the dark mode) and the delay phasor (keyed on tau) of the last point
@@ -335,7 +336,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     scale = [init.kappa_hz / (2.0 * np.pi), init.kappa_hz, init.kappa_hz,
              mag_a, mag_a, 1.0 / (2.0 * np.pi * span)]
 
-    res = fit_least_squares(residual, x0, x_scale=scale, jac=jacobian)
+    res = _physical(fit_least_squares(residual, x0, x_scale=scale, jac=jacobian))
     n_iterations = res.n_iterations
 
     if model_kind == "dark_mode":
@@ -350,7 +351,8 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         try:
             dark_fit = fit_least_squares(residual, list(res.params) + dark0,
                                          x_scale=dark_scale, jac=jacobian,
-                                         lower=[-np.inf] * 6 + [freq[0], gamma_floor, 0.0])
+                                         lower=[-np.inf] * 6 + [freq[0], gamma_floor, 0.0],
+                                         upper=[np.inf] * 6 + [freq[-1], np.inf, np.inf])
             n_iterations += dark_fit.n_iterations
         except FitError:
             dark_fit = None  # LM gave up after MAX_ITER iterations
@@ -359,13 +361,10 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         # position is searched, so a noise-level cost improvement does not
         # establish a dark mode.  Below threshold the Lorentzian fit stands.
         if dark_fit is not None and nested_gate(res.cost, dark_fit.cost, 2 * freq.size - 9)[1]:
-            res, scale = dark_fit, dark_scale
+            res, scale = _physical(dark_fit), dark_scale
     res = with_covariance(residual, res, scale)
 
     x = res.params
-    f0, kappa, kappa_e = x[0], x[1], x[2]
-    if not np.isfinite(kappa) or kappa <= 0 or kappa_e <= 0 or kappa_e >= kappa:
-        raise FitError("fit pinned at a physical bound (kappa_e -> kappa)")
     rot = np.exp(-1j * 2.0 * np.pi * fc * x[5])
     a_pub = (x[3] + 1j * x[4]) * rot
     # carry the covariance of (a_re, a_im, tau) through the turn back to f = 0
@@ -379,8 +378,8 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         dark = DarkModeParams(f_dark_hz=float(x[6]), gamma_hz=float(x[7]), g_hz=float(x[8]))
         err_keys += ["f_dark_hz", "gamma_hz", "g_hz"]
 
-    params = ResonanceModelParams(f0_hz=float(f0), kappa_hz=float(kappa),
-                                  kappa_e_hz=float(kappa_e), dark=dark,
+    params = ResonanceModelParams(f0_hz=float(x[0]), kappa_hz=float(x[1]),
+                                  kappa_e_hz=float(x[2]), dark=dark,
                                   a=complex(a_pub), tau_s=float(x[5]))
     qi, qe = q_factors(params)
     return ResonanceFitResult(

@@ -257,17 +257,65 @@ class TestFitResonance:
             assert result.params == lorentz.params
             assert result.param_errors == lorentz.param_errors
 
-    def test_dark_fit_that_does_not_converge_leaves_the_lorentzian(self):
-        # on this trace the spurious pole wanders until LM gives up; the
-        # report is the Lorentzian fit, and the iterations count both fits
+    def test_spurious_pole_stays_inside_the_trace(self):
+        # without a dark mode the extra pole is searched within the trace's
+        # span, so its fit converges and the gate leaves the Lorentzian
         f0 = 6.9e8
         kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
         grid = np.linspace(f0 - 400e3, f0 + 400e3, 3001)
         sp = synth_s11(f0, kappa, kappa_e, grid, noise_sigma=0.005, rng_seed=2)
         lorentz = fit_resonance(sp).to_json_dict()
         dark = fit_resonance(sp, model_kind="dark_mode").to_json_dict()
+        assert dark.pop("n_iterations") < lsq.MAX_ITER
+        lorentz.pop("n_iterations")
+        assert dark == lorentz
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dark_mode_near_the_span_edge_recovered(self, seed):
+        # 3.5 linewidths out on a +-5 linewidth grid: the bound that keeps
+        # the pole inside the trace does not hold back a real dark mode
+        f0 = 688.4e6
+        kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
+        fwhm = kappa / TWO_PI
+        grid = resonance_grid(f0, 6.8e3, 1.4e4, span_linewidths=5.0, points=6001)
+        sp = synth_s11(f0, kappa, kappa_e, grid,
+                       dark=(0.12 * kappa, 3.5 * fwhm, 0.07 * kappa),
+                       noise_sigma=0.004, rng_seed=seed)
+        dark = fit_resonance(sp, model_kind="dark_mode").params.dark
+        assert (dark.f_dark_hz - f0) / fwhm == pytest.approx(3.5, abs=0.01)
+
+    def test_dark_fit_that_does_not_converge_leaves_the_lorentzian(self, monkeypatch):
+        # a 9-parameter fit that gives up is reported as the Lorentzian fit,
+        # and the iterations count both fits
+        f0 = 679.564e6
+        kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
+        grid = resonance_grid(f0, 6.8e3, 1.4e4, points=4001)
+        sp = synth_s11(f0, kappa, kappa_e, grid,
+                       dark=(TWO_PI * 15e3, 75e3, TWO_PI * 10e3),
+                       noise_sigma=0.004, rng_seed=2)
+
+        def dark_fit_fails(fun, p0, **kwargs):
+            if len(p0) == 9:
+                raise FitError("no convergence")
+            return fit_least_squares(fun, p0, **kwargs)
+
+        lorentz = fit_resonance(sp).to_json_dict()
+        monkeypatch.setattr(resonance, "fit_least_squares", dark_fit_fails)
+        dark = fit_resonance(sp, model_kind="dark_mode").to_json_dict()
         assert dark.pop("n_iterations") == lorentz.pop("n_iterations") + lsq.MAX_ITER
         assert dark == lorentz
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model_kind", ["lorentzian", "dark_mode"])
+    def test_fit_pinned_at_a_bound_raises_before_the_dark_mode(self, model_kind):
+        # on a flat noisy trace the Lorentzian fit leaves 0 < kappa_e < kappa;
+        # the dark mode is not seeded from its rates
+        grid = np.linspace(100e6, 101e6, 200)
+        rng = np.random.default_rng(1)
+        sp = ComplexSpectrum(grid, 1.0 + 0.01 * (rng.standard_normal(200)
+                                                 + 1j * rng.standard_normal(200)))
+        with pytest.raises(FitError, match="physical bound"):
+            fit_resonance(sp, model_kind=model_kind)
 
     def test_cost_non_increasing_and_iteration_count(self):
         f0 = 6.9e8
