@@ -96,13 +96,23 @@ def _run_batch(args, suffix, analyze, written=None):
     ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``, and
     each report whose files were written is appended to ``written``.
     Returns the exit code: 0 only when every input succeeded, and 1 when
-    the inputs name no file at all.
+    the inputs name no file at all or two files share a stem (their
+    reports would overwrite each other), before anything is analyzed.
     """
     files = _gather_inputs(args.inputs)
+    batch = args.command.replace("-", "_")
     if not files:
-        _write_error(args, args.command.replace("-", "_"),
+        _write_error(args, batch,
                      SawkitError(f"no input files found in {', '.join(args.inputs)}"))
         return 1
+    by_stem = {}
+    for f in files:
+        if f.stem in by_stem:
+            _write_error(args, batch, ValidationError(
+                f"{by_stem[f.stem]} and {f} share the stem {f.stem!r}; "
+                "their reports would overwrite each other"), source=f)
+            return 1
+        by_stem[f.stem] = f
     failures = 0
     for f in files:
         try:

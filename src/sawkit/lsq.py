@@ -5,8 +5,10 @@ so convergence behavior and iteration accounting are uniform across
 analyses.  Residual functions return a 1-d float array; the cost is the
 plain sum of squared residuals (callers bake in any weights).  The LM steps
 use a forward-difference Jacobian unless the caller hands in the exact one
-(the resonance model does).  A model that
-is a non-negative sum of nonlinear columns goes through
+(the resonance model does).  A fit stops when the step it would take is
+under ``STEP_TOL``, before evaluating it, when an accepted step drops the
+cost by less than ``COST_TOL``, or when no damping finds a downhill step.
+A model that is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
 the coefficients (variable projection, Golub & Pereyra 1973).  Every
 reported covariance comes from :func:`with_covariance`, one numeric
@@ -16,7 +18,7 @@ comparison comes from :func:`nested_gate`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,9 +44,6 @@ class LeastSquaresResult:
     residual: np.ndarray
     cost: float
     n_iterations: int
-    # Costs of the accepted states, starting at the initial point.  Strictly
-    # non-increasing: only downhill steps are ever accepted.
-    cost_history: list = field(default_factory=list)
     covariance: np.ndarray | None = None  # set by with_covariance
 
     @property
@@ -93,13 +92,18 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None
     The normal equations are damped with the Marquardt scaling
     ``(J'J + lam * diag(J'J))`` and ``lam``, starting at ``LAM0``, is adapted:
     divided by 10 after an accepted (downhill) step, multiplied by 10 after a
-    rejected one.
-    Convergence is declared when the relative cost decrease of an accepted
-    step falls below ``COST_TOL`` or the step norm relative to the parameter
-    norm falls below ``STEP_TOL``.  Optional ``lower``/``upper`` box bounds
-    are enforced by projecting trial steps.
+    rejected one.  Optional ``lower``/``upper`` box bounds are enforced by
+    projecting trial steps.  The fit returns at the first of three stops:
 
-    Raises FitError if ``MAX_ITER`` iterations pass without convergence.
+    - the proposed (projected) step's norm is below ``STEP_TOL`` times the
+      norm of the point it leads to; the step is not evaluated, and the
+      current point is the result;
+    - an accepted step lowers the cost by less than ``COST_TOL`` relative;
+      the point it leads to is the result;
+    - 50 damping trials in one iteration find no downhill step.
+
+    ``n_iterations`` counts the iteration a stop happens in.  Raises
+    FitError if ``MAX_ITER`` iterations pass without a stop.
     """
     p = np.asarray(p0, dtype=float).copy()
     n = p.size
@@ -114,10 +118,7 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None
     if not np.all(np.isfinite(r)):
         raise FitError("residual is not finite at the initial parameters")
     cost = float(r @ r)
-    history = [cost]
     lam = LAM0
-    converged = False
-    n_iter = 0
 
     for n_iter in range(1, MAX_ITER + 1):
         if jac is None:
@@ -129,7 +130,6 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None
         d = np.diag(a).copy()
         d[d <= 0] = max(d.max(), 1.0) * 1e-14
 
-        accepted = False
         for _ in range(50):
             step = _damped_step(a, g, d, lam)
             p_try = np.clip(p + step, lo, hi)
@@ -141,33 +141,25 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None
                 sub = _damped_step(a[np.ix_(free, free)], g[free], d[free], lam)
                 p_try = p_try.copy()
                 p_try[free] = np.clip(p[free] + sub, lo[free], hi[free])
+            if np.linalg.norm(p_try - p) < STEP_TOL * (np.linalg.norm(p_try) + STEP_TOL):
+                return LeastSquaresResult(p, r, cost, n_iter)
             r_try = np.asarray(fun(p_try), dtype=float)
             cost_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
             if cost_try < cost:
-                accepted = True
-                step_norm = float(np.linalg.norm(p_try - p))
                 rel_drop = (cost - cost_try) / max(cost, np.finfo(float).tiny)
                 p, r, cost = p_try, r_try, cost_try
-                history.append(cost)
+                if rel_drop < COST_TOL:
+                    return LeastSquaresResult(p, r, cost, n_iter)
                 lam = max(lam / 10.0, 1e-14)
-                if rel_drop < COST_TOL or step_norm < STEP_TOL * (np.linalg.norm(p) + STEP_TOL):
-                    converged = True
                 break
             lam = min(lam * 10.0, 1e15)
-        if not accepted:
+        else:
             # No downhill direction at any damping: stationary to numerical
             # precision, which is as converged as the Jacobian (numeric or
             # exact) can show.
-            converged = True
-        if converged:
-            break
+            return LeastSquaresResult(p, r, cost, n_iter)
 
-    if not converged:
-        raise FitError(f"no convergence after {MAX_ITER} iterations "
-                       f"(cost {cost:.3e})")
-
-    return LeastSquaresResult(params=p, residual=r, cost=cost, n_iterations=n_iter,
-                              cost_history=history)
+    raise FitError(f"no convergence after {MAX_ITER} iterations (cost {cost:.3e})")
 
 
 def with_covariance(fun, res, x_scale):

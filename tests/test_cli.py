@@ -439,6 +439,22 @@ class TestBatchErrors:
         assert "no input files found" in read_json(out / record)["error"]
         assert [p.name for p in out.iterdir()] == [record]
 
+    @pytest.mark.parametrize("command", sorted(PER_FILE_COMMANDS))
+    def test_shared_stem_is_refused_before_any_analysis(self, tmp_path, command):
+        # a/sweep.csv and b/sweep.txt would both write sweep.<suffix>.json
+        write_good = PER_FILE_COMMANDS[command][1]
+        first, second = tmp_path / "a" / "sweep.csv", tmp_path / "b" / "sweep.txt"
+        for seed, path in enumerate((first, second)):
+            path.parent.mkdir()
+            write_good(path, seed)
+        out = tmp_path / "results"
+        assert run([command, first, second, "--out", out, "--keep-going"]) == 1
+        record = f"{command.replace('-', '_')}.error.json"
+        assert [p.name for p in out.iterdir()] == [record]
+        error = read_json(out / record)
+        assert str(first) in error["error"] and str(second) in error["error"]
+        assert error["input"] == str(second)
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         PER_FILE_COMMANDS["fit-resonance"][1](tmp_path / "s11.csv", 1)
         out = tmp_path / "results"

@@ -37,17 +37,52 @@ def test_rosenbrock_valley():
     assert np.allclose(res.params, [1.0, 1.0], atol=1e-6)
 
 
-def test_cost_history_non_increasing(rng):
+def test_accepted_costs_decrease_to_the_reported_cost(rng):
+    # the given Jacobian is taken once per iteration, at the accepted state
     x = np.linspace(0, 4, 60)
     y = 3.0 * np.exp(-1.3 * x) + 0.02 * rng.standard_normal(x.size)
 
     def residual(p):
         return p[0] * np.exp(-p[1] * x) - y
 
-    res = fit_least_squares(residual, [1.0, 0.3])
-    hist = np.array(res.cost_history)
-    assert np.all(np.diff(hist) <= 0)
-    assert res.n_iterations <= 200
+    costs = []
+
+    def jacobian(p):
+        r = residual(p)
+        costs.append(float(r @ r))
+        decay = np.exp(-p[1] * x)
+        return np.column_stack([decay, -p[0] * x * decay])
+
+    res = fit_least_squares(residual, [1.0, 0.3], jac=jacobian)
+    assert len(costs) == res.n_iterations
+    assert np.all(np.diff(costs) < 0)
+    # the fit ends at the last Jacobian's point or one step beyond it whose
+    # relative cost drop is under COST_TOL
+    assert res.cost <= costs[-1]
+    assert res.cost == pytest.approx(costs[-1], rel=lsq.COST_TOL)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "numeric"])
+def test_stationary_point_costs_no_extra_evaluations(exact):
+    # a zero-residual linear fit ends on a step under STEP_TOL, which is
+    # never evaluated: one evaluation per iteration plus the start, and the
+    # Jacobian's columns when they are differenced.  Whether the last step
+    # is still downhill depends on rounding, so several designs are tried.
+    truth = np.array([1.0, -2.0, 3.0])
+    for seed in range(8):
+        design = np.random.default_rng(seed).standard_normal((50, 3))
+        y = design @ truth
+        evals = []
+
+        def residual(p):
+            evals.append(p)
+            return design @ p - y
+
+        res = fit_least_squares(residual, [0.5] * 3,
+                                jac=(lambda p: design) if exact else None)
+        columns = 0 if exact else design.shape[1]
+        assert len(evals) <= res.n_iterations * (1 + columns) + 1, seed
+        assert np.allclose(res.params, truth)
 
 
 def test_given_jacobian_replaces_the_numeric_one(monkeypatch, rng):
