@@ -229,12 +229,13 @@ def _scaled_covariance(jac, cost, scale):
     next to seconds) share one eigenvalue floor.  Near-null directions of
     the normalized J'J are genuinely unidentified parameters; their
     eigenvalues are floored (not discarded) so the corresponding variances
-    come out huge rather than deceptively small.
+    come out huge rather than deceptively small.  ``jac`` is scaled in
+    place, so the caller hands over a Jacobian it no longer needs.
     """
     dof = max(1, jac.shape[0] - jac.shape[1])
     s2 = cost / dof
-    js = jac * scale
-    w, v = np.linalg.eigh(js.T @ js)
+    jac *= scale
+    w, v = np.linalg.eigh(jac.T @ jac)
     floor = max(float(w.max()), 0.0) * 1e-14 + np.finfo(float).tiny
     inv_w = 1.0 / np.maximum(w, floor)
     return (v * inv_w) @ v.T * np.outer(scale, scale) * s2

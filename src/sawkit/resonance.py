@@ -101,23 +101,37 @@ def bare_s11(freq_hz, f0_hz, kappa, kappa_e, f_dark_hz=None, gamma=0.0, g=0.0):
     ``kappa``, ``kappa_e``, ``gamma`` and ``g`` are angular rates (s^-1);
     no background scale or cable delay is applied here.
     """
-    return 1.0 - kappa_e / _denominator(freq_hz, f0_hz, kappa, f_dark_hz, gamma, g)[0]
+    inv, _ = _reciprocal(freq_hz, f0_hz, kappa, f_dark_hz, gamma, g)
+    return 1.0 - kappa_e * inv
 
 
-def _denominator(freq_hz, f0_hz, kappa, f_dark_hz=None, gamma=0.0, g=0.0):
-    """(den, pole) of the response ``1 - kappa_e / den``.
+def _reciprocal(freq_hz, f0_hz, kappa, f_dark_hz=None, gamma=0.0, g=0.0):
+    """(inv, g_pole) of the response ``1 - kappa_e * inv``.
 
-    ``den = i*Delta + kappa/2`` plus the dark mode's ``g**2 / pole`` with
-    ``pole = i*Delta_b + gamma/2``; ``pole`` is None without a dark mode.
+    ``inv = 1 / (i*Delta + kappa/2 + g * g_pole)`` with the dark mode's
+    ``g_pole = g / (i*Delta_b + gamma/2)``; ``g_pole`` is None without a
+    dark mode.  These are the only complex divisions of the model.
     """
-    delta = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f0_hz)
-    den = 1j * delta + kappa / 2.0
-    pole = None
+    freq = np.asarray(freq_hz, dtype=float)
+    den = np.empty(freq.shape, complex)
+    den.real = kappa / 2.0
+    np.multiply(2.0 * np.pi, freq - f0_hz, out=den.imag)
+    g_pole = None
     if f_dark_hz is not None:
-        delta_b = 2.0 * np.pi * (np.asarray(freq_hz, dtype=float) - f_dark_hz)
-        pole = 1j * delta_b + gamma / 2.0
-        den = den + g**2 / pole
-    return den, pole
+        g_pole = np.empty(freq.shape, complex)
+        g_pole.real = gamma / 2.0
+        np.multiply(2.0 * np.pi, freq - f_dark_hz, out=g_pole.imag)
+        np.divide(g, g_pole, out=g_pole)
+        den += g * g_pole
+    return np.reciprocal(den, out=den), g_pole
+
+
+def _phasor(phase):
+    """``exp(i*phase)`` of a real ``phase``, from its cosine and sine."""
+    rot = np.empty(np.shape(phase), complex)
+    np.cos(phase, out=rot.real)
+    np.sin(phase, out=rot.imag)
+    return rot
 
 
 def eval_s11(params: ResonanceModelParams, freq_hz):
@@ -126,7 +140,7 @@ def eval_s11(params: ResonanceModelParams, freq_hz):
     dark = params.dark
     dark_mode = () if dark is None else (dark.f_dark_hz, dark.gamma_hz, dark.g_hz)
     resp = bare_s11(freq, params.f0_hz, params.kappa_hz, params.kappa_e_hz, *dark_mode)
-    out = params.a * np.exp(1j * 2.0 * np.pi * freq * params.tau_s) * resp
+    out = params.a * _phasor(2.0 * np.pi * freq * params.tau_s) * resp
     if np.isscalar(freq_hz):
         return complex(out)
     return out
@@ -241,53 +255,69 @@ def _fit_functions(freq, data, fc):
     imaginary part of each frequency, and ``jacobian`` gives its exact
     derivatives in the same rows, one column per parameter.
 
-    The three functions share two pieces of the model, each kept for the
-    last parameter value it was computed at: the denominator and pole of
-    :func:`_denominator`, keyed on the exact bytes of (f0, kappa[, f_dark,
-    gamma, g]), and the delay phasor ``exp(i*2*pi*(f - fc)*tau)``, keyed on
-    the exact bytes of tau.  So neither piece is recomputed by the Jacobian
-    at the point just evaluated, nor by a step from that point in kappa_e,
-    a_re or a_im.  The pieces are read-only and live only as long as the
-    closures, so nothing is kept from one fit to the next.
+    The three functions are products of two pieces of the model, each kept
+    for the last parameter value it was computed at: the reciprocal
+    denominator and the dark mode's ``g / pole`` of :func:`_reciprocal`,
+    keyed on the exact bytes of (f0, kappa[, f_dark, gamma, g]), and the
+    delay phasor ``exp(i*2*pi*(f - fc)*tau)``, keyed on the exact bytes of
+    tau.  So no call divides, and neither piece is recomputed by the
+    Jacobian at the point just evaluated, nor by a step from that point in
+    kappa_e, a_re or a_im.  The pieces are read-only and live only as long
+    as the closures, so nothing is kept from one fit to the next.  Each
+    Jacobian call writes its rows into one fresh array, which it returns.
     """
-    iturn = 1j * 2.0 * np.pi * (freq - fc)  # d/dtau of the delay's exponent
-    den_pole = _one_slot(lambda f0, kappa, dark: _denominator(freq, f0, kappa, *dark))
-    phasor = _one_slot(lambda tau: (np.exp(iturn * tau),))
+    turn = 2.0 * np.pi * (freq - fc)
+    iturn = 1j * turn  # d/dtau of the delay's exponent
+    reciprocal = _one_slot(lambda f0, kappa, dark: _reciprocal(freq, f0, kappa, *dark))
+    phasor = _one_slot(lambda tau: (_phasor(turn * tau),))
 
     def pieces(x):
-        """(den, pole, rot) at ``x``."""
+        """(inv, g_pole, rot) at ``x``."""
         x = np.asarray(x, dtype=float)
-        den, pole = den_pole(x[0], x[1], x[6:])
+        inv, g_pole = reciprocal(x[0], x[1], x[6:])
         (rot,) = phasor(x[5])
-        return den, pole, rot
+        return inv, g_pole, rot
 
     def model(x):
-        den, _, rot = pieces(x)
+        inv, _, rot = pieces(x)
         kappa_e, a_re, a_im = x[2:5]
-        return (a_re + 1j * a_im) * rot * (1.0 - kappa_e / den)
+        out = inv * -kappa_e
+        out += 1.0
+        out *= rot
+        out *= a_re + 1j * a_im
+        return out
 
     def residual(x):
-        return (model(x) - data).view(float)
+        out = model(x)
+        out -= data
+        return out.view(float)
 
     def jacobian(x):
-        den, pole, rot = pieces(x)
+        inv, g_pole, rot = pieces(x)
         kappa_e, a_re, a_im = x[2:5]
-        e = rot * (1.0 - kappa_e / den)  # d model / d a_re
-        bg = (a_re + 1j * a_im) * rot
-        dm_dden = bg * kappa_e / den**2
+        a = a_re + 1j * a_im
         jt = np.empty((len(x), freq.size), complex)  # one row per parameter
-        jt[0] = -2j * np.pi * dm_dden
-        jt[1] = 0.5 * dm_dden
-        jt[2] = -bg / den
-        jt[3] = e
-        jt[4] = 1j * e
-        jt[5] = iturn * (a_re + 1j * a_im) * e
-        if pole is not None:
-            g = x[8]
-            dm_dpole = dm_dden * (g / pole) ** 2  # -(d model / d pole)
-            jt[6] = 2j * np.pi * dm_dpole
-            jt[7] = -0.5 * dm_dpole
-            jt[8] = dm_dden * 2.0 * g / pole
+        # e = d model / d a_re = rot * (1 - kappa_e * inv)
+        np.multiply(inv, -kappa_e, out=jt[3])
+        jt[3] += 1.0
+        jt[3] *= rot
+        np.multiply(jt[3], 1j, out=jt[4])
+        np.multiply(jt[3], a, out=jt[5])
+        jt[5] *= iturn
+        # d model / d kappa_e = -a * rot * inv; with it the derivative by the
+        # denominator, d model / d den = a * rot * kappa_e * inv**2
+        np.multiply(rot, -a, out=jt[2])
+        jt[2] *= inv
+        np.multiply(jt[2], -0.5 * kappa_e, out=jt[1])  # d den / d kappa = 1/2
+        jt[1] *= inv
+        np.multiply(jt[1], -4j * np.pi, out=jt[0])  # d den / d f0 = -2*pi*i
+        if g_pole is not None:
+            # d den / d g = 2 * g_pole, d den / d pole = -g_pole**2
+            np.multiply(jt[1], g_pole, out=jt[8])
+            np.multiply(jt[8], g_pole, out=jt[7])
+            jt[7] *= -1.0
+            np.multiply(jt[7], -4j * np.pi, out=jt[6])
+            jt[8] *= 4.0
         return jt.view(float).T
 
     return model, residual, jacobian
@@ -313,11 +343,12 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     with ``dark`` None and ``n_iterations`` counting both fits.  The LM steps
     use the exact Jacobian of the model; one-sigma uncertainties come from the
     residual-variance-scaled covariance of a numeric Jacobian at the optimum.
-    Residual, Jacobian and model share the denominator (keyed on f0, kappa
-    and the dark mode) and the delay phasor (keyed on tau) of the last point
-    evaluated (:func:`_fit_functions`).  The Jacobian at an accepted step
-    and the dark-mode seed at the Lorentzian optimum recompute neither, and
-    the covariance columns of a_re, a_im and tau reuse the denominator.
+    Residual, Jacobian and model are products of the reciprocal denominator
+    (keyed on f0, kappa and the dark mode) and the delay phasor (keyed on
+    tau) of the last point evaluated (:func:`_fit_functions`).  The Jacobian
+    at an accepted step and the dark-mode seed at the Lorentzian optimum
+    recompute neither, and the covariance columns of a_re, a_im and tau
+    reuse the reciprocal.
     """
     if model_kind not in _MODEL_KINDS:
         raise ValidationError(f"model_kind must be one of {_MODEL_KINDS}")

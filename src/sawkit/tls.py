@@ -266,10 +266,13 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
     (:func:`lsq.fit_separable`).  ``fixed_beta`` pins the saturation
     exponent; when it is None the exponent is fitted only if the sweep spans
     at least four decades of phonon number (it is weakly identified on
-    shorter sweeps) and held at 0.5 otherwise.  A loss rate that solves to
-    zero (a sweep without saturation, or without a residual loss) raises
-    FitError, and so does a saturation term that does not pass
-    :func:`lsq.nested_gate` against a constant 1/Q.
+    shorter sweeps) and held at 0.5 otherwise.  ``ln n_c`` is bounded to
+    ``[ln n.min(), ln n.max()]``, as the dark pole of a resonance fit is
+    bounded to its trace: beyond the drive range the saturation term can
+    mimic the constant loss.  A loss rate that solves to zero (a sweep
+    without saturation, or without a residual loss) raises FitError, and so
+    does a saturation term that does not pass :func:`lsq.nested_gate`
+    against a constant 1/Q.
     """
     n = np.asarray(series.mean_phonon_number, dtype=float)
     qi = np.asarray(series.qi, dtype=float)
@@ -301,7 +304,7 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
     m = 1 if beta_fixed else 2  # searched: ln n_c, then beta when free
     data = w / qi
     res = fit_separable(basis, data, [np.log(n_c0), beta0][:m], x_scale=[1.0, 0.5][:m],
-                        lower=[-np.inf, 1e-3][:m], upper=[np.inf, 2.0][:m])
+                        lower=[np.log(n.min()), 1e-3][:m], upper=[np.log(n.max()), 2.0][:m])
     f_delta, inv_q_res = res.params[-2:]
     if f_delta <= 0.0 or inv_q_res <= 0.0:
         raise FitError("a loss rate solved to zero: the sweep shows no "

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,16 +455,16 @@ class TestFitResonance:
 
     def test_jacobian_and_covariance_reuse_the_denominator(self, monkeypatch):
         # the exact Jacobian runs at the point LM has just evaluated, so it
-        # computes no denominator; the covariance columns of a_re, a_im and
-        # tau reuse the one of the column before them
+        # computes no reciprocal denominator; the covariance columns of a_re,
+        # a_im and tau reuse the one of the column before them
         phase = ["search"]
         counts = {"search": 0, "jacobian": 0, "covariance": 0}
         columns = []
-        denominator = resonance._denominator
+        reciprocal = resonance._reciprocal
 
-        def counted_denominator(*args):
+        def counted_reciprocal(*args):
             counts[phase[0]] += 1
-            return denominator(*args)
+            return reciprocal(*args)
 
         def in_phase(name, fun):
             def wrapped(*args, **kwargs):
@@ -481,7 +482,7 @@ class TestFitResonance:
             columns.append(len(p))
             return in_phase("covariance", lsq_numeric_jacobian)(fun, p, *args, **kwargs)
 
-        monkeypatch.setattr(resonance, "_denominator", counted_denominator)
+        monkeypatch.setattr(resonance, "_reciprocal", counted_reciprocal)
         monkeypatch.setattr(resonance, "fit_least_squares", counted_fit)
         monkeypatch.setattr(lsq, "numeric_jacobian", counted_numeric)
         SIGMA_CASES["dark_mode"](0)
@@ -578,3 +579,80 @@ def test_exact_jacobian_matches_numeric(rng, qi, qe, dark):
         assert exact.shape == (2 * grid.size, x.size)
         err = np.linalg.norm(exact - numeric, axis=0) / np.linalg.norm(exact, axis=0)
         assert np.all(err < 3e-4), err
+
+
+def division_form(grid, fc, x):
+    """Model and (m, n) Jacobian rows of the internal vector ``x``, written
+    with the complex divisions of the reflection formula and each derivative
+    taken by hand."""
+    f0, kappa, kappa_e, a_re, a_im, tau = x[:6]
+    a = a_re + 1j * a_im
+    iturn = 1j * TWO_PI * (grid - fc)
+    rot = np.exp(iturn * tau)
+    den = 1j * TWO_PI * (grid - f0) + kappa / 2.0
+    if x.size == 9:
+        f_dark, gamma, g = x[6:]
+        pole = 1j * TWO_PI * (grid - f_dark) + gamma / 2.0
+        den = den + g**2 / pole
+    resp = 1.0 - kappa_e / den
+    model = a * rot * resp
+    dm_dden = a * rot * kappa_e / den**2
+    rows = [-1j * TWO_PI * dm_dden, 0.5 * dm_dden, -a * rot / den,
+            rot * resp, 1j * rot * resp, iturn * model]
+    if x.size == 9:
+        dm_dpole = -dm_dden * g**2 / pole**2
+        rows += [-1j * TWO_PI * dm_dpole, 0.5 * dm_dpole, dm_dden * 2.0 * g / pole]
+    return model, np.array(rows)
+
+
+@pytest.mark.parametrize("dark", [False, True], ids=["6-param", "9-param"])
+@pytest.mark.parametrize("qi,qe", [(6.8e3, 1.4e4), (1.9e4, 3e4), (2e5, 2e3)],
+                         ids=["device", "delayed-high-q", "overcoupled"])
+def test_kernel_matches_division_form(rng, qi, qe, dark):
+    # the products of cached reciprocal pieces against the formula as written
+    f0 = 688.4e6
+    kappa, _ = rates_from_qs(f0, qi, qe)
+    grid = resonance_grid(f0, qi, qe, span_linewidths=5.0, points=6001)
+    fc = float(grid[3000])
+    span = float(grid[-1] - grid[0])
+    data = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    _, residual, jacobian = resonance._fit_functions(grid, data, fc)
+    for _ in range(5):
+        x, _ = _random_model_point(rng, f0, kappa, span, dark)
+        model, rows = division_form(grid, fc, x)
+        expected_r = (model - data).view(float)
+        expected_j = rows.view(float).T
+        r = residual(x)
+        assert np.linalg.norm(r - expected_r) <= 1e-13 * np.linalg.norm(expected_r)
+        err = np.linalg.norm(jacobian(x) - expected_j, axis=0)
+        assert np.all(err <= 1e-13 * np.linalg.norm(expected_j, axis=0)), err
+
+
+def _peak_vectors(call, n):
+    """Peak memory traced during ``call()``, in complex vectors of length n."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (16 * n)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dark,jacobian_vectors,residual_vectors",
+                         [(False, 6, 3), (True, 9, 4)], ids=["6-param", "9-param"])
+def test_kernel_allocations(rng, dark, jacobian_vectors, residual_vectors):
+    # the Jacobian at the point just evaluated allocates only the array it
+    # returns; a residual at a fresh point allocates its pieces (the
+    # reciprocal, the dark mode's g / pole, the phasor) and its output
+    f0 = 688.4e6
+    kappa, _ = rates_from_qs(f0, 6.8e3, 1.4e4)
+    grid = resonance_grid(f0, 6.8e3, 1.4e4, span_linewidths=5.0, points=6001)
+    n = grid.size
+    data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    _, residual, jacobian = resonance._fit_functions(grid, data, float(grid[3000]))
+    span = float(grid[-1] - grid[0])
+    x, _ = _random_model_point(rng, f0, kappa, span, dark)
+    fresh, _ = _random_model_point(rng, f0, kappa, span, dark)
+    residual(x)
+    assert _peak_vectors(lambda: jacobian(x), n) < jacobian_vectors + 0.25
+    assert _peak_vectors(lambda: residual(fresh), n) < residual_vectors + 0.25

@@ -267,6 +267,27 @@ class TestFitPowerSweep:
         assert not fit.beta_fixed
         assert fit.beta_unidentifiable
 
+    def test_critical_phonon_number_stays_inside_the_drive_range(self):
+        # barely visible TLS loss: unbounded, LM can carry n_c beyond the
+        # sweep, where the saturation term mimics the constant loss and the
+        # residual loss solves to zero (seed 10); bounded, that draw fits at
+        # the top of the drive range
+        p = PowerModelParams(f_delta_tls=2.5e-5, n_c=1e5, beta=0.5,
+                             q_i_res=2.6e3, temperature_k=0.010, f0_hz=6.9e8)
+        n = np.geomspace(1.0, 1e9, 20)
+        for seed in range(40):
+            series = synth_power_sweep(p, n, noise_frac=0.01, rng_seed=seed)
+            try:
+                fit = fit_power_sweep(series)
+            except FitError as err:
+                assert "solved to zero" not in str(err), seed
+                continue
+            assert n.min() * (1 - 1e-12) <= fit.params.n_c <= n.max() * (1 + 1e-12)
+        fit = fit_power_sweep(synth_power_sweep(p, n, noise_frac=0.01, rng_seed=10))
+        assert fit.params.n_c == pytest.approx(n.max(), rel=1e-12)
+        pull = (fit.params.f_delta_tls - p.f_delta_tls) / fit.param_errors["f_delta_tls"]
+        assert abs(pull) < 1.0
+
     def test_saturation_below_the_gate_raises(self):
         # F*delta = 2e-5 on this draw lowers the cost of a constant 1/Q by
         # 30 residual variances, short of lsq.NESTED_MIN_CHI2
