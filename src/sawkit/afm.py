@@ -153,7 +153,7 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
 
     free = fit_separable(lambda p: _gaussians(x, p[:3], p[3]), y, [*(mu0 + k * h), sigma],
                          x_scale=[sigma] * 4, lower=[-np.inf] * 3 + [0.5 * bin_w])
-    delta_chi2, unequal = nested_gate(comb.cost, free.cost, x.size - 7)
+    delta_chi2, unequal = nested_gate(comb.cost, free)
     if not unequal:
         centers, steps, err = mu0 + k * h, (h, h), comb.param_errors[1]
     else:

@@ -1,16 +1,17 @@
 """Batch command-line front end.
 
 fit-resonance, fit-tempsweep, fit-powersweep, afm and walkoff analyze each
-input on its own through one batch driver; xps-quant combines its inputs
-into one report; synth writes fixture files from ``--seed``.  Reports are
-canonical JSON (sorted keys, newline-terminated) and plots deterministic SVG,
-so reruns are byte-identical and diffs in CI stay meaningful.  A failing
-input produces an ``<stem>.error.json`` record and, with ``--keep-going``,
-the batch continues; the exit code is 0 only when every input succeeded.
-xps-quant and synth, which write one file per run, record a failure as
-``xps_quant.error.json`` or ``synth.error.json`` under ``--out``.
-Inputs and configs are read, and reports written, as UTF-8 whatever the
-locale; an input that is not UTF-8 is recorded like any other malformed one.
+input on its own: ``build_parser`` registers each one's ``analyze(args,
+text)`` and report suffix on the batch driver ``_run_batch``.  xps-quant
+combines its inputs into one report; synth writes fixture files from
+``--seed``.  Reports are canonical JSON (sorted keys, newline-terminated)
+and plots deterministic SVG, so reruns are byte-identical and CI diffs stay
+meaningful.  A failing input produces an ``<stem>.error.json`` record and,
+with ``--keep-going``, the batch continues; the exit code is 0 only when
+every input succeeded.  xps-quant and synth, which write one file per run,
+record a failure as ``xps_quant.error.json`` or ``synth.error.json`` under
+``--out``.  Inputs and configs are read, and reports written, as UTF-8
+whatever the locale; an input not in UTF-8 is recorded like any malformed one.
 
 A process builds the argument parser once: the first ``main`` call builds
 it and later calls only parse and dispatch, so an in-process batch driver
@@ -20,6 +21,7 @@ A shell invocation of ``sawkit`` runs ``main`` once either way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -89,12 +91,12 @@ def _write_error(args, name, exc, source=None):
     print(f"error: {source or name}: {exc}", file=sys.stderr)
 
 
-def _run_batch(args, suffix, analyze, written=None):
+def _run_batch(args, suffix, analyze, summarize=None):
     """Analyze every input file on its own, honoring --keep-going.
 
-    ``analyze(text)`` returns ``(report, panels)``; the report goes to
+    ``analyze(args, text)`` returns ``(report, panels)``; the report goes to
     ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``, and
-    each report whose files were written is appended to ``written``.
+    ``summarize(args, reports)`` sees the reports that were written.
     Returns the exit code: 0 only when every input succeeded, and 1 when
     the inputs name no file at all or two files share a stem (their
     reports would overwrite each other), before anything is analyzed.
@@ -113,19 +115,20 @@ def _run_batch(args, suffix, analyze, written=None):
                 "their reports would overwrite each other"), source=f)
             return 1
         by_stem[f.stem] = f
-    failures = 0
+    failed, reports = False, []
     for f in files:
         try:
-            report, panels = analyze(_read_input(f))
+            report, panels = analyze(args, _read_input(f))
             _write_report(args, f"{f.stem}.{suffix}", report, panels)
-            if written is not None:
-                written.append(report)
+            reports.append(report)
         except (SawkitError, OSError) as exc:
-            failures += 1
+            failed = True
             _write_error(args, f.stem, exc, source=f)
             if not args.keep_going:
-                return 1
-    return 1 if failures else 0
+                break
+    if summarize is not None:
+        summarize(args, reports)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -146,77 +149,80 @@ def _resonance_panels(spectrum, result):
     return [mag, ph]
 
 
-def cmd_fit_resonance(args) -> int:
+def _fit_resonance(args, text):
+    spectrum = spectra.parse_s11_csv(text)
     model = "dark_mode" if args.model == "dark" else "lorentzian"
-
-    def analyze(text):
-        spectrum = spectra.parse_s11_csv(text)
-        result = resonance.fit_resonance(spectrum, model_kind=model)
-        return result.to_json_dict(), lambda: _resonance_panels(spectrum, result)
-
-    return _run_batch(args, "fit", analyze)
+    result = resonance.fit_resonance(spectrum, model_kind=model)
+    return result.to_json_dict(), lambda: _resonance_panels(spectrum, result)
 
 
 # ---------------------------------------------------------------------------
 # fit-tempsweep / fit-powersweep
 # ---------------------------------------------------------------------------
 
-def cmd_fit_tempsweep(args) -> int:
-    def analyze(text):
-        series = spectra.parse_tempsweep_csv(text)
-        result = tls.fit_fdelta(series)
+def _fit_tempsweep(args, text):
+    series = spectra.parse_tempsweep_csv(text)
+    result = tls.fit_fdelta(series)
 
-        def panels():
-            t = series.temperatures_k
-            shift = series.f0_hz / result.f0_hz - 1.0
-            grid = np.linspace(t.min(), t.max(), 200)
-            model = tls.tls_frequency_shift(
-                result.f_delta_tls, result.f0_hz, grid,
-                reference_temperature_k=series.reference_temperature_k)
-            panel = Panel(title="TLS frequency shift", xlabel="temperature (K)",
-                          ylabel="relative shift")
-            panel.add_points(t, shift, label="data")
-            panel.add_line(grid, model, label="fit")
-            return [panel]
+    def panels():
+        t = series.temperatures_k
+        shift = series.f0_hz / result.f0_hz - 1.0
+        grid = np.linspace(t.min(), t.max(), 200)
+        model = tls.tls_frequency_shift(
+            result.f_delta_tls, result.f0_hz, grid,
+            reference_temperature_k=series.reference_temperature_k)
+        panel = Panel(title="TLS frequency shift", xlabel="temperature (K)",
+                      ylabel="relative shift")
+        panel.add_points(t, shift, label="data")
+        panel.add_line(grid, model, label="fit")
+        return [panel]
 
-        return result.to_json_dict(), panels
-
-    return _run_batch(args, "tls", analyze)
+    return result.to_json_dict(), panels
 
 
-def cmd_fit_powersweep(args) -> int:
-    def analyze(text):
-        series = spectra.parse_powersweep_csv(text)
-        result = tls.fit_power_sweep(series, fixed_beta=args.fixed_beta)
+def _fit_powersweep(args, text):
+    series = spectra.parse_powersweep_csv(text)
+    result = tls.fit_power_sweep(series, fixed_beta=args.fixed_beta)
 
-        def panels():
-            n = series.mean_phonon_number
-            grid = np.geomspace(n.min(), n.max(), 200)
-            panel = Panel(title="TLS power saturation",
-                          xlabel="log10 mean phonon number", ylabel="Q_i")
-            panel.add_points(np.log10(n), series.qi, label="data")
-            panel.add_line(np.log10(grid),
-                           tls.qi_power_model(result.params, grid), label="fit")
-            return [panel]
+    def panels():
+        n = series.mean_phonon_number
+        grid = np.geomspace(n.min(), n.max(), 200)
+        panel = Panel(title="TLS power saturation",
+                      xlabel="log10 mean phonon number", ylabel="Q_i")
+        panel.add_points(np.log10(n), series.qi, label="data")
+        panel.add_line(np.log10(grid),
+                       tls.qi_power_model(result.params, grid), label="fit")
+        return [panel]
 
-        return result.to_json_dict(), panels
-
-    return _run_batch(args, "power", analyze)
+    return result.to_json_dict(), panels
 
 
 # ---------------------------------------------------------------------------
 # xps-quant
 # ---------------------------------------------------------------------------
 
+#: the keys a config and each of its bands may hold (a band's area is fitted)
+_XPS_CONFIG_KEYS = ("notes", "sensitivity", "windows", "bands")
+_BAND_KEYS = tuple(f.name for f in dataclasses.fields(xps.Band) if f.name != "amplitude")
+
+
 def _check_xps_config(cfg):
-    """Reject a config whose JSON types ``_load_xps_config`` cannot use."""
+    """Reject a config with a key ``_load_xps_config`` would not read, or
+    with JSON types it cannot use."""
     def numbers(values):
         return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+    def known(keys, allowed, where):
+        for key in keys:
+            if key not in allowed:
+                raise ValidationError(f"config: unknown {where}key {key!r}; "
+                                      f"expected one of {', '.join(allowed)}")
 
     if not (isinstance(cfg, dict) and all(isinstance(cfg.get(key, {}), dict)
                                           for key in ("sensitivity", "windows", "bands"))):
         raise ValidationError("config: expected an object with object-valued "
                               "sensitivity, windows and bands")
+    known(cfg, _XPS_CONFIG_KEYS, "")
     if not numbers(cfg.get("sensitivity", {}).values()):
         raise ValidationError("config: sensitivity factors must be numbers")
     for line, window in cfg.get("windows", {}).items():
@@ -228,6 +234,8 @@ def _check_xps_config(cfg):
                 for b in bands)):
             raise ValidationError(f"config: every {line} band needs a center_ev "
                                   "and numbers only")
+        for b in bands:
+            known(b, _BAND_KEYS, f"{line} band ")
 
 
 def _load_xps_config(path):
@@ -238,13 +246,8 @@ def _load_xps_config(path):
     _check_xps_config(cfg)
     table = xps.SensitivityTable(cfg["sensitivity"]) if "sensitivity" in cfg \
         else xps.SensitivityTable.default()
-    band_cfg = {}
-    for line, bands in cfg.get("bands", {}).items():
-        band_cfg[line] = xps.BandModel(tuple(
-            xps.Band(center_ev=b["center_ev"], sigma_ev=b.get("sigma_ev", 0.6),
-                     gamma_ev=b.get("gamma_ev", 0.5), mix=b.get("mix", 0.3),
-                     center_bound_ev=b.get("center_bound_ev", 0.5))
-            for b in bands))
+    band_cfg = {line: xps.BandModel(tuple(xps.Band(**b) for b in bands))
+                for line, bands in cfg.get("bands", {}).items()}
     return table, cfg.get("windows", {}), band_cfg
 
 
@@ -310,75 +313,70 @@ def _parse_level_points(text):
     raise ValidationError(f"--level-points needs three integer x,y pairs, got {text!r}")
 
 
-def cmd_afm(args) -> int:
-    def analyze(text):
-        image = spectra.parse_afm_grid(text)
-        flattened = afm_mod.remove_line_tilt(image, order=args.order)
-        doc = {"r_q_m": afm_mod.rms_roughness(flattened), "order": args.order}
-        hist_img = image
-        if args.level_points:
-            hist_img = afm_mod.three_point_level(image,
-                                                 *_parse_level_points(args.level_points))
-            doc["leveled"] = True
-        steps = None
-        if args.fit_steps:
-            steps = afm_mod.fit_step_heights(hist_img)
-            doc["steps"] = steps.to_json_dict()
+def _afm(args, text):
+    image = spectra.parse_afm_grid(text)
+    flattened = afm_mod.remove_line_tilt(image, order=args.order)
+    doc = {"r_q_m": afm_mod.rms_roughness(flattened), "order": args.order}
+    hist_img = image
+    if args.level_points:
+        hist_img = afm_mod.three_point_level(image, *_parse_level_points(args.level_points))
+        doc["leveled"] = True
+    steps = None
+    if args.fit_steps:
+        steps = afm_mod.fit_step_heights(hist_img)
+        doc["steps"] = steps.to_json_dict()
 
-        def panels():
-            centers, counts = (afm_mod.height_histogram(hist_img) if steps is None
-                               else steps.histogram)
-            panel = Panel(title="height histogram", xlabel="height (m)",
-                          ylabel="pixels")
-            panel.add_line(centers, counts, label="histogram")
-            if steps is not None:
-                grid = np.linspace(centers.min(), centers.max(), 400)
-                panel.add_line(grid, steps.evaluate(grid), label="terrace fit")
-            return [panel]
+    def panels():
+        centers, counts = (afm_mod.height_histogram(hist_img) if steps is None
+                           else steps.histogram)
+        panel = Panel(title="height histogram", xlabel="height (m)", ylabel="pixels")
+        panel.add_line(centers, counts, label="histogram")
+        if steps is not None:
+            grid = np.linspace(centers.min(), centers.max(), 400)
+            panel.add_line(grid, steps.evaluate(grid), label="terrace fit")
+        return [panel]
 
-        return doc, panels
+    return doc, panels
 
-    reports = []
-    code = _run_batch(args, "afm", analyze, written=reports)
+
+def _afm_summary(args, reports):
+    """``afm_summary.json`` over the written reports, when there are two or more."""
     rq_values = [doc["r_q_m"] for doc in reports]
     if len(rq_values) > 1:
         summary = {"n_images": len(rq_values),
                    "r_q_mean_m": float(np.mean(rq_values)),
                    "r_q_std_m": float(np.std(rq_values, ddof=1))}
         _write_report(args, "afm_summary", summary)
-    return code
 
 
 # ---------------------------------------------------------------------------
 # walkoff
 # ---------------------------------------------------------------------------
 
-def cmd_walkoff(args) -> int:
-    def analyze(text):
-        curve = spectra.parse_walkoff_csv(text)
-        smoothed = walkoff.smooth_curve(curve, args.half_width) \
-            if args.half_width > 0 else curve
-        zeros = walkoff.find_zero_crossings(smoothed)
-        tangencies = walkoff.find_tangencies(smoothed)
-        doc = {
-            "zeros": [z.to_json_dict() for z in zeros],
-            "tangencies": [{"theta_deg": t, "eta_deg": e} for t, e in tangencies],
-            "half_width": args.half_width,
-        }
+def _walkoff(args, text):
+    if args.half_width < 0:
+        raise ValidationError(f"--half-width must be >= 0, got {args.half_width}")
+    curve = spectra.parse_walkoff_csv(text)
+    smoothed = walkoff.smooth_curve(curve, args.half_width) if args.half_width > 0 else curve
+    zeros = walkoff.find_zero_crossings(smoothed)
+    tangencies = walkoff.find_tangencies(smoothed)
+    doc = {
+        "zeros": [z.to_json_dict() for z in zeros],
+        "tangencies": [{"theta_deg": t, "eta_deg": e} for t, e in tangencies],
+        "half_width": args.half_width,
+    }
 
-        def panels():
-            panel = Panel(title="beam steering", xlabel="drive angle (deg)",
-                          ylabel="walk-off (deg)")
-            panel.add_line(curve.theta_deg, curve.eta_deg, label="raw")
-            if args.half_width > 0:
-                panel.add_line(smoothed.theta_deg, smoothed.eta_deg, label="smoothed")
-            for z in zeros:
-                panel.add_vline(z.theta_deg)
-            return [panel]
+    def panels():
+        panel = Panel(title="beam steering", xlabel="drive angle (deg)",
+                      ylabel="walk-off (deg)")
+        panel.add_line(curve.theta_deg, curve.eta_deg, label="raw")
+        if args.half_width > 0:
+            panel.add_line(smoothed.theta_deg, smoothed.eta_deg, label="smoothed")
+        for z in zeros:
+            panel.add_vline(z.theta_deg)
+        return [panel]
 
-        return doc, panels
-
-    return _run_batch(args, "walkoff", analyze)
+    return doc, panels
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +395,11 @@ def cmd_synth(args) -> int:
 
 def _synth_text(args) -> str:
     """The fixture file of kind ``args.kind``, drawn from ``args.seed``."""
+    if args.kind != "afm" and args.points < 1:
+        raise ValidationError(f"--points must be >= 1, got {args.points}")
     if args.kind == "s11":
+        if not (args.qi > 0 and args.qe > 0):
+            raise ValidationError("--qi and --qe must be positive")
         w0 = TWO_PI * args.f0_hz
         kappa_e = w0 / args.qe
         kappa = kappa_e + w0 / args.qi
@@ -423,6 +425,8 @@ def _synth_text(args) -> str:
             f_delta_tls=args.f_delta, n_c=args.n_c, beta=args.beta,
             q_i_res=args.q_res, temperature_k=args.temperature_k,
             f0_hz=args.f0_hz)
+        if not (args.n_min > 0 and args.n_max > 0):
+            raise ValidationError("--n-min and --n-max must be positive")
         phonons = np.geomspace(args.n_min, args.n_max, args.points)
         series = synth.synth_power_sweep(params, phonons, noise_frac=args.noise_frac,
                                          rng_seed=args.seed)
@@ -467,17 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-resonance", parents=[per_file],
                        help="fit S11 traces to the resonance model")
     p.add_argument("--model", choices=("lorentzian", "dark"), default="lorentzian")
-    p.set_defaults(func=cmd_fit_resonance)
+    p.set_defaults(func=functools.partial(_run_batch, suffix="fit", analyze=_fit_resonance))
 
     p = sub.add_parser("fit-tempsweep", parents=[per_file],
                        help="extract the TLS loss product from temperature sweeps")
-    p.set_defaults(func=cmd_fit_tempsweep)
+    p.set_defaults(func=functools.partial(_run_batch, suffix="tls", analyze=_fit_tempsweep))
 
     p = sub.add_parser("fit-powersweep", parents=[per_file],
                        help="fit the TLS power-saturation model")
     p.add_argument("--fixed-beta", type=float, default=None,
                    help="hold the saturation exponent at this value")
-    p.set_defaults(func=cmd_fit_powersweep)
+    p.set_defaults(func=functools.partial(_run_batch, suffix="power", analyze=_fit_powersweep))
 
     p = sub.add_parser("xps-quant", parents=[batch],
                        help="quantify a directory of per-line XPS CSVs")
@@ -494,13 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="three-point plane leveling before the histogram")
     p.add_argument("--fit-steps", action="store_true",
                    help="fit terrace step heights from the height histogram")
-    p.set_defaults(func=cmd_afm)
+    p.set_defaults(func=functools.partial(_run_batch, suffix="afm", analyze=_afm,
+                                          summarize=_afm_summary))
 
     p = sub.add_parser("walkoff", parents=[per_file],
                        help="find zero-steering drive angles in walk-off curves")
     p.add_argument("--half-width", type=int, default=0,
                    help="moving-average half width (0 = no smoothing)")
-    p.set_defaults(func=cmd_walkoff)
+    p.set_defaults(func=functools.partial(_run_batch, suffix="walkoff", analyze=_walkoff))
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate deterministic fixture files")

@@ -172,12 +172,12 @@ def with_covariance(fun, res, x_scale):
         jac, res.cost, np.maximum(np.abs(res.params), x_scale)))
 
 
-def nested_gate(cost_small, cost_big, dof_big):
-    """(delta chi2, resolved) of a larger nested model: the cost drop in the
-    larger model's residual variances (``cost_big / dof_big``), resolved
-    from ``NESTED_MIN_CHI2`` up."""
-    s2 = max(cost_big / max(1, dof_big), np.finfo(float).tiny)
-    delta = float((cost_small - cost_big) / s2)
+def nested_gate(cost_small, big: LeastSquaresResult):
+    """(delta chi2, resolved) of the larger nested model fitted as ``big``:
+    the cost drop in its residual variances (its cost over residuals less
+    parameters), resolved from ``NESTED_MIN_CHI2`` up."""
+    s2 = max(big.cost / max(1, big.residual.size - big.params.size), np.finfo(float).tiny)
+    delta = float((cost_small - big.cost) / s2)
     return delta, delta >= NESTED_MIN_CHI2
 
 

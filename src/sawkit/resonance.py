@@ -95,16 +95,6 @@ class ResonanceFitResult:
         }
 
 
-def bare_s11(freq_hz, f0_hz, kappa, kappa_e, f_dark_hz=None, gamma=0.0, g=0.0):
-    """Reflection of a single mode, optionally loaded by a dark mode.
-
-    ``kappa``, ``kappa_e``, ``gamma`` and ``g`` are angular rates (s^-1);
-    no background scale or cable delay is applied here.
-    """
-    inv, _ = _reciprocal(freq_hz, f0_hz, kappa, f_dark_hz, gamma, g)
-    return 1.0 - kappa_e * inv
-
-
 def _reciprocal(freq_hz, f0_hz, kappa, f_dark_hz=None, gamma=0.0, g=0.0):
     """(inv, g_pole) of the response ``1 - kappa_e * inv``.
 
@@ -134,13 +124,22 @@ def _phasor(phase):
     return rot
 
 
+def _s11(inv, rot, kappa_e, a):
+    """``a * rot * (1 - kappa_e * inv)`` from the reciprocal and phasor pieces."""
+    out = inv * -kappa_e
+    out += 1.0
+    out *= rot
+    out *= a
+    return out
+
+
 def eval_s11(params: ResonanceModelParams, freq_hz):
     """Model reflection at ``freq_hz`` (scalar or array)."""
     freq = np.asarray(freq_hz, dtype=float)
     dark = params.dark
     dark_mode = () if dark is None else (dark.f_dark_hz, dark.gamma_hz, dark.g_hz)
-    resp = bare_s11(freq, params.f0_hz, params.kappa_hz, params.kappa_e_hz, *dark_mode)
-    out = params.a * _phasor(2.0 * np.pi * freq * params.tau_s) * resp
+    inv, _ = _reciprocal(freq, params.f0_hz, params.kappa_hz, *dark_mode)
+    out = _s11(inv, _phasor(2.0 * np.pi * freq * params.tau_s), params.kappa_e_hz, params.a)
     if np.isscalar(freq_hz):
         return complex(out)
     return out
@@ -280,12 +279,7 @@ def _fit_functions(freq, data, fc):
 
     def model(x):
         inv, _, rot = pieces(x)
-        kappa_e, a_re, a_im = x[2:5]
-        out = inv * -kappa_e
-        out += 1.0
-        out *= rot
-        out *= a_re + 1j * a_im
-        return out
+        return _s11(inv, rot, x[2], x[3] + 1j * x[4])
 
     def residual(x):
         out = model(x)
@@ -391,7 +385,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         # Nested-model gate: the extra pole costs three parameters and its
         # position is searched, so a noise-level cost improvement does not
         # establish a dark mode.  Below threshold the Lorentzian fit stands.
-        if dark_fit is not None and nested_gate(res.cost, dark_fit.cost, 2 * freq.size - 9)[1]:
+        if dark_fit is not None and nested_gate(res.cost, dark_fit)[1]:
             res, scale = _physical(dark_fit), dark_scale
     res = with_covariance(residual, res, scale)
 

@@ -8,8 +8,7 @@ Unit conventions used throughout the package:
   so a modal quality factor is ``2*pi*f0 / rate``;
 * XPS axes are binding energies in eV, AFM heights and pixel pitches in m.
 
-Three text formats are normative for this artifact and produced bit-exactly
-by the matching serializers:
+Three text formats are normative for this artifact:
 
 * reflection trace:  ``# key=value`` metadata lines, a ``freq_hz,re,im``
   header, then one CSV row per frequency point;
@@ -21,7 +20,9 @@ by the matching serializers:
 Temperature sweeps (``temperature_K,f0_hz,f0_err_hz``), power sweeps
 (``n_mean,qi,qi_err``) and walk-off curves (``theta_deg,eta_deg``) use plain
 CSV with the same comment convention.  A file that breaks a container's
-invariant is reported as a :class:`~sawkit.errors.ParseError`.
+invariant is reported as a :class:`~sawkit.errors.ParseError`.  Reflection
+traces, AFM grids and both sweeps, the kinds ``sawkit synth`` writes, also
+have serializers, which write them bit-exactly.
 
 Each reader takes the comments and the header line by line, then reads all
 numeric rows with one ``np.loadtxt`` call: blank lines, ``#`` comments
@@ -412,11 +413,6 @@ def format_s11_csv(spectrum: ComplexSpectrum) -> str:
                       spectrum.values.imag)
 
 
-def format_xps_csv(spectrum: XpsSpectrum) -> str:
-    return _write_csv([("line", spectrum.element_line)], ("be_ev", "counts"),
-                      spectrum.binding_energy_ev, spectrum.counts)
-
-
 def format_afm_grid(image: AfmImage) -> str:
     dx, dy = image.pixel_pitch_m
     lines = [f"{image.nx} {image.ny} {_fmt(dx)} {_fmt(dy)}"]
@@ -436,7 +432,3 @@ def format_powersweep_csv(series: PowerSweepSeries) -> str:
                        ("temperature_K", _fmt(series.temperature_k))],
                       ("n_mean", "qi", "qi_err"),
                       series.mean_phonon_number, series.qi, series.qi_err)
-
-
-def format_walkoff_csv(curve: WalkoffCurve) -> str:
-    return _write_csv((), ("theta_deg", "eta_deg"), curve.theta_deg, curve.eta_deg)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tls
 from .errors import ValidationError
-from .resonance import bare_s11
+from .resonance import DarkModeParams, ResonanceModelParams, eval_s11
 from .spectra import (AfmImage, ComplexSpectrum, PowerSweepSeries,
                       TemperatureSweepSeries, XpsSpectrum)
 from .xps import pseudo_voigt
@@ -23,18 +23,14 @@ def synth_s11(f0_hz, kappa_hz, kappa_e_hz, freq_grid_hz, *, dark=None,
     angular rates.  Noise is complex Gaussian, ``noise_sigma`` per
     quadrature, drawn deterministically from ``rng_seed``.
     """
-    if not kappa_hz > kappa_e_hz > 0:
-        raise ValidationError("rates must satisfy kappa > kappa_e > 0")
     if noise_sigma < 0:
         raise ValidationError("noise_sigma must be >= 0")
     freq = np.asarray(freq_grid_hz, dtype=float)
-    dark_mode = ()
+    dark_mode = None
     if dark is not None:
         g, delta_b_hz, gamma = dark
-        if gamma <= 0 or g < 0:
-            raise ValidationError("dark mode needs gamma > 0 and g >= 0")
-        dark_mode = (f0_hz + delta_b_hz, gamma, g)
-    vals = bare_s11(freq, f0_hz, kappa_hz, kappa_e_hz, *dark_mode)
+        dark_mode = DarkModeParams(f_dark_hz=f0_hz + delta_b_hz, gamma_hz=gamma, g_hz=g)
+    vals = eval_s11(ResonanceModelParams(f0_hz, kappa_hz, kappa_e_hz, dark=dark_mode), freq)
     if noise_sigma > 0:
         rng = np.random.default_rng(rng_seed)
         vals = vals + noise_sigma * (rng.standard_normal(freq.size)
@@ -90,6 +86,10 @@ def synth_terrace_image(shape=(128, 128), pixel_pitch_m=(1e-9, 1e-9), *,
     usual scan artifacts.
     """
     ny, nx = shape
+    if min(ny, nx) < 1:
+        raise ValidationError(f"image shape must be positive, got {ny} x {nx}")
+    if n_terraces < 1:
+        raise ValidationError(f"need at least one terrace, got {n_terraces}")
     rng = np.random.default_rng(rng_seed)
     edges = np.linspace(0, nx, n_terraces + 1)
     jitter = rng.uniform(-0.05 * nx, 0.05 * nx, n_terraces - 1) if n_terraces > 1 else []

@@ -41,13 +41,25 @@ _ASYMPTOTIC_COEFFS = (
     -3617.0 / 8160.0,
 )
 
-# |y| below this is pushed up by recurrence before the asymptotic series is
-# applied; above it the series is already accurate to well under 1e-12.
-_ASYMPTOTIC_CUT = 8.0
 _RECURRENCE_STEPS = 9
 
 
-def _psi_asymptotic(z):
+def re_digamma_half_plus_imag(y):
+    """Re psi(1/2 + i*y) for real ``y`` (scalar or array).
+
+    Takes nine steps of the upward recurrence psi(z) = psi(z+1) - 1/z, then
+    the asymptotic Bernoulli series at z + 9.  Absolute accuracy is better
+    than 1e-12 everywhere; the value is even in ``y`` because
+    psi(conj z) = conj psi(z).
+    """
+    y_arr = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y_arr)):
+        raise ValidationError("digamma argument must be finite")
+    z = 0.5 + 1j * np.abs(y_arr)
+    correction = np.zeros_like(y_arr)
+    for k in range(_RECURRENCE_STEPS):
+        correction += (1.0 / (z + k)).real
+    z = z + _RECURRENCE_STEPS
     inv = 1.0 / z
     inv2 = inv * inv
     out = np.log(z) - 0.5 * inv
@@ -55,29 +67,7 @@ def _psi_asymptotic(z):
     for c in _ASYMPTOTIC_COEFFS:
         out = out - c * term
         term = term * inv2
-    return out
-
-
-def re_digamma_half_plus_imag(y):
-    """Re psi(1/2 + i*y) for real ``y`` (scalar or array).
-
-    Uses the asymptotic Bernoulli series directly for |y| >= 8 and nine
-    steps of the upward recurrence psi(z) = psi(z+1) - 1/z first otherwise.
-    Absolute accuracy is better than 1e-12 everywhere; the value is even in
-    ``y`` because psi(conj z) = conj psi(z).
-    """
-    y_arr = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y_arr)):
-        raise ValidationError("digamma argument must be finite")
-    z = 0.5 + 1j * np.abs(y_arr)
-    small = np.abs(y_arr) < _ASYMPTOTIC_CUT
-    correction = np.zeros_like(y_arr, dtype=float)
-    if np.any(small):
-        z_small = np.where(small, z, 0.5 + 10j)  # placeholder for the masked lanes
-        for k in range(_RECURRENCE_STEPS):
-            correction += np.where(small, (1.0 / (z_small + k)).real, 0.0)
-        z = np.where(small, z_small + _RECURRENCE_STEPS, z)
-    out = _psi_asymptotic(z).real - correction
+    out = out.real - correction
     if np.isscalar(y) or y_arr.ndim == 0:
         return float(out)
     return out
@@ -173,12 +163,16 @@ def fit_fdelta(series) -> TlsFitResult:
     )
 
 
+def _thermal_factor(f0_hz, temperature_k):
+    """tanh(hbar w / 2 kB T): the share of TLS left unsaturated by temperature."""
+    return np.tanh(HBAR * 2.0 * np.pi * f0_hz / (2.0 * KB * temperature_k))
+
+
 def q_tls(f_delta_tls, f0_hz, temperature_k):
     """Quality factor set by TLS loss alone at the given temperature."""
     if f_delta_tls <= 0 or f0_hz <= 0 or temperature_k <= 0:
         raise ValidationError("q_tls arguments must all be positive")
-    arg = HBAR * 2.0 * np.pi * f0_hz / (2.0 * KB * temperature_k)
-    return 1.0 / (f_delta_tls * np.tanh(arg))
+    return 1.0 / (f_delta_tls * _thermal_factor(f0_hz, temperature_k))
 
 
 @dataclass(frozen=True)
@@ -223,9 +217,8 @@ def qi_power_model(params: PowerModelParams, mean_phonon_number):
     n = np.asarray(mean_phonon_number, dtype=float)
     if np.any(n <= 0):
         raise ValidationError("mean phonon number must be positive")
-    arg = HBAR * 2.0 * np.pi * params.f0_hz / (2.0 * KB * params.temperature_k)
-    tls_loss = params.f_delta_tls * np.tanh(arg) * _saturation(np.log(n / params.n_c),
-                                                               params.beta)
+    tls_loss = (params.f_delta_tls * _thermal_factor(params.f0_hz, params.temperature_k)
+                * _saturation(np.log(n / params.n_c), params.beta))
     out = 1.0 / (tls_loss + 1.0 / params.q_i_res)
     if np.isscalar(mean_phonon_number):
         return float(out)
@@ -284,8 +277,7 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
     beta_fixed = fixed_beta is not None or bool(decades < BETA_FREE_MIN_DECADES)
     beta0 = DEFAULT_BETA if fixed_beta is None else float(fixed_beta)
 
-    arg = HBAR * 2.0 * np.pi * series.f0_hz / (2.0 * KB * series.temperature_k)
-    tanh_arg = np.tanh(arg)
+    tanh_arg = _thermal_factor(series.f0_hz, series.temperature_k)
     if np.all(qi_err > 0):
         w = qi**2 / qi_err  # 1/sigma of the 1/Q data
     else:
@@ -311,7 +303,7 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
                        + ("TLS saturation" if f_delta <= 0.0 else "residual loss"))
     # the saturation term has to beat a constant 1/Q, the weighted mean
     flat_resid = data - w * (w @ data) / (w @ w)
-    _, saturates = nested_gate(float(flat_resid @ flat_resid), res.cost, n.size - m - 2)
+    _, saturates = nested_gate(float(flat_resid @ flat_resid), res)
     if not saturates:
         raise FitError("the sweep shows no TLS saturation")
     n_c = np.exp(res.params[0])

@@ -182,8 +182,8 @@ def pseudo_voigt(x, center, sigma, gamma, mix):
 @dataclass(frozen=True)
 class Band:
     center_ev: float
-    sigma_ev: float
-    gamma_ev: float
+    sigma_ev: float = 0.6
+    gamma_ev: float = 0.5
     mix: float = 0.3
     amplitude: float = 0.0       # band area, counts * eV
     center_bound_ev: float = 0.5  # allowed excursion of the center in the fit

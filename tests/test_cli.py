@@ -8,7 +8,7 @@ import pytest
 
 from sawkit import afm, cli
 from sawkit.cli import main
-from sawkit.spectra import format_powersweep_csv, parse_tempsweep_csv
+from sawkit.spectra import format_powersweep_csv, parse_afm_grid, parse_tempsweep_csv
 from conftest import flat_power_sweep
 
 
@@ -173,14 +173,15 @@ class TestSweepCommands:
 
 class TestXpsQuant:
     def write_line(self, path, line, center, area, rng_seed):
-        from sawkit.spectra import format_xps_csv
         from sawkit.synth import synth_xps_spectrum
         be = np.linspace(center - 8, center + 8, 201)
         sp = synth_xps_spectrum(be, [(center, 0.6, 0.4, 0.2, area)],
                                 element_line=line, step=(20, 60, None, 0),
                                 step_shape="shirley", noise_sigma=0.8,
                                 rng_seed=rng_seed)
-        path.write_text(format_xps_csv(sp))
+        path.write_text(f"# line={line}\nbe_ev,counts\n"
+                        + "\n".join(f"{b},{c}" for b, c in
+                                    zip(sp.binding_energy_ev, sp.counts)) + "\n")
 
     def test_equal_factors_equal_areas_equal_percentages(self, tmp_path):
         indir = tmp_path / "xps"
@@ -244,6 +245,29 @@ class TestXpsQuant:
         assert run(["xps-quant", indir, "--out", tmp_path]) != 0
         assert (tmp_path / "xps_quant.error.json").exists()
 
+    def test_no_charge_shift_quantifies_without_nb(self, tmp_path):
+        indir = tmp_path / "xps"
+        indir.mkdir()
+        self.write_line(indir / "O1s.csv", "O1s", 530.0, 5000.0, 1)
+        self.write_line(indir / "C1s.csv", "C1s", 285.0, 2000.0, 2)
+        assert run(["xps-quant", indir, "--out", tmp_path / "shifted"]) == 1
+        assert run(["xps-quant", indir, "--no-charge-shift", "--out", tmp_path]) == 0
+        doc = read_json(tmp_path / "xps_quant.json")
+        assert doc["charge_shift_ev"] == 0.0
+        assert sorted(doc["atomic_percent"]) == ["C1s", "O1s"]
+        assert sum(doc["atomic_percent"].values()) == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"sensitivty": {"Nb3d": 1.0}}, "sensitivty"),
+        ({"bands": {"Nb3d": [{"center_ev": 207.3, "mixx": 0.1}]}}, "mixx"),
+        ({"bands": {"Nb3d": [{"center_ev": 207.3, "center_bound": 1.0}]}}, "center_bound"),
+    ], ids=["top-level", "band-mix", "band-center-bound"])
+    def test_unknown_config_key_is_named(self, tmp_path, config, key):
+        argv, name = xps_with_config(json.dumps(config))(tmp_path)
+        assert run(argv + ["--out", tmp_path]) == 1
+        assert repr(key) in read_json(tmp_path / f"{name}.error.json")["error"]
+        assert not (tmp_path / "xps_quant.json").exists()
+
     def test_non_utf8_line_file_is_recorded(self, tmp_path):
         indir = tmp_path / "xps"
         indir.mkdir()
@@ -265,6 +289,21 @@ class TestAfmCommand:
         assert run(["afm", grid, "--out", tmp_path]) == 0
         doc = read_json(tmp_path / "flat.afm.json")
         assert doc["r_q_m"] == 0.0
+
+    def test_order_sets_the_row_polynomial(self, tmp_path):
+        grid = tmp_path / "tilted.txt"
+        assert run(["synth", "afm", "--nx", "64", "--ny", "64", "--tilt-x", "1e-11",
+                    "--seed", "3", "--output", grid]) == 0
+        rq = {}
+        for order in (0, 1):
+            out = tmp_path / f"order{order}"
+            assert run(["afm", grid, "--order", order, "--out", out]) == 0
+            doc = read_json(out / "tilted.afm.json")
+            assert doc["order"] == order
+            rq[order] = doc["r_q_m"]
+        image = parse_afm_grid(grid.read_text())
+        assert rq[0] == afm.rms_roughness(afm.remove_line_tilt(image, order=0))
+        assert rq[0] > rq[1]
 
     def test_multi_image_summary(self, tmp_path):
         indir = tmp_path / "grids"
@@ -305,6 +344,13 @@ class TestWalkoffCommand:
         zeros = sorted(z["theta_deg"] for z in doc["zeros"])
         assert zeros == pytest.approx([-30.0, 60.0], abs=0.5)
         assert (tmp_path / "curve.walkoff.svg").exists()
+
+    def test_negative_half_width_is_recorded(self, tmp_path):
+        csv = tmp_path / "curve.csv"
+        write_walkoff(csv, 0)
+        assert run(["walkoff", csv, "--half-width", "-2", "--out", tmp_path]) == 1
+        assert "--half-width" in read_json(tmp_path / "curve.error.json")["error"]
+        assert not (tmp_path / "curve.walkoff.json").exists()
 
 
 def write_walkoff(path, seed):
@@ -387,6 +433,9 @@ OUTSIDE_INPUT_ERRORS = {
         json.dumps({"sensitivity": {"Nb3d": "x"}})),
     "config-bands-not-a-list": xps_with_config(json.dumps({"bands": {"Nb3d": 3}})),
     "config-top-level-list": xps_with_config(json.dumps([1, 2])),
+    "config-misspelled-key": xps_with_config(json.dumps({"sensitivty": {"Nb3d": 1.0}})),
+    "config-misspelled-band-key": xps_with_config(
+        json.dumps({"bands": {"Nb3d": [{"center_ev": 207.3, "mixx": 0.1}]}})),
     "non-numeric-reference-temperature": sweep_with_metadata(
         "tempsweep", "reference_temperature_K"),
     "non-numeric-f0": sweep_with_metadata("powersweep", "f0_hz"),
@@ -396,6 +445,16 @@ OUTSIDE_INPUT_ERRORS = {
     "synth-afm-too-narrow": synth_with_flags("afm", "--nx", "4"),
     "synth-beta-out-of-range": synth_with_flags("powersweep", "--beta", "5"),
     "synth-too-few-temperatures": synth_with_flags("tempsweep", "--points", "2"),
+    "synth-negative-s11-points": synth_with_flags("s11", "--points", "-1"),
+    "synth-zero-qi": synth_with_flags("s11", "--qi", "0"),
+    "synth-zero-qe": synth_with_flags("s11", "--qe", "0"),
+    "synth-negative-tempsweep-points": synth_with_flags("tempsweep", "--points", "-1"),
+    "synth-negative-powersweep-points": synth_with_flags("powersweep", "--points", "-1"),
+    "synth-zero-n-min": synth_with_flags("powersweep", "--n-min", "0"),
+    "synth-negative-n-min": synth_with_flags("powersweep", "--n-min", "-3"),
+    "synth-afm-negative-width": synth_with_flags("afm", "--nx", "-20"),
+    "synth-afm-no-terraces": synth_with_flags("afm", "--terraces", "0"),
+    "synth-afm-negative-terraces": synth_with_flags("afm", "--terraces", "-1"),
 }
 
 

@@ -196,10 +196,12 @@ def test_separable_takes_one_jacobian_per_iteration_and_one_for_the_covariance(
 
 
 def test_nested_gate_counts_in_variances_of_the_larger_model():
-    # 100 points, larger model with 10 parameters: s2 = 9 / 90 = 0.1
-    delta, resolved = nested_gate(14.0, 9.0, 90)
+    # 100 residuals, larger model with 10 parameters: s2 = 9 / 90 = 0.1
+    big = lsq.LeastSquaresResult(params=np.zeros(10), residual=np.zeros(100),
+                                 cost=9.0, n_iterations=1)
+    delta, resolved = nested_gate(14.0, big)
     assert delta == pytest.approx(50.0)
     assert resolved
-    delta, resolved = nested_gate(13.9, 9.0, 90)
+    delta, resolved = nested_gate(13.9, big)
     assert delta == pytest.approx(49.0)
     assert not resolved

@@ -16,13 +16,10 @@ from sawkit.spectra import (
     format_powersweep_csv,
     format_s11_csv,
     format_tempsweep_csv,
-    format_walkoff_csv,
-    format_xps_csv,
     parse_afm_grid,
     parse_powersweep_csv,
     parse_s11_csv,
     parse_tempsweep_csv,
-    parse_walkoff_csv,
     parse_xps_csv,
 )
 from sawkit.synth import synth_s11, synth_temperature_sweep
@@ -312,14 +309,6 @@ class TestRoundTrips:
         assert np.signbit(back.values.real[[2, 5]]).all()
         assert np.signbit(back.values.imag[[2, 6]]).all()
 
-    def test_xps_roundtrip_exact(self, rng):
-        be = np.linspace(520, 540, 41)
-        sp = XpsSpectrum(be, rng.uniform(0, 1e4, 41), "Nb3d")
-        back = parse_xps_csv(format_xps_csv(sp))
-        assert np.array_equal(back.binding_energy_ev, sp.binding_energy_ev)
-        assert np.array_equal(back.counts, sp.counts)
-        assert back.element_line == "Nb3d"
-
     def test_afm_roundtrip_exact(self, rng):
         img = AfmImage(rng.standard_normal((16, 24)) * 1e-10, (2e-9, 3e-9))
         back = parse_afm_grid(format_afm_grid(img))
@@ -339,10 +328,6 @@ class TestRoundTrips:
         back = parse_powersweep_csv(format_powersweep_csv(ps))
         assert np.array_equal(back.mean_phonon_number, ps.mean_phonon_number)
         assert back.f0_hz == ps.f0_hz
-
-        wc = WalkoffCurve(np.linspace(-90, 90, 37), rng.standard_normal(37))
-        back = parse_walkoff_csv(format_walkoff_csv(wc))
-        assert np.array_equal(back.eta_deg, wc.eta_deg)
 
 
 class TestSynthS11:

@@ -44,6 +44,13 @@ class TestDigamma:
         assert re_digamma_half_plus_imag(1.0) == pytest.approx(
             series_digamma_oracle(1.0), abs=1e-10)
 
+    def test_matches_scipy_on_a_dense_grid(self):
+        # sweeps reach y = hbar*w0/(kB*T) of a few; the grid goes far beyond
+        from scipy.special import psi
+        y = np.concatenate([np.linspace(0.0, 20.0, 4001), np.geomspace(1e-6, 1e8, 2001)])
+        err = np.abs(re_digamma_half_plus_imag(y) - psi(0.5 + 1j * y).real)
+        assert err.max() <= 1e-14
+
     def test_array_input(self):
         y = np.array([0.0, 1.0, 20.0])
         out = re_digamma_half_plus_imag(y)
