@@ -48,8 +48,7 @@ spectra = []
 for seed, (line, (be, bands, (lo, hi))) in enumerate(lines.items()):
     shifted_bands = [(c + CHARGING, s, g, m, a) for c, s, g, m, a in bands]
     spectra.append(synth_xps_spectrum(be + CHARGING, shifted_bands,
-                                      element_line=line, step=(lo, hi, None, 0),
-                                      step_shape="shirley", noise_sigma=1.2,
+                                      element_line=line, step=(lo, hi), noise_sigma=1.2,
                                       rng_seed=seed))
 
 referenced, shift = charge_shift(spectra)

@@ -8,10 +8,10 @@ combines its inputs into one report; synth writes fixture files from
 and plots deterministic SVG, so reruns are byte-identical and CI diffs stay
 meaningful.  A failing input produces an ``<stem>.error.json`` record and,
 with ``--keep-going``, the batch continues; the exit code is 0 only when
-every input succeeded.  xps-quant and synth, which write one file per run,
-record a failure as ``xps_quant.error.json`` or ``synth.error.json`` under
-``--out``.  Inputs and configs are read, and reports written, as UTF-8
-whatever the locale; an input not in UTF-8 is recorded like any malformed one.
+every input succeeded.  ``main`` records a failed command, such as a batch
+with no input, as ``<command>.error.json`` under ``--out``.  Inputs and
+configs are read, and reports written, as UTF-8 whatever the locale; an
+input not in UTF-8 is recorded like any malformed one.
 
 A process builds the argument parser once: the first ``main`` call builds
 it and later calls only parse and dispatch, so an in-process batch driver
@@ -36,6 +36,9 @@ from .errors import ParseError, SawkitError, ValidationError
 from .svg import Panel, render_panels
 
 TWO_PI = 2.0 * np.pi
+
+#: every parser of the tree: an abbreviated flag is refused like an unknown one
+_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
 
 
 def _canonical_json(obj) -> str:
@@ -97,23 +100,19 @@ def _run_batch(args, suffix, analyze, summarize=None):
     ``analyze(args, text)`` returns ``(report, panels)``; the report goes to
     ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``, and
     ``summarize(args, reports)`` sees the reports that were written.
-    Returns the exit code: 0 only when every input succeeded, and 1 when
-    the inputs name no file at all or two files share a stem (their
-    reports would overwrite each other), before anything is analyzed.
+    Returns the exit code: 0 only when every input succeeded.  Raises,
+    before anything is analyzed, when the inputs name no file at all or two
+    files share a stem (their reports would overwrite each other).
     """
     files = _gather_inputs(args.inputs)
-    batch = args.command.replace("-", "_")
     if not files:
-        _write_error(args, batch,
-                     SawkitError(f"no input files found in {', '.join(args.inputs)}"))
-        return 1
+        raise SawkitError(f"no input files found in {', '.join(args.inputs)}")
     by_stem = {}
     for f in files:
         if f.stem in by_stem:
-            _write_error(args, batch, ValidationError(
-                f"{by_stem[f.stem]} and {f} share the stem {f.stem!r}; "
-                "their reports would overwrite each other"), source=f)
-            return 1
+            args.source = f
+            raise ValidationError(f"{by_stem[f.stem]} and {f} share the stem {f.stem!r}; "
+                                  "their reports would overwrite each other")
         by_stem[f.stem] = f
     failed, reports = False, []
     for f in files:
@@ -252,50 +251,46 @@ def _load_xps_config(path):
 
 
 def cmd_xps_quant(args) -> int:
-    source = None  # the spectrum being read, named in its error record
-    try:
-        table, windows, band_cfg = _load_xps_config(args.config)
-        parsed = []
-        for source in _gather_inputs(args.inputs):
-            sp = spectra.parse_xps_csv(_read_input(source))
-            if any(sp.element_line == other.element_line for other in parsed):
-                raise ValidationError(f"line {sp.element_line} is given twice; "
-                                      "one spectrum per element line")
-            parsed.append(sp)
-        source = None
-        if not parsed:
-            raise SawkitError("no XPS spectra found")
-        if args.no_charge_shift:
-            shifted, shift = parsed, 0.0
-        else:
-            shifted, shift = xps.charge_shift(parsed)
-        areas, band_areas, band_fits, panels = {}, {}, {}, []
-        for sp in shifted:
-            be = sp.ascending().binding_energy_ev
-            window = windows.get(sp.element_line, (float(be[0]), float(be[-1])))
-            sh = xps.shirley_background(sp, window)
-            areas[sp.element_line] = max(sh.area, 0.0)
-            panel = Panel(title=f"{sp.element_line}", xlabel="binding energy (eV)",
-                          ylabel="counts")
-            panel.add_line(sh.binding_energy_ev, sh.counts, label="data")
-            panel.add_line(sh.binding_energy_ev, sh.background, label="background")
-            if sp.element_line in band_cfg:
-                fit = xps.fit_bands(sh.binding_energy_ev, sh.net, band_cfg[sp.element_line])
-                band_areas[sp.element_line] = [float(a) for a in fit.areas]
-                band_fits[sp.element_line] = fit.to_json_dict()
-                panel.add_line(sh.binding_energy_ev,
-                               sh.background + fit.model.evaluate(sh.binding_energy_ev),
-                               label="bands")
-            panels.append(panel)
-        report = xps.atomic_percentages(areas, table, band_areas=band_areas)
-        doc = report.to_json_dict()
-        doc["charge_shift_ev"] = shift
-        doc["areas"] = {k: float(v) for k, v in areas.items()}
-        doc["band_fits"] = band_fits
-        _write_report(args, "xps_quant", doc, lambda: panels)
-    except (SawkitError, OSError) as exc:
-        _write_error(args, "xps_quant", exc, source=source)
-        return 1
+    table, windows, band_cfg = _load_xps_config(args.config)
+    parsed = []
+    for source in _gather_inputs(args.inputs):
+        args.source = source  # the spectrum being read, named in its error record
+        sp = spectra.parse_xps_csv(_read_input(source))
+        if any(sp.element_line == other.element_line for other in parsed):
+            raise ValidationError(f"line {sp.element_line} is given twice; "
+                                  "one spectrum per element line")
+        parsed.append(sp)
+    args.source = None
+    if not parsed:
+        raise SawkitError("no XPS spectra found")
+    if args.no_charge_shift:
+        shifted, shift = parsed, 0.0
+    else:
+        shifted, shift = xps.charge_shift(parsed)
+    areas, band_areas, band_fits, panels = {}, {}, {}, []
+    for sp in shifted:
+        be = sp.ascending().binding_energy_ev
+        window = windows.get(sp.element_line, (float(be[0]), float(be[-1])))
+        sh = xps.shirley_background(sp, window)
+        areas[sp.element_line] = max(sh.area, 0.0)
+        panel = Panel(title=f"{sp.element_line}", xlabel="binding energy (eV)",
+                      ylabel="counts")
+        panel.add_line(sh.binding_energy_ev, sh.counts, label="data")
+        panel.add_line(sh.binding_energy_ev, sh.background, label="background")
+        if sp.element_line in band_cfg:
+            fit = xps.fit_bands(sh.binding_energy_ev, sh.net, band_cfg[sp.element_line])
+            band_areas[sp.element_line] = [float(a) for a in fit.areas]
+            band_fits[sp.element_line] = fit.to_json_dict()
+            panel.add_line(sh.binding_energy_ev,
+                           sh.background + fit.model.evaluate(sh.binding_energy_ev),
+                           label="bands")
+        panels.append(panel)
+    report = xps.atomic_percentages(areas, table, band_areas=band_areas)
+    doc = report.to_json_dict()
+    doc["charge_shift_ev"] = shift
+    doc["areas"] = {k: float(v) for k, v in areas.items()}
+    doc["band_fits"] = band_fits
+    _write_report(args, "xps_quant", doc, lambda: panels)
     return 0
 
 
@@ -385,11 +380,7 @@ def _walkoff(args, text):
 
 def cmd_synth(args) -> int:
     out = Path(args.output) if args.output else Path(args.out) / f"{args.kind}.csv"
-    try:
-        _write_atomic(out, _synth_text(args))
-    except (SawkitError, OSError) as exc:
-        _write_error(args, "synth", exc)
-        return 1
+    _write_atomic(out, _synth_text(args))
     return 0
 
 
@@ -431,15 +422,12 @@ def _synth_text(args) -> str:
         series = synth.synth_power_sweep(params, phonons, noise_frac=args.noise_frac,
                                          rng_seed=args.seed)
         return spectra.format_powersweep_csv(series)
-    if args.kind == "afm":
-        image = synth.synth_terrace_image(
-            (args.ny, args.nx), (args.pitch_m, args.pitch_m),
-            step_m=args.step_m, n_terraces=args.terraces,
-            noise_sigma_m=args.noise_m,
-            tilt_m_per_px=(args.tilt_x, args.tilt_y), rng_seed=args.seed)
-        return spectra.format_afm_grid(image)
-    # argparse restricts the choices
-    raise SawkitError(f"unknown synth kind {args.kind}")  # pragma: no cover
+    image = synth.synth_terrace_image(  # afm, the kind left
+        (args.ny, args.nx), (args.pitch_m, args.pitch_m),
+        step_m=args.step_m, n_terraces=args.terraces,
+        noise_sigma_m=args.noise_m,
+        tilt_m_per_px=(args.tilt_x, args.tilt_y), rng_seed=args.seed)
+    return spectra.format_afm_grid(image)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +441,21 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` returns a fresh namespace on every call, so one parser
     serves every ``main`` call of a process.
     """
-    parser = argparse.ArgumentParser(
+    parser = _parser(
         prog="sawkit",
         description="Batch analyses for SAW-resonator surface characterization")
-    common = argparse.ArgumentParser(add_help=False)
+    parser.set_defaults(source=None)  # the input a failed command names, if any
+    common = _parser(add_help=False)
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current directory)")
-    batch = argparse.ArgumentParser(add_help=False, parents=[common])
+    batch = _parser(add_help=False, parents=[common])
     batch.add_argument("inputs", nargs="+", help="input files or directories")
     batch.add_argument("--emit-svg", action="store_true",
                        help="also write SVG plots next to the JSON reports")
-    per_file = argparse.ArgumentParser(add_help=False, parents=[batch])
+    per_file = _parser(add_help=False, parents=[batch])
     per_file.add_argument("--keep-going", action="store_true",
                           help="continue the batch past failing inputs")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     p = sub.add_parser("fit-resonance", parents=[per_file],
                        help="fit S11 traces to the resonance model")
@@ -507,38 +496,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help="moving-average half width (0 = no smoothing)")
     p.set_defaults(func=functools.partial(_run_batch, suffix="walkoff", analyze=_walkoff))
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate deterministic fixture files")
-    p.add_argument("kind", choices=("s11", "tempsweep", "powersweep", "afm"))
-    p.add_argument("--seed", type=int, default=0, help="random seed of the noise")
-    p.add_argument("--output", default=None, help="output file path")
-    p.add_argument("--f0-hz", type=float, default=688.4e6)
+    fixture = _parser(add_help=False, parents=[common])
+    fixture.add_argument("--seed", type=int, default=0, help="random seed of the noise")
+    fixture.add_argument("--output", default=None, help="output file path")
+    trace = _parser(add_help=False, parents=[fixture])
+    trace.add_argument("--f0-hz", type=float, default=688.4e6)
+    trace.add_argument("--points", type=int, default=2001)
+    sweep = _parser(add_help=False, parents=[trace])
+    sweep.add_argument("--f-delta", type=float, default=7.53e-5)
+    p = sub.add_parser("synth", help="generate deterministic fixture files")
+    p.set_defaults(func=cmd_synth)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=_parser)
+    p = kinds.add_parser("s11", parents=[trace], help="S11 reflection trace")
     p.add_argument("--qi", type=float, default=6.8e3)
     p.add_argument("--qe", type=float, default=1.4e4)
     p.add_argument("--span-linewidths", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=2001)
     p.add_argument("--noise", type=float, default=0.0,
-                   help="s11: complex noise sigma per quadrature")
+                   help="complex noise sigma per quadrature")
     p.add_argument("--dark-delta-hz", type=float, default=None,
                    help="dark-mode offset from f0 (Hz); enables the dark mode")
     p.add_argument("--dark-g-hz", type=float, default=15e3,
                    help="dark-mode coupling g/2pi in Hz")
     p.add_argument("--dark-gamma-hz", type=float, default=10e3,
                    help="dark-mode loss gamma/2pi in Hz")
-    p.add_argument("--f-delta", type=float, default=7.53e-5)
+    p = kinds.add_parser("tempsweep", parents=[sweep], help="TLS temperature sweep")
     p.add_argument("--t-min-k", type=float, default=0.010)
     p.add_argument("--t-max-k", type=float, default=0.200)
     p.add_argument("--t-ref-k", type=float, default=0.200)
     p.add_argument("--noise-hz", type=float, default=0.0,
-                   help="tempsweep: frequency noise per point (Hz)")
+                   help="frequency noise per point (Hz)")
+    p = kinds.add_parser("powersweep", parents=[sweep], help="TLS power sweep")
     p.add_argument("--n-c", type=float, default=1e4)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--q-res", type=float, default=2.6e3)
     p.add_argument("--temperature-k", type=float, default=0.010)
     p.add_argument("--n-min", type=float, default=1.0)
     p.add_argument("--n-max", type=float, default=1e10)
-    p.add_argument("--noise-frac", type=float, default=0.0,
-                   help="powersweep: relative Q noise")
+    p.add_argument("--noise-frac", type=float, default=0.0, help="relative Q noise")
+    p = kinds.add_parser("afm", parents=[fixture], help="terraced AFM height grid")
     p.add_argument("--nx", type=int, default=128)
     p.add_argument("--ny", type=int, default=128)
     p.add_argument("--pitch-m", type=float, default=1e-9)
@@ -547,13 +542,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terraces", type=int, default=3)
     p.add_argument("--tilt-x", type=float, default=0.0)
     p.add_argument("--tilt-y", type=float, default=0.0)
-    p.set_defaults(func=cmd_synth)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SawkitError, OSError) as exc:
+        _write_error(args, args.command.replace("-", "_"), exc, source=args.source)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

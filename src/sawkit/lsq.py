@@ -51,17 +51,13 @@ class LeastSquaresResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def numeric_jacobian(fun, p, r0=None, x_scale=None):
-    """Forward-difference Jacobian of ``fun`` at ``p``.
+def numeric_jacobian(fun, p, r0, x_scale):
+    """Forward-difference Jacobian of ``fun`` at ``p``, where it is ``r0``.
 
-    Step sizes are sqrt(eps) times a per-parameter scale, so parameters of
-    wildly different magnitude (Hz next to seconds) differentiate cleanly.
+    Step sizes are sqrt(eps) times the larger of ``|p|`` and ``x_scale``, so
+    parameters of wildly different magnitude (Hz next to seconds) differentiate cleanly.
     """
     p = np.asarray(p, dtype=float)
-    if r0 is None:
-        r0 = np.asarray(fun(p), dtype=float)
-    if x_scale is None:
-        x_scale = np.ones_like(p)
     scale = np.maximum(np.abs(p), np.asarray(x_scale, dtype=float))
     jac = np.empty((r0.size, p.size))
     for i in range(p.size):

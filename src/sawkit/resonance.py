@@ -162,8 +162,6 @@ def _robust_noise(mag):
 
 
 def _smooth(x, width):
-    if width < 2:
-        return x
     kernel = np.ones(width) / width
     return np.convolve(np.pad(x, width, mode="edge"), kernel, mode="same")[width:-width]
 
@@ -361,7 +359,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     scale = [init.kappa_hz / (2.0 * np.pi), init.kappa_hz, init.kappa_hz,
              mag_a, mag_a, 1.0 / (2.0 * np.pi * span)]
 
-    res = _physical(fit_least_squares(residual, x0, x_scale=scale, jac=jacobian))
+    res = _physical(fit_least_squares(residual, x0, jac=jacobian))
     n_iterations = res.n_iterations
 
     if model_kind == "dark_mode":
@@ -374,8 +372,7 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         dark0 = [float(freq[int(np.argmax(rho))]), gamma0, np.sqrt(0.1 * kappa_fit * gamma0)]
         dark_scale = scale + [gamma0 / (2.0 * np.pi), gamma0, gamma0]
         try:
-            dark_fit = fit_least_squares(residual, list(res.params) + dark0,
-                                         x_scale=dark_scale, jac=jacobian,
+            dark_fit = fit_least_squares(residual, list(res.params) + dark0, jac=jacobian,
                                          lower=[-np.inf] * 6 + [freq[0], gamma_floor, 0.0],
                                          upper=[np.inf] * 6 + [freq[-1], np.inf, np.inf])
             n_iterations += dark_fit.n_iterations

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+TICKS_PER_AXIS = 5
 
 
-def _nice_ticks(lo, hi, target=5):
-    """Round tick positions covering [lo, hi] with a 1-2-5 step."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        return [lo, hi] if hi > lo else [lo - 1, lo + 1]
-    raw = (hi - lo) / target
+def _nice_ticks(lo, hi):
+    """About ``TICKS_PER_AXIS`` round ticks covering lo < hi, a 1-2-5 step apart."""
+    raw = (hi - lo) / TICKS_PER_AXIS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -90,6 +90,10 @@ def synth_terrace_image(shape=(128, 128), pixel_pitch_m=(1e-9, 1e-9), *,
         raise ValidationError(f"image shape must be positive, got {ny} x {nx}")
     if n_terraces < 1:
         raise ValidationError(f"need at least one terrace, got {n_terraces}")
+    if n_terraces > nx:
+        raise ValidationError(f"{n_terraces} terraces do not fit in {nx} columns")
+    if noise_sigma_m < 0:
+        raise ValidationError("noise_sigma_m must be >= 0")
     rng = np.random.default_rng(rng_seed)
     edges = np.linspace(0, nx, n_terraces + 1)
     jitter = rng.uniform(-0.05 * nx, 0.05 * nx, n_terraces - 1) if n_terraces > 1 else []
@@ -108,35 +112,25 @@ def synth_terrace_image(shape=(128, 128), pixel_pitch_m=(1e-9, 1e-9), *,
     return AfmImage(heights, pixel_pitch_m)
 
 
-def synth_xps_spectrum(be_grid_ev, bands, *, element_line="O1s",
-                       step=(0.0, 0.0, None, 1.0), step_shape="sigmoid",
-                       baseline=0.0, noise_sigma=0.0, rng_seed=0) -> XpsSpectrum:
-    """Synthesize an XPS line: pseudo-Voigt bands on an inelastic step.
+def synth_xps_spectrum(be_grid_ev, bands, *, element_line="O1s", step=(0.0, 0.0),
+                       noise_sigma=0.0, rng_seed=0) -> XpsSpectrum:
+    """Synthesize an XPS line: pseudo-Voigt bands on a Shirley step.
 
     ``bands`` is a sequence of (center_ev, sigma_ev, gamma_ev, mix, area);
-    ``step`` is (low_level, high_level, center_ev, width_ev) with the high
-    side at high binding energy (center None puts it mid-window).  With
-    ``step_shape="shirley"`` the step instead follows the cumulative peak
-    area (trapezoid rule), the profile an ideal inelastic background takes;
-    center/width are then ignored.  Counts are floored at zero after noise.
+    ``step`` is (low_level, high_level), the background at the low and the
+    high binding-energy end of the grid.  Between them it follows the
+    cumulative peak area (trapezoid rule), the profile an ideal inelastic
+    background takes.  Counts are floored at zero after noise.
     """
     be = np.asarray(be_grid_ev, dtype=float)
-    counts = np.full(be.size, float(baseline))
     peak = np.zeros(be.size)
     for c, sigma, gamma, mix, area in bands:
         peak = peak + area * pseudo_voigt(be, c, sigma, gamma, mix)
-    lo, hi, center, width = step
+    lo, hi = step
+    counts = peak
     if hi or lo:
-        if step_shape == "shirley":
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (peak[1:] + peak[:-1])
-                                                   * np.diff(be))])
-            counts = counts + lo + (hi - lo) * cum / cum[-1]
-        else:
-            if center is None:
-                center = 0.5 * (be.min() + be.max())
-            counts = counts + lo + (hi - lo) / (1.0 + np.exp(-(be - center)
-                                                             / max(width, 1e-9)))
-    counts = counts + peak
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (peak[1:] + peak[:-1]) * np.diff(be))])
+        counts = lo + (hi - lo) * cum / cum[-1] + peak
     if noise_sigma > 0:
         rng = np.random.default_rng(rng_seed)
         counts = counts + noise_sigma * rng.standard_normal(be.size)

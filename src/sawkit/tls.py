@@ -25,9 +25,6 @@ from .lsq import fit_separable, nested_gate
 HBAR = 1.054571817e-34  # J s (exact SI)
 KB = 1.380649e-23       # J / K (exact SI)
 
-#: psi(1/2) = -euler_gamma - 2 ln 2
-PSI_HALF = -1.9635100260214235
-
 # B_{2k}/(2k) for k = 1..8, the correction coefficients of the asymptotic
 # series psi(z) ~ ln z - 1/(2z) - sum_k B_{2k} / (2k z^{2k}).
 _ASYMPTOTIC_COEFFS = (

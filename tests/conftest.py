@@ -5,6 +5,8 @@ from sawkit.spectra import PowerSweepSeries
 
 TWO_PI = 2.0 * np.pi
 EULER_GAMMA = 0.5772156649015328606
+#: psi(1/2) = -euler_gamma - 2 ln 2
+PSI_HALF = -1.9635100260214235
 
 
 def brute_force_re_digamma(y, n_terms=10_000_000):

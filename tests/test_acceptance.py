@@ -20,7 +20,6 @@ from sawkit.synth import (
     synth_xps_spectrum,
 )
 from sawkit.tls import (
-    PSI_HALF,
     PowerModelParams,
     fit_fdelta,
     fit_power_sweep,
@@ -38,7 +37,7 @@ from sawkit.xps import (
     shirley_background,
 )
 from sawkit.spectra import XpsSpectrum
-from conftest import dip_depth, rates_from_qs, resonance_grid
+from conftest import PSI_HALF, dip_depth, rates_from_qs, resonance_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,8 +181,7 @@ def test_criterion_07_shirley():
     # fixture 3: peak on an inelastic step, area recovered within 1%
     be3 = np.linspace(522, 538, 321)
     band = (530.0, 0.6, 0.3, 0.15, 5000.0)
-    sp3 = synth_xps_spectrum(be3, [band], step=(50, 200, None, 0),
-                             step_shape="shirley")
+    sp3 = synth_xps_spectrum(be3, [band], step=(50, 200))
     sh3 = shirley_background(sp3, (522, 538))
     assert sh3.n_iterations <= 50
     sel = (be3 >= sh3.binding_energy_ev[0]) & (be3 <= sh3.binding_energy_ev[-1])

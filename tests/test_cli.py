@@ -170,14 +170,21 @@ class TestSweepCommands:
         assert "solved to zero" in read_json(tmp_path / "flat.error.json")["error"]
         assert not (tmp_path / "flat.power.json").exists()
 
+    def test_powersweep_plot(self, tmp_path):
+        csv = tmp_path / "power.csv"
+        PER_FILE_COMMANDS["fit-powersweep"][1](csv, 1)
+        assert run(["fit-powersweep", csv, "--out", tmp_path, "--emit-svg"]) == 0
+        svg = (tmp_path / "power.power.svg").read_text()
+        assert "TLS power saturation" in svg and "log10 mean phonon number" in svg
+        assert ">data<" in svg and ">fit<" in svg
+
 
 class TestXpsQuant:
     def write_line(self, path, line, center, area, rng_seed):
         from sawkit.synth import synth_xps_spectrum
         be = np.linspace(center - 8, center + 8, 201)
         sp = synth_xps_spectrum(be, [(center, 0.6, 0.4, 0.2, area)],
-                                element_line=line, step=(20, 60, None, 0),
-                                step_shape="shirley", noise_sigma=0.8,
+                                element_line=line, step=(20, 60), noise_sigma=0.8,
                                 rng_seed=rng_seed)
         path.write_text(f"# line={line}\nbe_ev,counts\n"
                         + "\n".join(f"{b},{c}" for b, c in
@@ -330,6 +337,33 @@ class TestAfmCommand:
         assert summary["n_images"] == 2
         assert summary["r_q_mean_m"] == pytest.approx(np.mean(rq), rel=1e-12)
 
+    def test_failed_summary_write_is_recorded(self, tmp_path):
+        indir = tmp_path / "grids"
+        indir.mkdir()
+        for i in range(2):
+            PER_FILE_COMMANDS["afm"][1](indir / f"g{i}.txt", i)
+        out = tmp_path / "results"
+        (out / "afm_summary.json").mkdir(parents=True)  # the summary cannot replace it
+        assert run(["afm", indir, "--out", out]) == 1
+        assert (out / "g0.afm.json").exists() and (out / "g1.afm.json").exists()
+        record = read_json(out / "afm.error.json")
+        assert record["error"] and "input" not in record
+        assert not list(out.glob("*.tmp"))
+
+    def test_level_points_level_the_image_the_steps_are_fitted_on(self, tmp_path):
+        # the three points lie on the first terrace of a tilted image
+        grid = tmp_path / "tilted.txt"
+        assert run(["synth", "afm", "--nx", "96", "--ny", "96", "--tilt-x", "1e-11",
+                    "--tilt-y", "5e-12", "--seed", "4", "--output", grid]) == 0
+        assert run(["afm", grid, "--fit-steps", "--level-points", "5,5 5,90 20,50",
+                    "--out", tmp_path]) == 0
+        doc = read_json(tmp_path / "tilted.afm.json")
+        assert doc["leveled"] is True
+        leveled = afm.three_point_level(parse_afm_grid(grid.read_text()),
+                                        (5, 5), (5, 90), (20, 50))
+        assert doc["steps"] == json.loads(json.dumps(afm.fit_step_heights(leveled).to_json_dict()))
+        assert doc["steps"]["mean_step_m"] == pytest.approx(2e-10, rel=0.1)
+
 
 class TestWalkoffCommand:
     def test_zero_report(self, tmp_path):
@@ -455,6 +489,9 @@ OUTSIDE_INPUT_ERRORS = {
     "synth-afm-negative-width": synth_with_flags("afm", "--nx", "-20"),
     "synth-afm-no-terraces": synth_with_flags("afm", "--terraces", "0"),
     "synth-afm-negative-terraces": synth_with_flags("afm", "--terraces", "-1"),
+    "synth-afm-negative-noise": synth_with_flags("afm", "--noise-m", "-1"),
+    "synth-afm-more-terraces-than-columns": synth_with_flags(
+        "afm", "--terraces", "500", "--nx", "64"),
 }
 
 
@@ -549,6 +586,27 @@ class TestParserStrictness:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "afm", "--qi", "5"],
+        ["synth", "tempsweep", "--nx", "4"],
+        ["synth", "s11", "--noise-m", "1"],
+        ["synth", "powersweep", "--t-ref-k", "0.1"],
+        ["synth", "--seed", "3", "s11"],
+        ["synth", "afm", "--noise", "0.5"],
+        ["afm", "x", "--fit"],
+        ["fit-resonance", "x", "--mod", "dark"],
+    ], ids=["synth-afm-qi", "synth-tempsweep-nx", "synth-s11-noise-m",
+            "synth-powersweep-t-ref-k", "synth-seed-before-kind", "abbreviated-noise-m",
+            "abbreviated-fit-steps", "abbreviated-model"])
+    def test_unread_or_abbreviated_flag_rejected(self, argv, tmp_path, monkeypatch):
+        # a synth kind takes only the flags it reads, after the kind, and no
+        # flag is taken by a prefix of its name
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -121,6 +121,22 @@ def test_bound_projection_reports_pinned():
     assert res.params[1] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_fifty_uphill_trials_end_the_fit():
+    # |p| + 1 has its minimum at a kink; the given slope of the right branch
+    # sends every damped step from p = 0 to the left, uphill however small,
+    # so the fit stops after 50 trials at its start, not on the step size
+    evals = []
+
+    def residual(p):
+        evals.append(p)
+        return np.array([1.0 + abs(p[0])])
+
+    res = fit_least_squares(residual, [0.0], jac=lambda p: np.array([[1.0]]))
+    assert res.n_iterations == 1
+    assert res.params.tolist() == [0.0] and res.cost == 1.0
+    assert len(evals) == 1 + 50
+
+
 def test_iteration_cap_raises(monkeypatch):
     def residual(p):
         return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
@@ -135,7 +151,7 @@ def test_numeric_jacobian_matches_analytic():
         return np.array([p[0] ** 2 + p[1], np.sin(p[1])])
 
     p = np.array([1.5, 0.7])
-    jac = numeric_jacobian(fun, p)
+    jac = numeric_jacobian(fun, p, fun(p), [1.0, 1.0])
     expected = np.array([[3.0, 1.0], [0.0, np.cos(0.7)]])
     assert np.allclose(jac, expected, atol=1e-6)
 

@@ -574,8 +574,10 @@ def test_exact_jacobian_matches_numeric(rng, qi, qe, dark):
         offset = np.zeros(x.size)
         offset[[0, 6][:1 + dark]] = fc
         exact = jacobian(x)
-        numeric = lsq_numeric_jacobian(lambda y: residual(y + offset), x - offset,
-                                       x_scale=scale)
+        def shifted(y):
+            return residual(y + offset)
+
+        numeric = lsq_numeric_jacobian(shifted, x - offset, shifted(x - offset), scale)
         assert exact.shape == (2 * grid.size, x.size)
         err = np.linalg.norm(exact - numeric, axis=0) / np.linalg.norm(exact, axis=0)
         assert np.all(err < 3e-4), err

@@ -9,7 +9,6 @@ from sawkit.synth import synth_power_sweep, synth_temperature_sweep
 from sawkit.tls import (
     HBAR,
     KB,
-    PSI_HALF,
     PowerModelParams,
     fit_fdelta,
     fit_power_sweep,
@@ -18,7 +17,7 @@ from sawkit.tls import (
     re_digamma_half_plus_imag,
     tls_frequency_shift,
 )
-from conftest import flat_power_sweep
+from conftest import PSI_HALF, flat_power_sweep
 
 #: the y grid the digamma accuracy claim is declared on
 DIGAMMA_Y_GRID = (0.0, 0.01, 0.1, 1.0, 5.0, 8.0, 20.0, 100.0)

@@ -105,6 +105,13 @@ class TestZeroCrossings:
         slopes = [z.slope_deg_per_deg for z in zeros]
         assert slopes[0] > 0 > slopes[1]
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+    def test_crossing_at_an_exact_zero_last_sample(self, sign):
+        th = theta_grid(1.0)
+        zeros = find_zero_crossings(WalkoffCurve(th, sign * (th - 90.0)))
+        assert [z.to_json_dict() for z in zeros] == [
+            {"theta_deg": 90.0, "slope_deg_per_deg": sign, "uncertainty_deg": 0.5}]
+
     def test_strictly_positive_curve_empty(self):
         curve = WalkoffCurve(theta_grid(), np.ones(181))
         assert find_zero_crossings(curve) == []

@@ -96,8 +96,7 @@ class TestShirley:
     def test_background_never_exceeds_data(self):
         be = np.linspace(524, 536, 241)
         sp = synth_xps_spectrum(be, [(530.0, 0.6, 0.4, 0.2, 5000.0)],
-                                step=(50, 200, None, 0), step_shape="shirley",
-                                noise_sigma=3.0, rng_seed=9)
+                                step=(50, 200), noise_sigma=3.0, rng_seed=9)
         sh = shirley_background(sp, (524, 536))
         sel = (be >= sh.binding_energy_ev[0]) & (be <= sh.binding_energy_ev[-1])
         assert np.all(sh.background <= sp.counts[sel] + 1e-12)
@@ -105,8 +104,7 @@ class TestShirley:
     def test_peak_area_recovered_within_one_percent(self):
         be = np.linspace(522, 538, 321)
         band = (530.0, 0.6, 0.3, 0.15, 5000.0)
-        sp = synth_xps_spectrum(be, [band], step=(50, 200, None, 0),
-                                step_shape="shirley")
+        sp = synth_xps_spectrum(be, [band], step=(50, 200))
         in_window = np.trapezoid(5000.0 * pseudo_voigt(be, *band[:4]), be)
         area = shirley_background(sp, (522, 538)).area
         assert area == pytest.approx(in_window, rel=0.01)
@@ -114,8 +112,7 @@ class TestShirley:
     def test_peak_area_with_noise(self):
         be = np.linspace(522, 538, 321)
         band = (530.0, 0.6, 0.3, 0.15, 5000.0)
-        sp = synth_xps_spectrum(be, [band], step=(50, 200, None, 0),
-                                step_shape="shirley", noise_sigma=4.0, rng_seed=2)
+        sp = synth_xps_spectrum(be, [band], step=(50, 200), noise_sigma=4.0, rng_seed=2)
         in_window = np.trapezoid(5000.0 * pseudo_voigt(be, *band[:4]), be)
         assert shirley_background(sp, (522, 538)).area == pytest.approx(in_window,
                                                                         rel=0.03)
@@ -179,8 +176,7 @@ class TestFitBands:
         # 30 dB synthetic: fitted areas account for the integrated signal
         be = np.linspace(524, 538, 281)
         bands = [(530.0, 0.7, 0.4, 0.2, 6000.0), (531.5, 0.7, 0.4, 0.2, 2500.0)]
-        sp = synth_xps_spectrum(be, bands, noise_sigma=7.0, rng_seed=3,
-                                baseline=0.0)
+        sp = synth_xps_spectrum(be, bands, noise_sigma=7.0, rng_seed=3)
         model = BandModel((
             Band(center_ev=530.0, sigma_ev=0.6, gamma_ev=0.5, mix=0.2),
             Band(center_ev=531.5, sigma_ev=0.6, gamma_ev=0.5, mix=0.2),
@@ -204,8 +200,8 @@ class TestO1sBandAreas:
         be = np.linspace(522.0, 540.0, 361)
         bands = [(c, 0.7, 0.4, 0.2, a) for c, a in zip(O1S_BAND_CENTERS_EV, O1S_AREAS)]
         for seed in range(60):
-            sp = synth_xps_spectrum(be, bands, step=(40.0, 170.0, None, 0),
-                                    step_shape="shirley", noise_sigma=0.5, rng_seed=seed)
+            sp = synth_xps_spectrum(be, bands, step=(40.0, 170.0), noise_sigma=0.5,
+                                    rng_seed=seed)
             sh = shirley_background(sp, (524.0, 538.0))
             fit = fit_bands(sh.binding_energy_ev, sh.net, O1S_MODEL)
             assert fit.areas[1:] == pytest.approx(O1S_AREAS[1:], rel=0.05)
