@@ -9,9 +9,10 @@ and plots deterministic SVG, so reruns are byte-identical and CI diffs stay
 meaningful.  A failing input produces an ``<stem>.error.json`` record and,
 with ``--keep-going``, the batch continues; the exit code is 0 only when
 every input succeeded.  ``main`` records a failed command, such as a batch
-with no input, as ``<command>.error.json`` under ``--out``.  Inputs and
-configs are read, and reports written, as UTF-8 whatever the locale; an
-input not in UTF-8 is recorded like any malformed one.
+with no input, as ``<command>.error.json`` under ``--out``.  Every failure
+is also reported on stderr, so one whose record cannot be written is still
+seen.  Inputs and configs are read, and reports written, as UTF-8 whatever
+the locale; an input not in UTF-8 is recorded like any malformed one.
 
 A process builds the argument parser once: the first ``main`` call builds
 it and later calls only parse and dispatch, so an in-process batch driver
@@ -86,12 +87,12 @@ def _write_report(args, name, report, panels=None):
 
 
 def _write_error(args, name, exc, source=None):
-    """Record a failure as ``<name>.error.json`` and report it on stderr."""
+    """Report a failure on stderr, then record it as ``<name>.error.json``."""
+    print(f"error: {source or name}: {exc}", file=sys.stderr)
     record = {"error": str(exc)}
     if source is not None:
         record["input"] = str(source)
     _write_atomic(Path(args.out) / f"{name}.error.json", _canonical_json(record))
-    print(f"error: {source or name}: {exc}", file=sys.stderr)
 
 
 def _run_batch(args, suffix, analyze, summarize=None):
@@ -550,7 +551,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SawkitError, OSError) as exc:
-        _write_error(args, args.command.replace("-", "_"), exc, source=args.source)
+        try:
+            _write_error(args, args.command.replace("-", "_"), exc, source=args.source)
+        except OSError as record_exc:  # e.g. --out names a file
+            print(f"error: no error record written: {record_exc}", file=sys.stderr)
         return 1
 
 

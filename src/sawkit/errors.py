@@ -6,7 +6,16 @@ class SawkitError(Exception):
 
 
 class ValidationError(SawkitError, ValueError):
-    """A domain object or argument violates one of its invariants."""
+    """A domain object or argument violates one of its invariants.
+
+    ``row`` is the 0-based index of the first offending data row when the
+    invariant is one each row must keep, such as finite values or a strictly
+    increasing axis, and None otherwise.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ParseError(SawkitError, ValueError):

@@ -19,16 +19,20 @@ Three text formats are normative for this artifact:
 
 Temperature sweeps (``temperature_K,f0_hz,f0_err_hz``), power sweeps
 (``n_mean,qi,qi_err``) and walk-off curves (``theta_deg,eta_deg``) use plain
-CSV with the same comment convention.  A file that breaks a container's
-invariant is reported as a :class:`~sawkit.errors.ParseError`.  Reflection
+CSV with the same comment convention.  Every value must be finite.  A file
+that breaks a container's invariant is reported as a
+:class:`~sawkit.errors.ParseError`.  Reflection
 traces, AFM grids and both sweeps, the kinds ``sawkit synth`` writes, also
 have serializers, which write them bit-exactly.
 
 Each reader takes the comments and the header line by line, then reads all
 numeric rows with one ``np.loadtxt`` call: blank lines, ``#`` comments
-between rows, CRLF endings and spaces around fields are all accepted.  Only
-once a row is found faulty, by the loader or by a later check, are the lines
-walked one by one, to name the faulty line in the error.
+between rows, CRLF endings and spaces around fields are all accepted.  The
+rules on row values (finite, strictly increasing, in range) are checked only
+in each container's ``__post_init__``, which reports the first offending row
+as :attr:`ValidationError.row <sawkit.errors.ValidationError>`.  Only once a
+row is found faulty, by the loader or by the container, are the lines walked
+one by one, to name the faulty line in the error.
 """
 from __future__ import annotations
 
@@ -39,10 +43,33 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 
-def _frozen_array(value, dtype=float):
-    arr = np.array(value, dtype=dtype, copy=True)
-    arr.setflags(write=False)
-    return arr
+def _freeze_table(obj, shape_error, finite_error, *, size, ndim=1, **dtypes):
+    """Set the fields ``dtypes`` names to read-only copies: the columns of one table.
+
+    Each copy has the dtype given for its field.  All must have one shape, of
+    ``ndim`` dimensions each at least ``size`` long, else
+    ``ValidationError(shape_error)``; the first row of the table that holds a
+    value that is not finite raises ``ValidationError(finite_error, row=...)``.
+    Returns the copies in order.
+    """
+    cols = [np.array(getattr(obj, name), dtype=dtype) for name, dtype in dtypes.items()]
+    shape = cols[0].shape
+    if len(shape) != ndim or min(shape) < size or any(c.shape != shape for c in cols):
+        raise ValidationError(shape_error)
+    finite = [np.isfinite(c).all(axis=tuple(range(1, ndim))) for c in cols]
+    _reject_rows(~np.logical_and.reduce(finite), finite_error)
+    for name, c in zip(dtypes, cols):
+        c.setflags(write=False)
+        object.__setattr__(obj, name, c)
+    return cols
+
+
+def _reject_rows(bad, message, first=0):
+    """Raise ``ValidationError(message, row=first + i)`` at the first ``i`` where
+    ``bad`` holds; ``first=1`` maps a mask over consecutive pairs to the later row."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise ValidationError(message, row=first + int(hits[0]))
 
 
 @dataclass(frozen=True)
@@ -54,20 +81,10 @@ class ComplexSpectrum:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        f = _frozen_array(self.frequencies_hz)
-        v = _frozen_array(self.values, dtype=complex)
-        if f.ndim != 1 or f.size < 8:
-            raise ValidationError("need at least 8 frequency points")
-        if v.shape != f.shape:
-            raise ValidationError("values length must equal frequencies length")
-        if not np.all(np.isfinite(f)):
-            raise ValidationError("frequencies must be finite")
-        if np.any(np.diff(f) <= 0):
-            raise ValidationError("frequencies must be strictly increasing")
-        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
-            raise ValidationError("reflection values must be finite")
-        object.__setattr__(self, "frequencies_hz", f)
-        object.__setattr__(self, "values", v)
+        f, _ = _freeze_table(self, "need at least 8 frequency points, one value for each",
+                             "non-finite frequency or reflection value", size=8,
+                             frequencies_hz=float, values=complex)
+        _reject_rows(np.diff(f) <= 0, "frequencies must be strictly increasing", first=1)
         object.__setattr__(self, "meta", dict(self.meta))
 
 
@@ -81,22 +98,15 @@ class TemperatureSweepSeries:
     reference_temperature_k: float = 0.200
 
     def __post_init__(self):
-        t = _frozen_array(self.temperatures_k)
-        f = _frozen_array(self.f0_hz)
-        e = _frozen_array(self.f0_err_hz)
-        if t.ndim != 1 or f.shape != t.shape or e.shape != t.shape:
-            raise ValidationError("temperature/f0/err columns must have equal length")
+        t, f, e = _freeze_table(self, "temperature/f0/err columns must have equal length",
+                                "non-finite temperature, f0 or error", size=0,
+                                temperatures_k=float, f0_hz=float, f0_err_hz=float)
         if np.unique(t).size < 4:
             raise ValidationError("need at least 4 distinct temperatures")
-        if np.any(t <= 0) or np.any(t > 1.0):
-            raise ValidationError("temperatures must lie in (0, 1] K")
+        _reject_rows((t <= 0) | (t > 1.0), "temperatures must lie in (0, 1] K")
         if not 0.0 < self.reference_temperature_k <= 1.0:
             raise ValidationError("reference temperature must lie in (0, 1] K")
-        if np.any(f <= 0) or np.any(e < 0):
-            raise ValidationError("f0 must be positive and errors nonnegative")
-        object.__setattr__(self, "temperatures_k", t)
-        object.__setattr__(self, "f0_hz", f)
-        object.__setattr__(self, "f0_err_hz", e)
+        _reject_rows((f <= 0) | (e < 0), "f0 must be positive and errors nonnegative")
 
 
 @dataclass(frozen=True)
@@ -110,22 +120,15 @@ class PowerSweepSeries:
     f0_hz: float
 
     def __post_init__(self):
-        n = _frozen_array(self.mean_phonon_number)
-        q = _frozen_array(self.qi)
-        e = _frozen_array(self.qi_err)
-        if n.ndim != 1 or q.shape != n.shape or e.shape != n.shape:
-            raise ValidationError("phonon/qi/err columns must have equal length")
-        if n.size < 5:
-            raise ValidationError("need at least 5 sweep points")
-        if np.any(n <= 0) or np.any(q <= 0) or np.any(e < 0):
-            raise ValidationError("phonon numbers and qi must be positive")
+        n, q, e = _freeze_table(self, "need at least 5 sweep points, each with qi and error",
+                                "non-finite phonon number, qi or error", size=5,
+                                mean_phonon_number=float, qi=float, qi_err=float)
+        _reject_rows((n <= 0) | (q <= 0) | (e < 0),
+                     "phonon numbers and qi must be positive and errors nonnegative")
         if np.log10(n.max() / n.min()) < 3.0 - 1e-9:
             raise ValidationError("sweep must span at least 3 decades of phonon number")
-        if self.temperature_k <= 0 or self.f0_hz <= 0:
-            raise ValidationError("temperature and f0 must be positive")
-        object.__setattr__(self, "mean_phonon_number", n)
-        object.__setattr__(self, "qi", q)
-        object.__setattr__(self, "qi_err", e)
+        if not (0 < self.temperature_k < np.inf and 0 < self.f0_hz < np.inf):
+            raise ValidationError("temperature and f0 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -137,19 +140,15 @@ class XpsSpectrum:
     element_line: str
 
     def __post_init__(self):
-        be = _frozen_array(self.binding_energy_ev)
-        c = _frozen_array(self.counts)
-        if be.ndim != 1 or be.size < 2 or c.shape != be.shape:
-            raise ValidationError("energy/counts columns must be 1-d and equal length")
-        d = np.diff(be)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise ValidationError("binding-energy axis must be strictly monotone")
-        if np.any(c < 0) or not np.all(np.isfinite(c)):
-            raise ValidationError("counts must be finite and nonnegative")
+        be, c = _freeze_table(self, "energy/counts columns must be 1-d and equal length",
+                              "non-finite energy or counts", size=2,
+                              binding_energy_ev=float, counts=float)
+        step = np.sign(np.diff(be))
+        _reject_rows(step * step[0] < 1, "binding-energy axis must be strictly monotone",
+                     first=1)
+        _reject_rows(c < 0, "counts must be nonnegative")
         if not self.element_line:
             raise ValidationError("element_line label must be non-empty")
-        object.__setattr__(self, "binding_energy_ev", be)
-        object.__setattr__(self, "counts", c)
 
     def ascending(self):
         """The same spectrum with the energy axis ascending."""
@@ -167,15 +166,11 @@ class AfmImage:
     pixel_pitch_m: tuple  # (dx, dy), meters per pixel
 
     def __post_init__(self):
-        h = _frozen_array(self.heights_m)
-        if h.ndim != 2 or h.shape[0] < 16 or h.shape[1] < 16:
-            raise ValidationError("image must be at least 16 x 16")
-        if not np.all(np.isfinite(h)):
-            raise ValidationError("heights must be finite")
+        _freeze_table(self, "image must be at least 16 x 16", "non-finite height",
+                      size=16, ndim=2, heights_m=float)
         dx, dy = self.pixel_pitch_m
-        if dx <= 0 or dy <= 0:
-            raise ValidationError("pixel pitch must be positive")
-        object.__setattr__(self, "heights_m", h)
+        if not (0 < dx < np.inf and 0 < dy < np.inf):
+            raise ValidationError("pixel pitch must be positive and finite")
         object.__setattr__(self, "pixel_pitch_m", (float(dx), float(dy)))
 
     @property
@@ -195,18 +190,12 @@ class WalkoffCurve:
     eta_deg: np.ndarray
 
     def __post_init__(self):
-        th = _frozen_array(self.theta_deg)
-        et = _frozen_array(self.eta_deg)
-        if th.ndim != 1 or et.shape != th.shape or th.size < 2:
-            raise ValidationError("theta/eta columns must be 1-d and equal length")
-        if np.any(np.diff(th) <= 0):
-            raise ValidationError("theta must be strictly increasing")
+        th, _ = _freeze_table(self, "theta/eta columns must be 1-d and equal length",
+                              "non-finite curve sample", size=2,
+                              theta_deg=float, eta_deg=float)
+        _reject_rows(np.diff(th) <= 0, "theta must be strictly increasing", first=1)
         if th[-1] - th[0] < 90.0:
             raise ValidationError("curve must span at least 90 degrees")
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(et))):
-            raise ValidationError("curve samples must be finite")
-        object.__setattr__(self, "theta_deg", th)
-        object.__setattr__(self, "eta_deg", et)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +256,8 @@ def _read_csv(text, header):
 
     Returns (meta dict, float array of shape ``(rows, len(header))``).  The
     rows are read by one ``np.loadtxt`` call; a fault found in them, here or
-    by the caller, is named by its line through :func:`_row_error` or
-    :func:`_unreadable`.
+    by the container built from them, is named by its line through
+    :func:`_row_error` or :func:`_unreadable`.
     """
     lines = _content_lines(text)
     comments = [line[1:] for line in lines if line[0] == "#"]
@@ -288,12 +277,15 @@ def _read_csv(text, header):
     return meta, _load_rows(lines[start + 1:], len(header), ",", text)
 
 
-def _build(cls, *args, **kwargs):
-    """Construct a domain object; a violated invariant becomes a ParseError."""
+def _build(text, cls, *args, **kwargs):
+    """Construct a domain object read from ``text``; a violated invariant
+    becomes a ParseError naming the line of the first offending row."""
     try:
         return cls(*args, **kwargs)
     except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+        if exc.row is None:
+            raise ParseError(str(exc)) from exc
+        raise _row_error(text, str(exc), exc.row) from exc
 
 
 def _meta_float(meta, key, default=None):
@@ -310,15 +302,11 @@ def _meta_float(meta, key, default=None):
 def parse_s11_csv(text) -> ComplexSpectrum:
     """Parse a reflection trace.  See the module docstring for the format."""
     meta, cols = _read_csv(text, ("freq_hz", "re", "im"))
-    freq = cols[:, 0]
-    bad = np.nonzero(np.diff(freq) <= 0)[0]
-    if bad.size:
-        raise _row_error(text, "frequency not strictly increasing", bad[0] + 1)
     # assigned, not re + 1j*im, which would turn a -0.0 real part into 0.0
-    values = np.empty(freq.size, dtype=complex)
+    values = np.empty(len(cols), dtype=complex)
     values.real = cols[:, 1]
     values.imag = cols[:, 2]
-    return _build(ComplexSpectrum, freq, values, meta)
+    return _build(text, ComplexSpectrum, cols[:, 0], values, meta)
 
 
 def parse_xps_csv(text) -> XpsSpectrum:
@@ -326,15 +314,7 @@ def parse_xps_csv(text) -> XpsSpectrum:
     meta, cols = _read_csv(text, ("be_ev", "counts"))
     if "line" not in meta:
         raise ParseError("missing '# line=<element>' header")
-    be, counts = cols[:, 0], cols[:, 1]
-    neg = np.nonzero(counts < 0)[0]
-    if neg.size:
-        raise _row_error(text, "negative counts", neg[0])
-    d = np.diff(be)
-    if not (np.all(d > 0) or np.all(d < 0)):
-        bad = np.nonzero(d * d[0] <= 0)[0]
-        raise _row_error(text, "binding-energy axis not strictly monotone", bad[0] + 1)
-    return _build(XpsSpectrum, be, counts, meta["line"])
+    return _build(text, XpsSpectrum, *cols.T, meta["line"])
 
 
 def parse_afm_grid(text) -> AfmImage:
@@ -355,10 +335,7 @@ def parse_afm_grid(text) -> AfmImage:
     if len(lines) - 1 != ny:
         raise _row_error(text, f"header claims {ny} rows but {len(lines) - 1} present", -1)
     heights = _load_rows(lines[1:], nx, None, text) if ny else np.empty((0, nx))
-    bad = np.nonzero(~np.isfinite(heights).all(axis=1))[0]
-    if bad.size:
-        raise _row_error(text, "non-finite height", bad[0])
-    return _build(AfmImage, heights, (dx, dy))
+    return _build(text, AfmImage, heights, (dx, dy))
 
 
 def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
@@ -369,7 +346,7 @@ def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
     """
     meta, cols = _read_csv(text, ("temperature_K", "f0_hz", "f0_err_hz"))
     t_ref = _meta_float(meta, "reference_temperature_K", 0.200)
-    return _build(TemperatureSweepSeries, *cols.T, reference_temperature_k=t_ref)
+    return _build(text, TemperatureSweepSeries, *cols.T, reference_temperature_k=t_ref)
 
 
 def parse_powersweep_csv(text) -> PowerSweepSeries:
@@ -379,7 +356,7 @@ def parse_powersweep_csv(text) -> PowerSweepSeries:
     operating point the model needs.
     """
     meta, cols = _read_csv(text, ("n_mean", "qi", "qi_err"))
-    return _build(PowerSweepSeries, *cols.T,
+    return _build(text, PowerSweepSeries, *cols.T,
                   temperature_k=_meta_float(meta, "temperature_K"),
                   f0_hz=_meta_float(meta, "f0_hz"))
 
@@ -387,7 +364,7 @@ def parse_powersweep_csv(text) -> PowerSweepSeries:
 def parse_walkoff_csv(text) -> WalkoffCurve:
     """Parse a ``theta_deg,eta_deg`` walk-off curve."""
     _, cols = _read_csv(text, ("theta_deg", "eta_deg"))
-    return _build(WalkoffCurve, *cols.T)
+    return _build(text, WalkoffCurve, *cols.T)
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,26 @@ def synth_terrace_image(shape=(128, 128), pixel_pitch_m=(1e-9, 1e-9), *,
                         rng_seed=0) -> AfmImage:
     """Synthesize a terraced topograph: vertical bands ``step_m`` apart.
 
-    Terrace boundaries are jittered per seed, and optional plane tilt
-    (``tilt_m_per_px`` = (x, y) slopes) and per-row height offsets model the
-    usual scan artifacts.
+    Terrace boundaries are jittered per seed, by up to 5 % of the width; a
+    draw that leaves a terrace narrower than one column is refused.  Optional
+    plane tilt (``tilt_m_per_px`` = (x, y) slopes) and per-row height offsets
+    model the usual scan artifacts.
     """
     ny, nx = shape
     if min(ny, nx) < 1:
         raise ValidationError(f"image shape must be positive, got {ny} x {nx}")
     if n_terraces < 1:
         raise ValidationError(f"need at least one terrace, got {n_terraces}")
-    if n_terraces > nx:
-        raise ValidationError(f"{n_terraces} terraces do not fit in {nx} columns")
     if noise_sigma_m < 0:
         raise ValidationError("noise_sigma_m must be >= 0")
     rng = np.random.default_rng(rng_seed)
     edges = np.linspace(0, nx, n_terraces + 1)
     jitter = rng.uniform(-0.05 * nx, 0.05 * nx, n_terraces - 1) if n_terraces > 1 else []
     bounds = [0] + [int(round(e + j)) for e, j in zip(edges[1:-1], jitter)] + [nx]
+    narrowest = min(np.diff(bounds))
+    if narrowest < 1:
+        raise ValidationError(f"{n_terraces} terraces do not fit in {nx} columns: "
+                              f"the narrowest drawn terrace is {narrowest} columns wide")
     level = np.zeros(nx)
     for k in range(n_terraces):
         level[bounds[k]:bounds[k + 1]] = k * step_m

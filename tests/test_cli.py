@@ -446,13 +446,26 @@ def sweep_with_metadata(kind, key):
     return build
 
 
+def with_nan_field(command, write_good, name):
+    """``command`` on an input whose third data row starts with ``nan``."""
+    def build(tmp_path):
+        path = tmp_path / "nan.csv"
+        write_good(path)
+        lines = path.read_text().splitlines()
+        row = [line.startswith("#") for line in lines].index(False) + 3
+        lines[row] = "nan" + lines[row][lines[row].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        return [command, path], name
+    return build
+
+
 def synth_with_flags(kind, *flags):
     def build(tmp_path):
         return ["synth", kind, *flags], "synth"
     return build
 
 
-#: malformed flag, config or metadata -> builder of (argv, error record stem)
+#: malformed flag, config, metadata or row -> builder of (argv, error record stem)
 OUTSIDE_INPUT_ERRORS = {
     "level-points-missing-coordinate": afm_with_level_points("1,2 3"),
     "level-points-non-integer": afm_with_level_points("1,2 3,4 5,x"),
@@ -474,6 +487,11 @@ OUTSIDE_INPUT_ERRORS = {
         "tempsweep", "reference_temperature_K"),
     "non-numeric-f0": sweep_with_metadata("powersweep", "f0_hz"),
     "non-numeric-temperature": sweep_with_metadata("powersweep", "temperature_K"),
+    "xps-nan-energy": with_nan_field(
+        "xps-quant", lambda path: TestXpsQuant().write_line(path, "O1s", 530.0, 5000.0, 1),
+        "xps_quant"),
+    "powersweep-nan-phonon-number": with_nan_field(
+        "fit-powersweep", lambda path: PER_FILE_COMMANDS["fit-powersweep"][1](path, 1), "nan"),
     "synth-negative-qi": synth_with_flags("s11", "--qi", "-5"),
     "synth-too-few-s11-points": synth_with_flags("s11", "--points", "3"),
     "synth-afm-too-narrow": synth_with_flags("afm", "--nx", "4"),
@@ -492,6 +510,8 @@ OUTSIDE_INPUT_ERRORS = {
     "synth-afm-negative-noise": synth_with_flags("afm", "--noise-m", "-1"),
     "synth-afm-more-terraces-than-columns": synth_with_flags(
         "afm", "--terraces", "500", "--nx", "64"),
+    "synth-afm-terrace-narrower-than-a-column": synth_with_flags(
+        "afm", "--terraces", "20", "--nx", "64", "--ny", "16"),
 }
 
 
@@ -558,6 +578,15 @@ class TestBatchErrors:
         assert run(["fit-resonance", tmp_path / "s11.csv", "--out", out]) == 1
         assert read_json(out / "s11.error.json")["error"]
         assert not list(out.glob("*.tmp"))
+
+    def test_unwritable_error_record_is_reported(self, tmp_path, capsys):
+        PER_FILE_COMMANDS["fit-resonance"][1](tmp_path / "s11.csv", 1)
+        not_a_dir = tmp_path / "not_a_dir"
+        not_a_dir.write_text("a file\n")
+        assert run(["fit-resonance", tmp_path / "s11.csv", "--out", not_a_dir]) == 1
+        err = capsys.readouterr().err
+        assert "s11.csv" in err and "no error record written" in err
+        assert not_a_dir.read_text() == "a file\n"
 
     @pytest.mark.parametrize("case", sorted(OUTSIDE_INPUT_ERRORS))
     def test_outside_input_errors_are_recorded(self, tmp_path, case):

@@ -20,6 +20,7 @@ from sawkit.spectra import (
     parse_powersweep_csv,
     parse_s11_csv,
     parse_tempsweep_csv,
+    parse_walkoff_csv,
     parse_xps_csv,
 )
 from sawkit.synth import synth_s11, synth_temperature_sweep
@@ -286,6 +287,65 @@ class TestParsePaths:
             warnings.simplefilter("error")
             with pytest.raises(ParseError, match="no data rows"):
                 parse_s11_csv("# a=1\nfreq_hz,re,im" + tail)
+
+
+#: kind -> (parser, lines before the rows, valid rows)
+VALID_TABLES = {
+    "s11": (parse_s11_csv, ["# a=1", "freq_hz,re,im"],
+            [f"{1e6 + i},0.5,-0.1" for i in range(8)]),
+    "xps": (parse_xps_csv, ["# line=O1s", "be_ev,counts"],
+            [f"{520 + i},1" for i in range(8)]),
+    "tempsweep": (parse_tempsweep_csv, ["temperature_K,f0_hz,f0_err_hz"],
+                  [f"{0.02 * (i + 1)},6.9e8,10" for i in range(8)]),
+    "powersweep": (parse_powersweep_csv,
+                   ["# temperature_K=0.01", "# f0_hz=6.9e8", "n_mean,qi,qi_err"],
+                   [f"1e{i},2600,26" for i in range(8)]),
+    "walkoff": (parse_walkoff_csv, ["theta_deg,eta_deg"],
+                [f"{-90 + 20 * i},0.5" for i in range(10)]),
+    "afm": (parse_afm_grid, ["16 16 1e-09 1e-09"], [" ".join(["0"] * 16)] * 16),
+}
+
+#: (kind, data row, the row that replaces it) for every container row rule
+BROKEN_ROWS = {
+    "s11-nan-frequency": ("s11", 3, "nan,0.5,-0.1"),
+    "s11-inf-real": ("s11", 5, "1000005,inf,-0.1"),
+    "s11-nan-imaginary": ("s11", 0, "1e6,0.5,nan"),
+    "s11-repeated-frequency": ("s11", 3, "1000002,0.5,-0.1"),
+    "xps-nan-energy": ("xps", 2, "nan,1"),
+    "xps-nan-counts": ("xps", 6, "526,nan"),
+    "xps-non-monotone-energy": ("xps", 4, "521.5,1"),
+    "xps-negative-counts": ("xps", 4, "524,-3"),
+    "tempsweep-nan-temperature": ("tempsweep", 2, "nan,6.9e8,10"),
+    "tempsweep-inf-error": ("tempsweep", 7, "0.16,6.9e8,inf"),
+    "tempsweep-temperature-above-1K": ("tempsweep", 3, "1.5,6.9e8,10"),
+    "tempsweep-zero-temperature": ("tempsweep", 0, "0,6.9e8,10"),
+    "tempsweep-negative-f0": ("tempsweep", 4, "0.1,-6.9e8,10"),
+    "tempsweep-negative-error": ("tempsweep", 5, "0.12,6.9e8,-1"),
+    "powersweep-nan-phonon-number": ("powersweep", 3, "nan,2600,26"),
+    "powersweep-nan-qi": ("powersweep", 6, "1e6,nan,26"),
+    "powersweep-zero-phonon-number": ("powersweep", 0, "0,2600,26"),
+    "powersweep-negative-qi": ("powersweep", 2, "1e2,-2600,26"),
+    "powersweep-negative-error": ("powersweep", 7, "1e7,2600,-26"),
+    "walkoff-nan-angle": ("walkoff", 4, "nan,0.5"),
+    "walkoff-nan-eta": ("walkoff", 9, "90,nan"),
+    "walkoff-repeated-angle": ("walkoff", 5, "-10,0.5"),
+    "afm-inf-height": ("afm", 11, " ".join(["0"] * 15 + ["-inf"])),
+}
+
+
+class TestRowRules:
+    """Each container rule on row values, broken in a file, names the row's line."""
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_ROWS))
+    def test_broken_row_names_its_line(self, case):
+        kind, row, bad = BROKEN_ROWS[case]
+        parse, head, rows = VALID_TABLES[kind]
+        parse("\n".join(head + rows))
+        rows = list(rows)
+        rows[row] = bad
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(head + rows))
+        assert err.value.line == len(head) + row + 1
 
 
 class TestRoundTrips:
