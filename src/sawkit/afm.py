@@ -31,8 +31,6 @@ def remove_line_tilt(image: AfmImage, order=1) -> AfmImage:
         raise ValidationError("order must be 0, 1, or 2")
     h = image.heights_m
     nx = h.shape[1]
-    if nx < order + 1:
-        raise ValidationError(f"rows shorter than order+1 = {order + 1}")
     # anchor each row at its first pixel so constant rows flatten to an
     # exact zero instead of least-squares roundoff
     anchored = h - h[:, :1]

@@ -286,10 +286,10 @@ def cmd_xps_quant(args) -> int:
                            sh.background + fit.model.evaluate(sh.binding_energy_ev),
                            label="bands")
         panels.append(panel)
-    report = xps.atomic_percentages(areas, table, band_areas=band_areas)
-    doc = report.to_json_dict()
+    doc = xps.atomic_percentages(areas, table).to_json_dict()
     doc["charge_shift_ev"] = shift
     doc["areas"] = {k: float(v) for k, v in areas.items()}
+    doc["band_areas"] = band_areas
     doc["band_fits"] = band_fits
     _write_report(args, "xps_quant", doc, lambda: panels)
     return 0

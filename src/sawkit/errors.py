@@ -10,12 +10,15 @@ class ValidationError(SawkitError, ValueError):
 
     ``row`` is the 0-based index of the first offending data row when the
     invariant is one each row must keep, such as finite values or a strictly
-    increasing axis, and None otherwise.
+    increasing axis, and None otherwise.  ``field`` names the one scalar
+    field whose value breaks the invariant, such as a temperature read from
+    a metadata line, and is None otherwise.
     """
 
-    def __init__(self, message, row=None):
+    def __init__(self, message, row=None, field=None):
         super().__init__(message)
         self.row = row
+        self.field = field
 
 
 class ParseError(SawkitError, ValueError):

@@ -10,11 +10,13 @@ under ``STEP_TOL``, before evaluating it, when an accepted step drops the
 cost by less than ``COST_TOL``, or when no damping finds a downhill step.
 A model that is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
-the coefficients (variable projection, Golub & Pereyra 1973).  Every
-reported covariance comes from :func:`with_covariance`, one numeric
-Jacobian of a residual at its optimum, also where the steps had an exact
-one, so every reported sigma is taken the same way; every nested-model
-comparison comes from :func:`nested_gate`.
+the coefficients (variable projection, Golub & Pereyra 1973).  The
+covariance of every fit this module runs comes from :func:`with_covariance`,
+one numeric Jacobian of a residual at its optimum, also where the steps had
+an exact one, so the sigma of every LM fit is taken the same way; the one
+fit solved in closed form, ``tls.fit_fdelta``, takes its 2x2 covariance from
+its own design matrix.  Every nested-model comparison comes from
+:func:`nested_gate`.
 """
 from __future__ import annotations
 

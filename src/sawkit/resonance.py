@@ -14,7 +14,7 @@ information a magnitude-only fit would discard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,20 +55,10 @@ class ResonanceModelParams:
         object.__setattr__(self, "a", complex(self.a))
 
     def to_json_dict(self):
-        dark = None
-        if self.dark is not None:
-            dark = {"f_dark_hz": self.dark.f_dark_hz,
-                    "gamma_hz": self.dark.gamma_hz,
-                    "g_hz": self.dark.g_hz}
-        return {
-            "f0_hz": self.f0_hz,
-            "kappa_hz": self.kappa_hz,
-            "kappa_e_hz": self.kappa_e_hz,
-            "dark": dark,
-            "a_re": self.a.real,
-            "a_im": self.a.imag,
-            "tau_s": self.tau_s,
-        }
+        doc = asdict(self)
+        a = doc.pop("a")
+        doc["a_re"], doc["a_im"] = a.real, a.imag
+        return doc
 
 
 @dataclass(frozen=True)
@@ -85,14 +75,7 @@ class ResonanceFitResult:
             raise ValidationError("residual_rms must be >= 0")
 
     def to_json_dict(self):
-        return {
-            "params": self.params.to_json_dict(),
-            "param_errors": dict(self.param_errors),
-            "qi": self.qi,
-            "qe": self.qe,
-            "residual_rms": self.residual_rms,
-            "n_iterations": self.n_iterations,
-        }
+        return asdict(self) | {"params": self.params.to_json_dict()}
 
 
 def _reciprocal(freq_hz, f0_hz, kappa, f_dark_hz=None, gamma=0.0, g=0.0):

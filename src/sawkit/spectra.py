@@ -32,7 +32,11 @@ rules on row values (finite, strictly increasing, in range) are checked only
 in each container's ``__post_init__``, which reports the first offending row
 as :attr:`ValidationError.row <sawkit.errors.ValidationError>`.  Only once a
 row is found faulty, by the loader or by the container, are the lines walked
-one by one, to name the faulty line in the error.
+one by one, to name the faulty line in the error.  A metadata or header value
+the container refuses, such as ``# f0_hz=-6.9e8`` or a pixel pitch that is
+not positive, is named as :attr:`ValidationError.field
+<sawkit.errors.ValidationError>`, and the reader reports it with the line it
+read that value from.
 """
 from __future__ import annotations
 
@@ -105,7 +109,8 @@ class TemperatureSweepSeries:
             raise ValidationError("need at least 4 distinct temperatures")
         _reject_rows((t <= 0) | (t > 1.0), "temperatures must lie in (0, 1] K")
         if not 0.0 < self.reference_temperature_k <= 1.0:
-            raise ValidationError("reference temperature must lie in (0, 1] K")
+            raise ValidationError("reference temperature must lie in (0, 1] K",
+                                  field="reference_temperature_k")
         _reject_rows((f <= 0) | (e < 0), "f0 must be positive and errors nonnegative")
 
 
@@ -127,8 +132,10 @@ class PowerSweepSeries:
                      "phonon numbers and qi must be positive and errors nonnegative")
         if np.log10(n.max() / n.min()) < 3.0 - 1e-9:
             raise ValidationError("sweep must span at least 3 decades of phonon number")
-        if not (0 < self.temperature_k < np.inf and 0 < self.f0_hz < np.inf):
-            raise ValidationError("temperature and f0 must be positive and finite")
+        for name in ("temperature_k", "f0_hz"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValidationError("temperature and f0 must be positive and finite",
+                                      field=name)
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ class XpsSpectrum:
                      first=1)
         _reject_rows(c < 0, "counts must be nonnegative")
         if not self.element_line:
-            raise ValidationError("element_line label must be non-empty")
+            raise ValidationError("element_line label must be non-empty", field="element_line")
 
     def ascending(self):
         """The same spectrum with the energy axis ascending."""
@@ -170,7 +177,8 @@ class AfmImage:
                       size=16, ndim=2, heights_m=float)
         dx, dy = self.pixel_pitch_m
         if not (0 < dx < np.inf and 0 < dy < np.inf):
-            raise ValidationError("pixel pitch must be positive and finite")
+            raise ValidationError("pixel pitch must be positive and finite",
+                                  field="pixel_pitch_m")
         object.__setattr__(self, "pixel_pitch_m", (float(dx), float(dy)))
 
     @property
@@ -202,16 +210,12 @@ class WalkoffCurve:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _content_lines(text):
-    """The stripped non-blank lines of ``text``."""
-    return list(filter(None, map(str.strip, text.splitlines())))
-
-
 def _numbered_rows(text):
     """(1-based line number, content) of the header and each data row.
 
-    The same lines as :func:`_content_lines` without the comments, walked one
-    by one; only the error paths below use it, to name a line.
+    The stripped non-blank lines of ``text`` that are not comments, walked
+    one by one; the error paths below use it to name a line, and the AFM
+    reader to read its few long rows.
     """
     return [(i, line) for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
             if line and line[0] != "#"]
@@ -254,18 +258,20 @@ def _load_rows(lines, ncols, delimiter, text):
 def _read_csv(text, header):
     """Read the ``# key=value`` comments, check the header line, load the rows.
 
-    Returns (meta dict, float array of shape ``(rows, len(header))``).  The
-    rows are read by one ``np.loadtxt`` call; a fault found in them, here or
-    by the container built from them, is named by its line through
-    :func:`_row_error` or :func:`_unreadable`.
+    Returns ((meta dict, 1-based line of each meta key), float array of
+    shape ``(rows, len(header))``).  The rows are read by one ``np.loadtxt``
+    call; a fault found in them, here or by the container built from them,
+    is named by its line through :func:`_row_error` or :func:`_unreadable`.
     """
-    lines = _content_lines(text)
-    comments = [line[1:] for line in lines if line[0] == "#"]
-    meta = {}
-    for body in comments:
-        key, eq, value = body.partition("=")
+    stripped = list(map(str.strip, text.splitlines()))
+    lines = list(filter(None, stripped))
+    comments = [i for i, line in enumerate(stripped, start=1) if line[:1] == "#"]
+    meta, meta_lines = {}, {}
+    for i in comments:
+        key, eq, value = stripped[i - 1][1:].partition("=")
         if eq:
             meta[key.strip()] = value.strip()
+            meta_lines[key.strip()] = i
     start = next((i for i, line in enumerate(lines) if line[0] != "#"), None)
     if start is None:
         raise ParseError(f"missing header {','.join(header)!r}")
@@ -274,21 +280,22 @@ def _read_csv(text, header):
                          f"got {lines[start]!r}", -1)
     if len(lines) - 1 == len(comments):
         raise ParseError("no data rows")
-    return meta, _load_rows(lines[start + 1:], len(header), ",", text)
+    return (meta, meta_lines), _load_rows(lines[start + 1:], len(header), ",", text)
 
 
-def _build(text, cls, *args, **kwargs):
+def _build(text, cls, *args, field_lines=None, **kwargs):
     """Construct a domain object read from ``text``; a violated invariant
-    becomes a ParseError naming the line of the first offending row."""
+    becomes a ParseError naming the line of the first offending row, or the
+    line ``field_lines`` gives for the offending field."""
     try:
         return cls(*args, **kwargs)
     except ValidationError as exc:
         if exc.row is None:
-            raise ParseError(str(exc)) from exc
+            raise ParseError(str(exc), line=(field_lines or {}).get(exc.field)) from exc
         raise _row_error(text, str(exc), exc.row) from exc
 
 
-def _meta_float(meta, key, default=None):
+def _meta_float(meta, meta_lines, key, default=None):
     """A numeric ``# key=value`` metadata entry, or ``default`` if absent."""
     value = meta.get(key, default)
     if value is None:
@@ -296,12 +303,13 @@ def _meta_float(meta, key, default=None):
     try:
         return float(value)
     except ValueError:
-        raise ParseError(f"non-numeric metadata '# {key}={value}'") from None
+        raise ParseError(f"non-numeric metadata '# {key}={value}'",
+                         line=meta_lines[key]) from None
 
 
 def parse_s11_csv(text) -> ComplexSpectrum:
     """Parse a reflection trace.  See the module docstring for the format."""
-    meta, cols = _read_csv(text, ("freq_hz", "re", "im"))
+    (meta, _), cols = _read_csv(text, ("freq_hz", "re", "im"))
     # assigned, not re + 1j*im, which would turn a -0.0 real part into 0.0
     values = np.empty(len(cols), dtype=complex)
     values.real = cols[:, 1]
@@ -311,31 +319,34 @@ def parse_s11_csv(text) -> ComplexSpectrum:
 
 def parse_xps_csv(text) -> XpsSpectrum:
     """Parse an XPS line scan; the ``# line=<element>`` header is required."""
-    meta, cols = _read_csv(text, ("be_ev", "counts"))
+    (meta, meta_lines), cols = _read_csv(text, ("be_ev", "counts"))
     if "line" not in meta:
         raise ParseError("missing '# line=<element>' header")
-    return _build(text, XpsSpectrum, *cols.T, meta["line"])
+    return _build(text, XpsSpectrum, *cols.T, meta["line"],
+                  field_lines={"element_line": meta_lines["line"]})
 
 
 def parse_afm_grid(text) -> AfmImage:
     """Parse an AFM height grid; header is ``nx ny dx_m dy_m``."""
-    lines = [line for line in _content_lines(text) if line[0] != "#"]
-    if not lines:
+    numbered = _numbered_rows(text)
+    if not numbered:
         raise ParseError("empty AFM grid file")
-    parts = lines[0].split()
+    head = numbered[0][0]
+    parts = numbered[0][1].split()
+    rows = [line for _, line in numbered[1:]]
     if len(parts) != 4:
-        raise _row_error(text, "header must be 'nx ny dx_m dy_m'", -1)
+        raise ParseError("header must be 'nx ny dx_m dy_m'", line=head)
     try:
         nx, ny = int(parts[0]), int(parts[1])
         dx, dy = float(parts[2]), float(parts[3])
     except ValueError:
-        raise _row_error(text, "non-numeric header field", -1) from None
+        raise ParseError("non-numeric header field", line=head) from None
     if nx < 0 or ny < 0:
-        raise _row_error(text, "negative grid dimension", -1)
-    if len(lines) - 1 != ny:
-        raise _row_error(text, f"header claims {ny} rows but {len(lines) - 1} present", -1)
-    heights = _load_rows(lines[1:], nx, None, text) if ny else np.empty((0, nx))
-    return _build(text, AfmImage, heights, (dx, dy))
+        raise ParseError("negative grid dimension", line=head)
+    if len(rows) != ny:
+        raise ParseError(f"header claims {ny} rows but {len(rows)} present", line=head)
+    heights = _load_rows(rows, nx, None, text) if ny else np.empty((0, nx))
+    return _build(text, AfmImage, heights, (dx, dy), field_lines={"pixel_pitch_m": head})
 
 
 def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
@@ -344,9 +355,11 @@ def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
     An optional ``# reference_temperature_K=...`` metadata line overrides the
     0.200 K default.
     """
-    meta, cols = _read_csv(text, ("temperature_K", "f0_hz", "f0_err_hz"))
-    t_ref = _meta_float(meta, "reference_temperature_K", 0.200)
-    return _build(text, TemperatureSweepSeries, *cols.T, reference_temperature_k=t_ref)
+    (meta, meta_lines), cols = _read_csv(text, ("temperature_K", "f0_hz", "f0_err_hz"))
+    key = "reference_temperature_K"
+    return _build(text, TemperatureSweepSeries, *cols.T,
+                  reference_temperature_k=_meta_float(meta, meta_lines, key, 0.200),
+                  field_lines={"reference_temperature_k": meta_lines.get(key)})
 
 
 def parse_powersweep_csv(text) -> PowerSweepSeries:
@@ -355,10 +368,12 @@ def parse_powersweep_csv(text) -> PowerSweepSeries:
     ``# temperature_K=...`` and ``# f0_hz=...`` metadata lines carry the
     operating point the model needs.
     """
-    meta, cols = _read_csv(text, ("n_mean", "qi", "qi_err"))
+    (meta, meta_lines), cols = _read_csv(text, ("n_mean", "qi", "qi_err"))
     return _build(text, PowerSweepSeries, *cols.T,
-                  temperature_k=_meta_float(meta, "temperature_K"),
-                  f0_hz=_meta_float(meta, "f0_hz"))
+                  temperature_k=_meta_float(meta, meta_lines, "temperature_K"),
+                  f0_hz=_meta_float(meta, meta_lines, "f0_hz"),
+                  field_lines={"temperature_k": meta_lines["temperature_K"],
+                               "f0_hz": meta_lines["f0_hz"]})
 
 
 def parse_walkoff_csv(text) -> WalkoffCurve:

@@ -15,7 +15,7 @@ only the critical phonon number and the exponent are searched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,14 +110,9 @@ class TlsFitResult:
             raise ValidationError("f_delta_err must be >= 0")
 
     def to_json_dict(self):
-        return {
-            "f_delta_tls": self.f_delta_tls,
-            "f_delta_err": self.f_delta_err,
-            "f0_hz": self.f0_hz,
-            "reference_temperature_K": self.reference_temperature_k,
-            "residual_rms": self.residual_rms,
-            "non_positive": self.non_positive,
-        }
+        doc = asdict(self)
+        doc["reference_temperature_K"] = doc.pop("reference_temperature_k")
+        return doc
 
 
 def fit_fdelta(series) -> TlsFitResult:
@@ -191,14 +186,9 @@ class PowerModelParams:
             raise ValidationError("beta must lie in (0, 2]")
 
     def to_json_dict(self):
-        return {
-            "f_delta_tls": self.f_delta_tls,
-            "n_c": self.n_c,
-            "beta": self.beta,
-            "q_i_res": self.q_i_res,
-            "temperature_K": self.temperature_k,
-            "f0_hz": self.f0_hz,
-        }
+        doc = asdict(self)
+        doc["temperature_K"] = doc.pop("temperature_k")
+        return doc
 
 
 def _saturation(log_ratio, beta):
@@ -237,14 +227,7 @@ class PowerSweepFitResult:
     n_iterations: int
 
     def to_json_dict(self):
-        return {
-            "params": self.params.to_json_dict(),
-            "param_errors": dict(self.param_errors),
-            "beta_fixed": self.beta_fixed,
-            "beta_unidentifiable": self.beta_unidentifiable,
-            "residual_rms": self.residual_rms,
-            "n_iterations": self.n_iterations,
-        }
+        return asdict(self) | {"params": self.params.to_json_dict()}
 
 
 def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:

@@ -7,7 +7,7 @@ steering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,11 +61,7 @@ class ZeroCrossing:
     uncertainty_deg: float
 
     def to_json_dict(self):
-        return {
-            "theta_deg": self.theta_deg,
-            "slope_deg_per_deg": self.slope_deg_per_deg,
-            "uncertainty_deg": self.uncertainty_deg,
-        }
+        return asdict(self)
 
 
 def _centered_slope(theta, eta, j):
@@ -103,7 +99,7 @@ def find_zero_crossings(curve: WalkoffCurve):
             t = theta[i] + frac * (theta[i + 1] - theta[i])
             crossings.append(crossing(t, i if frac < 0.5 else i + 1, theta[i + 1] - theta[i]))
     # trailing exact zero, falling or rising through it
-    if eta[-1] == 0.0 and theta.size >= 2 and eta[-2] != 0.0:
+    if eta[-1] == 0.0 and eta[-2] != 0.0:
         crossings.append(crossing(theta[-1], theta.size - 1, theta[-1] - theta[-2]))
     return crossings
 

@@ -11,7 +11,7 @@ and that one width pair and solves the areas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -312,11 +312,10 @@ def _element_symbol(line):
 
 @dataclass(frozen=True)
 class XpsQuantReport:
-    """Atomic percentages, ratios to niobium, and optional per-band areas."""
+    """Atomic percentages and ratios to niobium."""
 
     atomic_percent: dict
     ratios_to_nb: dict
-    band_areas: dict = field(default_factory=dict)
 
     def __post_init__(self):
         total = sum(self.atomic_percent.values())
@@ -326,18 +325,12 @@ class XpsQuantReport:
             raise ValidationError(f"percentages must sum to 100, got {total!r}")
         object.__setattr__(self, "atomic_percent", dict(self.atomic_percent))
         object.__setattr__(self, "ratios_to_nb", dict(self.ratios_to_nb))
-        object.__setattr__(self, "band_areas", dict(self.band_areas))
 
     def to_json_dict(self):
-        return {
-            "atomic_percent": dict(self.atomic_percent),
-            "ratios_to_nb": dict(self.ratios_to_nb),
-            "band_areas": {k: [float(x) for x in v] for k, v in self.band_areas.items()},
-        }
+        return asdict(self)
 
 
-def atomic_percentages(integrated_areas, table: SensitivityTable,
-                       band_areas=None) -> XpsQuantReport:
+def atomic_percentages(integrated_areas, table: SensitivityTable) -> XpsQuantReport:
     """Sensitivity-weighted atomic percentages from integrated line areas.
 
     percent(x) = (area_x / F_x) / sum_i(area_i / F_i) * 100.  Ratios to Nb
@@ -361,5 +354,4 @@ def atomic_percentages(integrated_areas, table: SensitivityTable,
             if line == "Nb3d" or nb == 0:
                 continue
             ratios[f"{_element_symbol(line)}/Nb"] = value / nb
-    return XpsQuantReport(atomic_percent=percent, ratios_to_nb=ratios,
-                          band_areas=band_areas or {})
+    return XpsQuantReport(atomic_percent=percent, ratios_to_nb=ratios)

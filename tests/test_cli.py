@@ -434,15 +434,25 @@ def xps_with_config(text):
 NOT_UTF8 = b"\xff\xfe" + "frequency_hz,re,im\n".encode("utf-16-le")
 
 
-def sweep_with_metadata(kind, key):
-    """A sweep whose ``# key=`` metadata value is not a number."""
+def sweep_with_metadata(kind, key, value="abc"):
+    """A sweep whose ``# key=`` metadata line reads ``value``, by default not a number."""
     def build(tmp_path):
         sweep = tmp_path / "s.csv"
         run(["synth", kind, "--points", "20", "--output", sweep])
-        lines = [f"# {key}=abc" if line.startswith(f"# {key}=") else line
+        lines = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
                  for line in sweep.read_text().splitlines()]
         sweep.write_text("\n".join(lines) + "\n")
         return [f"fit-{kind}", sweep, "--keep-going"], "s"
+    return build
+
+
+def afm_with_header(header):
+    """A grid whose header line is replaced by ``header``."""
+    def build(tmp_path):
+        grid = tmp_path / "g.txt"
+        PER_FILE_COMMANDS["afm"][1](grid, 0)
+        grid.write_text("\n".join([header, *grid.read_text().splitlines()[1:]]) + "\n")
+        return ["afm", grid], "g"
     return build
 
 
@@ -512,6 +522,18 @@ OUTSIDE_INPUT_ERRORS = {
         "afm", "--terraces", "500", "--nx", "64"),
     "synth-afm-terrace-narrower-than-a-column": synth_with_flags(
         "afm", "--terraces", "20", "--nx", "64", "--ny", "16"),
+}
+
+
+#: metadata or header value a container refuses -> (builder of (argv, error
+#: record stem), the value's line in the fixture ``sawkit synth`` writes)
+REFUSED_METADATA = {
+    "non-numeric-f0": (sweep_with_metadata("powersweep", "f0_hz"), 1),
+    "negative-f0": (sweep_with_metadata("powersweep", "f0_hz", "-6.9e8"), 1),
+    "nan-temperature": (sweep_with_metadata("powersweep", "temperature_K", "nan"), 2),
+    "reference-temperature-above-1K": (
+        sweep_with_metadata("tempsweep", "reference_temperature_K", "2"), 1),
+    "afm-negative-pitch": (afm_with_header("64 64 -1e-09 1e-09"), 1),
 }
 
 
@@ -594,6 +616,111 @@ class TestBatchErrors:
         out = tmp_path / "results"
         assert run(argv + ["--out", out]) == 1
         assert read_json(out / f"{name}.error.json")["error"]
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_METADATA))
+    def test_refused_metadata_is_recorded_with_its_line(self, tmp_path, case):
+        build, line = REFUSED_METADATA[case]
+        argv, name = build(tmp_path)
+        out = tmp_path / "results"
+        assert run(argv + ["--out", out]) == 1
+        assert read_json(out / f"{name}.error.json")["error"].startswith(f"line {line}: ")
+
+
+def key_paths(doc, path=""):
+    """The dotted path of every key in a JSON document; list items share ``[]``."""
+    if isinstance(doc, list):
+        return set().union(*(key_paths(item, path + "[]") for item in doc))
+    if isinstance(doc, dict):
+        paths = set()
+        for key, value in doc.items():
+            sub = f"{path}.{key}" if path else key
+            paths |= {sub} | key_paths(value, sub)
+        return paths
+    return set()
+
+
+def report_of(command, write_input, *flags):
+    """``command`` on the input ``write_input(path)`` writes, and the report it wrote."""
+    def build(tmp_path):
+        path = tmp_path / "in.csv"
+        write_input(path)
+        assert run([command, path, *flags, "--out", tmp_path]) == 0
+        return read_json(tmp_path / f"in.{PER_FILE_COMMANDS[command][0]}.json")
+    return build
+
+
+def xps_report(tmp_path):
+    indir = tmp_path / "xps"
+    indir.mkdir()
+    TestXpsQuant().write_line(indir / "O1s.csv", "O1s", 530.0, 5000.0, 1)
+    TestXpsQuant().write_line(indir / "Nb3d.csv", "Nb3d", 207.3, 5000.0, 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bands": {"O1s": [{"center_ev": 529.5}, {"center_ev": 531.0}]}}))
+    assert run(["xps-quant", indir, "--config", cfg, "--out", tmp_path]) == 0
+    return read_json(tmp_path / "xps_quant.json")
+
+
+RESONANCE_KEYS = """
+    params params.f0_hz params.kappa_hz params.kappa_e_hz params.a_re params.a_im
+    params.tau_s params.dark param_errors param_errors.f0_hz param_errors.kappa_hz
+    param_errors.kappa_e_hz param_errors.a_re param_errors.a_im param_errors.tau_s
+    qi qe residual_rms n_iterations
+"""
+DARK_KEYS = """
+    params.dark.f_dark_hz params.dark.gamma_hz params.dark.g_hz
+    param_errors.f_dark_hz param_errors.gamma_hz param_errors.g_hz
+"""
+
+#: report -> (builder of the written report, its key paths)
+REPORT_SCHEMAS = {
+    "fit-resonance-lorentzian": (
+        report_of("fit-resonance", lambda path: PER_FILE_COMMANDS["fit-resonance"][1](path, 1)),
+        RESONANCE_KEYS),
+    "fit-resonance-dark": (
+        report_of("fit-resonance", lambda path: run(
+            ["synth", "s11", "--f0-hz", "679.564e6", "--points", "3001", "--noise", "0.004",
+             "--seed", "2", "--dark-delta-hz", "75e3", "--output", path]), "--model", "dark"),
+        RESONANCE_KEYS + DARK_KEYS),
+    "fit-tempsweep": (
+        report_of("fit-tempsweep", lambda path: PER_FILE_COMMANDS["fit-tempsweep"][1](path, 1)),
+        "f_delta_tls f_delta_err f0_hz reference_temperature_K residual_rms non_positive"),
+    "fit-powersweep": (
+        report_of("fit-powersweep", lambda path: PER_FILE_COMMANDS["fit-powersweep"][1](path, 1)),
+        """params params.f_delta_tls params.n_c params.beta params.q_i_res
+           params.temperature_K params.f0_hz param_errors param_errors.f_delta_tls
+           param_errors.n_c param_errors.beta param_errors.q_i_res
+           beta_fixed beta_unidentifiable residual_rms n_iterations"""),
+    "xps-quant-with-bands": (
+        xps_report,
+        """atomic_percent atomic_percent.O1s atomic_percent.Nb3d ratios_to_nb
+           ratios_to_nb.O/Nb areas areas.O1s areas.Nb3d charge_shift_ev band_areas
+           band_areas.O1s band_fits band_fits.O1s band_fits.O1s.bands
+           band_fits.O1s.bands[].center_ev band_fits.O1s.bands[].sigma_ev
+           band_fits.O1s.bands[].gamma_ev band_fits.O1s.bands[].mix
+           band_fits.O1s.bands[].area band_fits.O1s.area_errors
+           band_fits.O1s.degenerate band_fits.O1s.residual_rms
+           band_fits.O1s.n_iterations"""),
+    "afm-fit-steps": (
+        report_of("afm", lambda path: run(
+            ["synth", "afm", "--nx", "160", "--ny", "160", "--seed", "5", "--output", path]),
+            "--fit-steps"),
+        """r_q_m order steps steps.centers_m steps.sigma_m steps.amplitudes
+           steps.step_heights_m steps.mean_step_m steps.mean_step_err_m
+           steps.unequal_delta_chi2 steps.equal_steps"""),
+    "walkoff": (
+        report_of("walkoff", lambda path: write_walkoff(path, 0)),
+        "zeros zeros[].theta_deg zeros[].slope_deg_per_deg zeros[].uncertainty_deg "
+        "tangencies half_width"),
+}
+
+
+class TestReportSchema:
+    """Every report ``sawkit`` writes keeps its nested key set."""
+
+    @pytest.mark.parametrize("case", sorted(REPORT_SCHEMAS))
+    def test_report_keys(self, tmp_path, case):
+        build, keys = REPORT_SCHEMAS[case]
+        assert key_paths(build(tmp_path)) == set(keys.split())
 
 
 class TestParserStrictness:

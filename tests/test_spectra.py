@@ -348,6 +348,33 @@ class TestRowRules:
         assert err.value.line == len(head) + row + 1
 
 
+#: (kind, lines before the rows with one metadata value that is refused, its line)
+BROKEN_METADATA = {
+    "powersweep-negative-f0": (
+        "powersweep", ["# temperature_K=0.01", "# f0_hz=-6.9e8", "n_mean,qi,qi_err"], 2),
+    "powersweep-nan-temperature": (
+        "powersweep", ["# temperature_K=nan", "# f0_hz=6.9e8", "n_mean,qi,qi_err"], 1),
+    "tempsweep-reference-above-1K": (
+        "tempsweep", ["# reference_temperature_K=2", "temperature_K,f0_hz,f0_err_hz"], 1),
+    "tempsweep-non-numeric-reference": (
+        "tempsweep", ["", "# reference_temperature_K=abc", "temperature_K,f0_hz,f0_err_hz"], 2),
+    "xps-empty-line-label": ("xps", ["# note", "# line=", "be_ev,counts"], 2),
+    "afm-negative-pitch": ("afm", ["# scan 1", "16 16 -1e-09 1e-09"], 2),
+}
+
+
+class TestMetadataRules:
+    """A metadata or header value its container refuses names the value's line."""
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_METADATA))
+    def test_refused_metadata_names_its_line(self, case):
+        kind, head, line = BROKEN_METADATA[case]
+        parse, _, rows = VALID_TABLES[kind]
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(head + rows))
+        assert err.value.line == line
+
+
 class TestRoundTrips:
     def test_s11_roundtrip_exact(self, rng):
         freq = np.sort(rng.uniform(6e8, 7e8, 64))
