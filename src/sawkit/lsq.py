@@ -3,17 +3,18 @@
 Every nonlinear fitter in the package goes through :func:`fit_least_squares`,
 so convergence behavior and iteration accounting are uniform across
 analyses.  Residual functions return a 1-d float array; the cost is the
-plain sum of squared residuals (callers bake in any weights).  The LM steps
-use a forward-difference Jacobian unless the caller hands in the exact one
-(the resonance model does).  A fit stops when the step it would take is
-under ``STEP_TOL``, before evaluating it, when an accepted step drops the
-cost by less than ``COST_TOL``, or when no damping finds a downhill step.
+plain sum of squared residuals (callers bake in any weights).  Every fit
+hands the engine its Jacobian: the resonance model its exact one,
+:func:`fit_separable` its variable-projection one.  A fit stops when the
+step it would take is under ``STEP_TOL``, before evaluating it, when an
+accepted step drops the cost by less than ``COST_TOL``, or when no damping
+finds a downhill step.
 A model that is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
 the coefficients (variable projection, Golub & Pereyra 1973).  The
 covariance of every fit this module runs comes from :func:`with_covariance`,
-one numeric Jacobian of a residual at its optimum, also where the steps had
-an exact one, so the sigma of every LM fit is taken the same way; the one
+one numeric Jacobian of a residual at its optimum, whatever Jacobian the
+steps took, so the sigma of every LM fit is taken the same way; the one
 fit solved in closed form, ``tls.fit_fdelta``, takes its 2x2 covariance from
 its own design matrix.  Every nested-model comparison comes from
 :func:`nested_gate`.
@@ -79,13 +80,13 @@ def _damped_step(a, g, d, lam):
         return np.linalg.lstsq(a + lam * np.diag(d), -g, rcond=None)[0]
 
 
-def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None):
+def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
     """Minimize ``sum(fun(p)**2)`` from ``p0`` by damped least squares.
 
-    ``jac``, when given, maps ``p`` to the ``(m, n)`` Jacobian of ``fun`` and
-    is called once per iteration in place of :func:`numeric_jacobian`, which
-    costs ``n`` evaluations of ``fun``.  It only steers the search: the
-    covariance of the optimum comes from :func:`with_covariance`.
+    ``jac`` maps ``p`` to the ``(m, n)`` Jacobian of ``fun``; every fit hands
+    in its own, and it is called once per iteration, at the point the last
+    accepted step reached.  It only steers the search: the covariance of the
+    optimum comes from :func:`with_covariance`.
 
     The normal equations are damped with the Marquardt scaling
     ``(J'J + lam * diag(J'J))`` and ``lam``, starting at ``LAM0``, is adapted:
@@ -105,9 +106,6 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None
     """
     p = np.asarray(p0, dtype=float).copy()
     n = p.size
-    if x_scale is None:
-        x_scale = np.maximum(np.abs(p), 1e-30)
-    x_scale = np.asarray(x_scale, dtype=float)
     lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     p = np.clip(p, lo, hi)
@@ -119,10 +117,7 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None
     lam = LAM0
 
     for n_iter in range(1, MAX_ITER + 1):
-        if jac is None:
-            jac_p = numeric_jacobian(fun, p, r0=r, x_scale=x_scale)
-        else:
-            jac_p = jac(p)
+        jac_p = jac(p)
         a = jac_p.T @ jac_p
         g = jac_p.T @ r
         d = np.diag(a).copy()
@@ -153,8 +148,7 @@ def fit_least_squares(fun, p0, *, x_scale=None, lower=None, upper=None, jac=None
             lam = min(lam * 10.0, 1e15)
         else:
             # No downhill direction at any damping: stationary to numerical
-            # precision, which is as converged as the Jacobian (numeric or
-            # exact) can show.
+            # precision, which is as converged as the Jacobian can show.
             return LeastSquaresResult(p, r, cost, n_iter)
 
     raise FitError(f"no convergence after {MAX_ITER} iterations (cost {cost:.3e})")
@@ -198,10 +192,21 @@ def fit_separable(basis, data, p0, *, x_scale, lower=None, upper=None):
     """Fit ``data ~ basis(p) @ c`` with ``c >= 0`` solved at every evaluation.
 
     LM searches only ``p`` (through :func:`fit_least_squares`); the residual
-    it sees is ``basis(p) @ c(p) - data``.  The result holds ``p`` followed by
-    ``c``, with the covariance of the full residual ``basis(p) @ c - data``
-    over both, so it carries the correlation of the coefficients with the
-    searched parameters.
+    it sees is ``r = B c(p) - data`` with ``B = basis(p)``.  It steps on the
+    variable-projection Jacobian (Golub & Pereyra 1973)
+
+        dr/dp_j = (I - P) (dB/dp_j) c - (B+)' (dB/dp_j)' r,
+
+    with ``B``, its pseudo-inverse ``B+``, the projection ``P = B B+`` and
+    ``c`` restricted to the columns the non-negative solve keeps.  Both terms
+    stay: the second, which Kaufman's (1975) form drops, is of the size of
+    the residual, and without it a terrace comb of uneven areas misses its
+    steps.  ``dB/dp`` is one :func:`numeric_jacobian` of ``basis`` alone,
+    with steps from ``x_scale``.
+
+    The result holds ``p`` followed by ``c``, with the covariance of the
+    full residual ``basis(p) @ c - data`` over both, so it carries the
+    correlation of the coefficients with the searched parameters.
     """
     data = np.asarray(data, dtype=float)
     m = len(p0)
@@ -210,7 +215,20 @@ def fit_separable(basis, data, p0, *, x_scale, lower=None, upper=None):
         b = basis(p)
         return b @ _nonneg_solve(b, data) - data
 
-    res = fit_least_squares(residual, p0, x_scale=x_scale, lower=lower, upper=upper)
+    def jacobian(p):
+        b = basis(p)
+        coef = _nonneg_solve(b, data)
+        r = b @ coef - data
+        keep = coef > 0.0
+        d_b = numeric_jacobian(lambda q: basis(q).ravel(), p, b.ravel(), x_scale)
+        d_b = d_b.reshape(b.shape + (m,))[:, keep]     # [row, kept column, p_j]
+        b = b[:, keep]
+        b_pinv = np.linalg.pinv(b)
+        d_b_c = np.einsum("ikj,k->ij", d_b, coef[keep])
+        return (d_b_c - b @ (b_pinv @ d_b_c)
+                - b_pinv.T @ np.einsum("ikj,i->kj", d_b, r))
+
+    res = fit_least_squares(residual, p0, jac=jacobian, lower=lower, upper=upper)
     b = basis(res.params)
     coef = _nonneg_solve(b, data)
     col_norm = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)

@@ -130,8 +130,6 @@ def eval_s11(params: ResonanceModelParams, freq_hz):
 
 def q_factors(params: ResonanceModelParams):
     """(Q_internal, Q_external) under the convention Q = 2*pi*f0 / rate."""
-    if params.kappa_hz <= params.kappa_e_hz:
-        raise FitError("kappa must exceed kappa_e to define an internal Q")
     w0 = 2.0 * np.pi * params.f0_hz
     qe = w0 / params.kappa_e_hz
     qi = w0 / (params.kappa_hz - params.kappa_e_hz)

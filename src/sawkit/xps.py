@@ -67,21 +67,19 @@ class SensitivityTable:
 # charge referencing
 # ---------------------------------------------------------------------------
 
-def charge_shift(spectra, measured_nb3d52_ev=None):
+def charge_shift(spectra):
     """Translate all binding-energy axes so Nb3d5/2 sits at 207.3 eV.
 
-    The measured peak position is auto-detected as the maximum of the Nb3d
-    spectrum when not supplied.  Returns (shifted spectra, shift in eV);
-    counts are untouched, so every peak area is preserved exactly.
+    The measured peak position is the maximum of the first Nb3d spectrum.
+    Returns (shifted spectra, shift in eV); counts are untouched, so every
+    peak area is preserved exactly.
     """
     spectra = list(spectra)
-    if measured_nb3d52_ev is None:
-        nb = [s for s in spectra if s.element_line == "Nb3d"]
-        if not nb:
-            raise ValidationError("no Nb3d spectrum available for charge referencing")
-        ref = nb[0]
-        measured_nb3d52_ev = float(ref.binding_energy_ev[np.argmax(ref.counts)])
-    shift = NB3D52_REFERENCE_EV - measured_nb3d52_ev
+    nb = [s for s in spectra if s.element_line == "Nb3d"]
+    if not nb:
+        raise ValidationError("no Nb3d spectrum available for charge referencing")
+    ref = nb[0]
+    shift = NB3D52_REFERENCE_EV - float(ref.binding_energy_ev[np.argmax(ref.counts)])
     shifted = [XpsSpectrum(s.binding_energy_ev + shift, s.counts, s.element_line)
                for s in spectra]
     return shifted, shift
@@ -137,13 +135,12 @@ def shirley_background(spectrum: XpsSpectrum, window) -> ShirleyBackground:
         raise ValidationError("window narrower than 5 points")
     e = be[sel]
     y = counts[sel]
-    n = e.size
 
-    i_lo = float(np.mean(y[:min(3, n)]))
-    i_hi = float(np.mean(y[-min(3, n):]))
+    i_lo = float(np.mean(y[:3]))
+    i_hi = float(np.mean(y[-3:]))
     scale = abs(i_hi - i_lo) + 1e-9 * max(1.0, float(y.max()))
 
-    bg = np.full(n, i_lo)
+    bg = np.full(y.size, i_lo)
     de = np.gradient(e)
     for iteration in range(1, SHIRLEY_MAX_ITER + 1):
         s = y - bg

@@ -18,7 +18,7 @@ def test_recovers_linear_model_with_analytic_covariance(rng):
         return design @ p - y
 
     res = with_covariance(residual, fit_least_squares(residual, [0.0, 0.0],
-                                                      x_scale=[1.0, 1.0]), [1.0, 1.0])
+                                                      jac=lambda p: design), [1.0, 1.0])
     expected = np.linalg.lstsq(design, y, rcond=None)[0]
     assert np.allclose(res.params, expected, atol=1e-9)
 
@@ -29,11 +29,16 @@ def test_recovers_linear_model_with_analytic_covariance(rng):
     assert np.allclose(res.covariance, cov_expected, rtol=1e-6)
 
 
-def test_rosenbrock_valley():
-    def residual(p):
-        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+def rosenbrock(p):
+    return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
 
-    res = fit_least_squares(residual, [-1.2, 1.0], x_scale=[1.0, 1.0])
+
+def rosenbrock_jac(p):
+    return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
+
+def test_rosenbrock_valley():
+    res = fit_least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jac)
     assert np.allclose(res.params, [1.0, 1.0], atol=1e-6)
 
 
@@ -62,12 +67,11 @@ def test_accepted_costs_decrease_to_the_reported_cost(rng):
     assert res.cost == pytest.approx(costs[-1], rel=lsq.COST_TOL)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "numeric"])
-def test_stationary_point_costs_no_extra_evaluations(exact):
+def test_stationary_point_costs_no_extra_evaluations():
     # a zero-residual linear fit ends on a step under STEP_TOL, which is
-    # never evaluated: one evaluation per iteration plus the start, and the
-    # Jacobian's columns when they are differenced.  Whether the last step
-    # is still downhill depends on rounding, so several designs are tried.
+    # never evaluated: one evaluation per iteration plus the start.  Whether
+    # the last step is still downhill depends on rounding, so several
+    # designs are tried.
     truth = np.array([1.0, -2.0, 3.0])
     for seed in range(8):
         design = np.random.default_rng(seed).standard_normal((50, 3))
@@ -78,45 +82,17 @@ def test_stationary_point_costs_no_extra_evaluations(exact):
             evals.append(p)
             return design @ p - y
 
-        res = fit_least_squares(residual, [0.5] * 3,
-                                jac=(lambda p: design) if exact else None)
-        columns = 0 if exact else design.shape[1]
-        assert len(evals) <= res.n_iterations * (1 + columns) + 1, seed
+        res = fit_least_squares(residual, [0.5] * 3, jac=lambda p: design)
+        assert len(evals) <= res.n_iterations + 1, seed
         assert np.allclose(res.params, truth)
-
-
-def test_given_jacobian_replaces_the_numeric_one(monkeypatch, rng):
-    # the same optimum as the numeric path, without a single finite difference
-    x = np.linspace(0, 4, 60)
-    y = 3.0 * np.exp(-1.3 * x) + 0.02 * rng.standard_normal(x.size)
-
-    def residual(p):
-        return p[0] * np.exp(-p[1] * x) - y
-
-    def jacobian(p):
-        decay = np.exp(-p[1] * x)
-        return np.column_stack([decay, -p[0] * x * decay])
-
-    numeric = fit_least_squares(residual, [1.0, 0.3])
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return numeric_jacobian(*args, **kwargs)
-
-    monkeypatch.setattr(lsq, "numeric_jacobian", counted)
-    exact = fit_least_squares(residual, [1.0, 0.3], jac=jacobian)
-    assert calls == []
-    assert np.allclose(exact.params, numeric.params, rtol=1e-6)
-    assert exact.cost == pytest.approx(numeric.cost, rel=1e-9)
 
 
 def test_bound_projection_reports_pinned():
     def residual(p):
         return np.array([p[0] - 5.0, 0.1 * (p[1] - 1.0)])
 
-    res = fit_least_squares(residual, [0.5, 0.5], lower=[0.0, 0.0],
-                            upper=[2.0, 10.0])
+    res = fit_least_squares(residual, [0.5, 0.5], jac=lambda p: np.diag([1.0, 0.1]),
+                            lower=[0.0, 0.0], upper=[2.0, 10.0])
     assert res.params[0] == 2.0
     assert res.params[1] == pytest.approx(1.0, abs=1e-6)
 
@@ -138,12 +114,9 @@ def test_fifty_uphill_trials_end_the_fit():
 
 
 def test_iteration_cap_raises(monkeypatch):
-    def residual(p):
-        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
-
     monkeypatch.setattr(lsq, "MAX_ITER", 1)
     with pytest.raises(FitError):
-        fit_least_squares(residual, [-1.2, 1.0])
+        fit_least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jac)
 
 
 def test_numeric_jacobian_matches_analytic():
@@ -172,8 +145,12 @@ def test_separable_matches_full_search(rng):
     def residual(q):
         return q[1] * np.exp(-q[0] * x) + q[2] - y
 
+    def jacobian(q):
+        decay = np.exp(-q[0] * x)
+        return np.column_stack([-q[1] * x * decay, decay, np.ones_like(x)])
+
     full = with_covariance(residual, fit_least_squares(residual, [1.0, 2.0, 0.3],
-                                                       x_scale=[1.0] * 3), [1.0] * 3)
+                                                       jac=jacobian), [1.0] * 3)
     sep = fit_separable(exp_basis(x), y, [1.0], x_scale=[1.0])
     assert np.allclose(sep.params, full.params, rtol=1e-6)
     assert np.allclose(sep.covariance, full.covariance, rtol=1e-6)
@@ -191,10 +168,34 @@ def test_separable_absent_component_solves_to_zero():
         assert np.all(sep.params[1:] >= 0.0)
         if sep.params[2] == 0.0:
             zeros += 1
-            alone = fit_least_squares(lambda q: q[1] * np.exp(-q[0] * x) - y,
-                                      [1.0, 2.0], x_scale=[1.0, 1.0])
+            alone = fit_least_squares(
+                lambda q: q[1] * np.exp(-q[0] * x) - y, [1.0, 2.0],
+                jac=lambda q: np.column_stack([-q[1] * x * np.exp(-q[0] * x),
+                                               np.exp(-q[0] * x)]))
             assert np.allclose(sep.params[:2], alone.params, rtol=1e-6)
     assert zeros >= 3
+
+
+@pytest.mark.parametrize("offset, p, kept", [(0.5, 0.7, 2), (0.0, 1.0, 1)],
+                         ids=["both_columns", "offset_dropped"])
+def test_separable_jacobian_is_the_derivative_of_its_residual(monkeypatch, offset, p, kept):
+    # away from the optimum, where the residual is large enough that
+    # Kaufman's one-term form fails this, and where the non-negative solve
+    # drops the offset of test_separable_absent_component_solves_to_zero
+    x = np.linspace(0, 4, 60)
+    y = exp_plus_offset(x, np.random.default_rng(1), offset)
+    given = {}
+
+    def capture(fun, p0, *, jac, **kwargs):
+        given.update(fun=fun, jac=jac)
+        return fit_least_squares(fun, p0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(lsq, "fit_least_squares", capture)
+    fit_separable(exp_basis(x), y, [1.0], x_scale=[1.0])
+    p = np.array([p])
+    assert np.count_nonzero(lsq._nonneg_solve(exp_basis(x)(p), y)) == kept
+    numeric = numeric_jacobian(given["fun"], p, given["fun"](p), [1.0])
+    assert np.abs(given["jac"](p) - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
 def test_separable_takes_one_jacobian_per_iteration_and_one_for_the_covariance(

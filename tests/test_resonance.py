@@ -107,12 +107,6 @@ class TestQFactors:
         qi, qe = q_factors(p)
         assert qi == pytest.approx(qe, rel=1e-14)
 
-    def test_boundary_rejected(self):
-        p = ResonanceModelParams(f0_hz=6.9e8, kappa_hz=2e5, kappa_e_hz=1e5)
-        object.__setattr__(p, "kappa_e_hz", 2e5)  # force the boundary
-        with pytest.raises(FitError):
-            q_factors(p)
-
 
 class TestInitialEstimate:
     def test_noiseless_dip_located_within_grid_step(self):

@@ -35,14 +35,14 @@ class TestChargeShift:
         return [nb, o]
 
     def test_already_referenced_gives_zero_shift(self):
-        shifted, shift = charge_shift(self.make_pair(0.0), measured_nb3d52_ev=207.3)
+        shifted, shift = charge_shift(self.make_pair(0.0))
         assert shift == 0.0
         assert np.array_equal(shifted[0].binding_energy_ev,
                               np.linspace(200, 214, 141))
 
     def test_pure_translation(self):
         spectra = self.make_pair(2.0)
-        shifted, shift = charge_shift(spectra, measured_nb3d52_ev=209.3)
+        shifted, shift = charge_shift(spectra)
         assert shift == -2.0
         for before, after in zip(spectra, shifted):
             assert np.allclose(after.binding_energy_ev,
