@@ -84,5 +84,5 @@ for line, pct in sorted(report.atomic_percent.items()):
     print(f"  {line:5s} {pct:6.2f} %")
 print("ratios to Nb:", {k: round(v, 2) for k, v in report.ratios_to_nb.items()})
 
-(OUT / "xps_lines.svg").write_text(render_panels(panels, panel_height=240), encoding="utf-8")
+(OUT / "xps_lines.svg").write_text(render_panels(panels), encoding="utf-8")
 print(f"\nplot written to {OUT}/xps_lines.svg")

@@ -126,7 +126,7 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
     The model is ``sum_k A_k exp(-((x - mu0 - k*h) / sigma)**2 / 2)``, k = 0..2:
     LM searches (mu0, h, sigma) and solves the A_k.  The search starts at
     the count quantiles (k + 1/2)/3, with sigma the counts' spread about the
-    nearest of them.
+    nearest of them; the comb origin stays within the histogram's span.
     Fewer than three modes (equal Gaussians closer than 2 sigma merge; a
     terrace under 5 % of the largest amplitude is absent) raise FitError.
     A refit with free centers gates the equal spacing like the dark mode:
@@ -142,7 +142,7 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
     sigma0 = max(spread, 2.0 * bin_w)
     comb = fit_separable(lambda p: _gaussians(x, p[0] + k * p[1], p[2]), y,
                          [start.mean() - h0, h0, sigma0], x_scale=[sigma0] * 3,
-                         lower=[-np.inf, 0.0, 0.5 * bin_w])
+                         lower=[x[0], 0.0, 0.5 * bin_w], upper=[x[-1], np.inf, np.inf])
     (mu0, h, sigma), amps = comb.params[:3], comb.params[3:]
     kept = (mu0 + k * h)[amps >= _MIN_AMPLITUDE_SHARE * amps.max()]
     n_modes = 1 + int(np.sum(np.diff(kept) >= 2.0 * sigma))

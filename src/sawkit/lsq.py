@@ -11,13 +11,13 @@ accepted step drops the cost by less than ``COST_TOL``, or when no damping
 finds a downhill step.
 A model that is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
-the coefficients (variable projection, Golub & Pereyra 1973).  The
-covariance of every fit this module runs comes from :func:`with_covariance`,
-one numeric Jacobian of a residual at its optimum, whatever Jacobian the
-steps took, so the sigma of every LM fit is taken the same way; the one
-fit solved in closed form, ``tls.fit_fdelta``, takes its 2x2 covariance from
-its own design matrix.  Every nested-model comparison comes from
-:func:`nested_gate`.
+the coefficients (variable projection, Golub & Pereyra 1973).  Whatever
+Jacobian the steps took, every covariance is that of one Jacobian at the
+optimum (:func:`_scaled_covariance`): a separable fit's is
+``[(dB/dp) c, B]`` over its parameters and coefficients, the resonance
+fit's one numeric Jacobian of its residual (:func:`with_covariance`), and
+``tls.fit_fdelta``, solved in closed form, takes its 2x2 covariance from its
+own design matrix.  Every nested-model comparison comes from :func:`nested_gate`.
 """
 from __future__ import annotations
 
@@ -85,8 +85,8 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
 
     ``jac`` maps ``p`` to the ``(m, n)`` Jacobian of ``fun``; every fit hands
     in its own, and it is called once per iteration, at the point the last
-    accepted step reached.  It only steers the search: the covariance of the
-    optimum comes from :func:`with_covariance`.
+    accepted step reached.  It only steers the search; the caller attaches
+    the covariance of the optimum.
 
     The normal equations are damped with the Marquardt scaling
     ``(J'J + lam * diag(J'J))`` and ``lam``, starting at ``LAM0``, is adapted:
@@ -173,19 +173,40 @@ def nested_gate(cost_small, big: LeastSquaresResult):
     return delta, delta >= NESTED_MIN_CHI2
 
 
+def _one_slot(compute):
+    """``compute`` (returning a tuple of arrays or None) remembered for its
+    last arguments only, its arrays read-only: ``get(*args)`` recomputes only
+    when the exact bytes of ``args`` differ from those of the last call."""
+    slot = [None, None]  # [key, value]
+
+    def get(*args):
+        key = b"".join(np.asarray(arg).tobytes() for arg in args)
+        if key != slot[0]:
+            value = compute(*args)
+            for arr in value:
+                if arr is not None:
+                    arr.flags.writeable = False
+            slot[:] = key, value
+        return slot[1]
+
+    return get
+
+
 def _nonneg_solve(basis, data):
-    """Least-squares coefficients of ``basis`` for ``data``, each >= 0: the
-    columns whose coefficients come out negative are dropped and the rest
-    solved again (an active set in the spirit of Lawson & Hanson 1974)."""
+    """(c, keep, B+): least-squares coefficients >= 0 of ``basis`` for
+    ``data``, the columns they use and those columns' pseudo-inverse, so
+    ``c[keep] = B+ @ data``.  Columns whose coefficients come out negative are
+    dropped and the rest solved again, one ``pinv`` per pass (an active set in
+    the spirit of Lawson & Hanson 1974); with none left, ``B+`` is (0, rows)."""
     coef = np.zeros(basis.shape[1])
     keep = np.ones(basis.shape[1], dtype=bool)
-    while keep.any():
-        coef[keep] = np.linalg.lstsq(basis[:, keep], data, rcond=None)[0]
+    while True:
+        b_pinv = np.linalg.pinv(basis[:, keep])
+        coef[keep] = b_pinv @ data
         if np.all(coef >= 0.0):
-            break
+            return coef, keep, b_pinv
         keep &= coef > 0.0
         coef[~keep] = 0.0
-    return coef
 
 
 def fit_separable(basis, data, p0, *, x_scale, lower=None, upper=None):
@@ -201,40 +222,40 @@ def fit_separable(basis, data, p0, *, x_scale, lower=None, upper=None):
     ``c`` restricted to the columns the non-negative solve keeps.  Both terms
     stay: the second, which Kaufman's (1975) form drops, is of the size of
     the residual, and without it a terrace comb of uneven areas misses its
-    steps.  ``dB/dp`` is one :func:`numeric_jacobian` of ``basis`` alone,
-    with steps from ``x_scale``.
+    steps.  The last point's ``B``, solve (``B+`` too) and ``r`` are kept
+    (:func:`_one_slot`), so the Jacobian reads them there.  ``dB/dp`` is one
+    :func:`numeric_jacobian` of ``basis`` alone, with steps from ``x_scale``.
 
-    The result holds ``p`` followed by ``c``, with the covariance of the
-    full residual ``basis(p) @ c - data`` over both, so it carries the
-    correlation of the coefficients with the searched parameters.
+    The result holds ``p`` followed by ``c``, with the covariance over both of
+    the residual ``B c - data`` from its Jacobian ``[(dB/dp) c, B]`` at the
+    optimum (every column of ``B``), so it correlates ``c`` with ``p``.
     """
     data = np.asarray(data, dtype=float)
-    m = len(p0)
 
-    def residual(p):
+    def solved(p):
         b = basis(p)
-        return b @ _nonneg_solve(b, data) - data
+        coef, keep, b_pinv = _nonneg_solve(b, data)
+        return b, coef, keep, b_pinv, b @ coef - data
+
+    def d_basis(p, b):  # [row, column, p_j]
+        d_b = numeric_jacobian(lambda q: basis(q).ravel(), p, b.ravel(), x_scale)
+        return d_b.reshape(b.shape + p.shape)
 
     def jacobian(p):
-        b = basis(p)
-        coef = _nonneg_solve(b, data)
-        r = b @ coef - data
-        keep = coef > 0.0
-        d_b = numeric_jacobian(lambda q: basis(q).ravel(), p, b.ravel(), x_scale)
-        d_b = d_b.reshape(b.shape + (m,))[:, keep]     # [row, kept column, p_j]
-        b = b[:, keep]
-        b_pinv = np.linalg.pinv(b)
+        b, coef, keep, b_pinv, r = point(p)
+        d_b, b = d_basis(p, b)[:, keep], b[:, keep]
         d_b_c = np.einsum("ikj,k->ij", d_b, coef[keep])
         return (d_b_c - b @ (b_pinv @ d_b_c)
                 - b_pinv.T @ np.einsum("ikj,i->kj", d_b, r))
 
-    res = fit_least_squares(residual, p0, jac=jacobian, lower=lower, upper=upper)
-    b = basis(res.params)
-    coef = _nonneg_solve(b, data)
+    point = _one_slot(solved)
+    res = fit_least_squares(lambda p: point(p)[4], p0, jac=jacobian, lower=lower, upper=upper)
+    b, coef = point(res.params)[:2]
+    params = np.concatenate([res.params, coef])
     col_norm = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
-    return with_covariance(lambda q: basis(q[:m]) @ q[m:] - data,
-                           replace(res, params=np.concatenate([res.params, coef])),
-                           np.concatenate([x_scale, 1.0 / col_norm]))
+    scale = np.maximum(np.abs(params), np.concatenate([x_scale, 1.0 / col_norm]))
+    jac = np.concatenate([np.einsum("ikj,k->ij", d_basis(res.params, b), coef), b], axis=1)
+    return replace(res, params=params, covariance=_scaled_covariance(jac, res.cost, scale))
 
 
 def _scaled_covariance(jac, cost, scale):

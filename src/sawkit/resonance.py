@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import MAX_ITER, fit_least_squares, nested_gate, with_covariance
+from .lsq import MAX_ITER, _one_slot, fit_least_squares, nested_gate, with_covariance
 from .spectra import ComplexSpectrum
 
 
@@ -199,27 +199,6 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
 
 
 _MODEL_KINDS = ("lorentzian", "dark_mode")
-
-
-def _one_slot(compute):
-    """``compute`` remembered for its last arguments only, its arrays read-only.
-
-    ``get(*args)`` returns ``compute(*args)``, computed afresh unless the
-    exact bytes of ``args`` equal those of the previous call.
-    """
-    slot = [None, None]  # [key, value]
-
-    def get(*args):
-        key = b"".join(np.asarray(arg).tobytes() for arg in args)
-        if key != slot[0]:
-            value = compute(*args)
-            for arr in value:
-                if arr is not None:
-                    arr.flags.writeable = False
-            slot[:] = key, value
-        return slot[1]
-
-    return get
 
 
 def _fit_functions(freq, data, fc):

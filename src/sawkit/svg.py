@@ -22,6 +22,8 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 TICKS_PER_AXIS = 5
+#: document width and the height of each stacked panel, in pixels
+WIDTH, PANEL_HEIGHT = 640, 320
 
 
 def _nice_ticks(lo, hi):
@@ -132,17 +134,17 @@ def _polyline(px, py, color, stroke):
     return f'<polyline points="{pts}" fill="none" stroke="{color}" {stroke}/>'
 
 
-def render_panels(panels, width=640, panel_height=320) -> str:
+def render_panels(panels) -> str:
     """Render stacked panels into one standalone SVG document."""
     m_left, m_right, m_top, m_bottom = 62, 14, 30, 42
-    total_h = panel_height * len(panels)
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+    total_h = PANEL_HEIGHT * len(panels)
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
            f'height="{total_h}" font-family="sans-serif" font-size="11">',
-           f'<rect width="{width}" height="{total_h}" fill="white"/>']
+           f'<rect width="{WIDTH}" height="{total_h}" fill="white"/>']
     for k, panel in enumerate(panels):
-        oy = k * panel_height
-        pw = width - m_left - m_right
-        ph = panel_height - m_top - m_bottom
+        oy = k * PANEL_HEIGHT
+        pw = WIDTH - m_left - m_right
+        ph = PANEL_HEIGHT - m_top - m_bottom
         x0, x1, y0, y1 = panel._extent()
 
         def sx(v):
@@ -179,7 +181,7 @@ def render_panels(panels, width=640, panel_height=320) -> str:
                 out.append(f'<text x="{m_left - 7}" y="{py + 3.5:.2f}" '
                            f'text-anchor="end">{_fmt_tick(t)}</text>')
         if panel.xlabel:
-            out.append(f'<text x="{m_left + pw / 2:.1f}" y="{oy + panel_height - 10}" '
+            out.append(f'<text x="{m_left + pw / 2:.1f}" y="{oy + PANEL_HEIGHT - 10}" '
                        f'text-anchor="middle">{_escape(panel.xlabel)}</text>')
         if panel.ylabel:
             cy = oy + m_top + ph / 2

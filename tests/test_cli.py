@@ -469,6 +469,16 @@ def with_nan_field(command, write_good, name):
     return build
 
 
+def afm_spike(tmp_path):
+    """A flat 16 x 16 grid with one pixel 1 um up: the histogram has 100000
+    bins, 255 of the 256 counts in the first."""
+    rows = [["0"] * 16 for _ in range(16)]
+    rows[5][7] = "1e-6"
+    grid = tmp_path / "spike.txt"
+    grid.write_text("16 16 1e-8 1e-8\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+    return ["afm", grid, "--fit-steps"], "spike"
+
+
 def synth_with_flags(kind, *flags):
     def build(tmp_path):
         return ["synth", kind, *flags], "synth"
@@ -522,6 +532,7 @@ OUTSIDE_INPUT_ERRORS = {
         "afm", "--terraces", "500", "--nx", "64"),
     "synth-afm-terrace-narrower-than-a-column": synth_with_flags(
         "afm", "--terraces", "20", "--nx", "64", "--ny", "16"),
+    "afm-single-spike": afm_spike,
 }
 
 

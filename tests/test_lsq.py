@@ -193,9 +193,57 @@ def test_separable_jacobian_is_the_derivative_of_its_residual(monkeypatch, offse
     monkeypatch.setattr(lsq, "fit_least_squares", capture)
     fit_separable(exp_basis(x), y, [1.0], x_scale=[1.0])
     p = np.array([p])
-    assert np.count_nonzero(lsq._nonneg_solve(exp_basis(x)(p), y)) == kept
+    assert np.count_nonzero(lsq._nonneg_solve(exp_basis(x)(p), y)[0]) == kept
     numeric = numeric_jacobian(given["fun"], p, given["fun"](p), [1.0])
     assert np.abs(given["jac"](p) - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+
+def test_separable_computes_each_point_once(monkeypatch, rng):
+    # one basis and one solve per point LM evaluates, which its Jacobian and
+    # the covariance read back; only the dB/dp steps call the basis again
+    x = np.linspace(0, 4, 60)
+    calls = {"basis": 0, "solve": 0, "residual": 0, "jacobian": 0}
+
+    def counting(key, fun):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fun(*args, **kwargs)
+        return counted
+
+    def capture(fun, p0, *, jac, **kwargs):
+        return fit_least_squares(counting("residual", fun), p0,
+                                 jac=counting("jacobian", jac), **kwargs)
+
+    monkeypatch.setattr(lsq, "fit_least_squares", capture)
+    monkeypatch.setattr(lsq, "_nonneg_solve", counting("solve", lsq._nonneg_solve))
+    m = 1
+    fit_separable(counting("basis", exp_basis(x)), exp_plus_offset(x, rng, 0.5), [1.0],
+                  x_scale=[1.0])
+    assert calls["jacobian"] >= 1
+    assert calls["basis"] <= calls["residual"] + m * calls["jacobian"] + m + 1
+    assert calls["solve"] <= calls["residual"] + 1
+
+
+def test_separable_with_every_coefficient_negative(monkeypatch):
+    # data below zero everywhere: every column is dropped, the coefficients
+    # are zero and the Jacobian there is finite
+    x = np.linspace(0, 4, 60)
+    y = -(np.exp(-x) + 1.0)
+    p = np.array([1.0])
+    coef, keep, b_pinv = lsq._nonneg_solve(exp_basis(x)(p), y)
+    assert np.array_equal(coef, [0.0, 0.0])
+    assert not keep.any()
+    assert b_pinv.shape == (0, x.size)
+    given = {}
+
+    def capture(fun, p0, *, jac, **kwargs):
+        given.update(jac=jac)
+        return fit_least_squares(fun, p0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(lsq, "fit_least_squares", capture)
+    sep = fit_separable(exp_basis(x), y, p, x_scale=[1.0])
+    assert np.array_equal(sep.params[1:], [0.0, 0.0])
+    assert np.all(np.isfinite(given["jac"](p)))
 
 
 def test_separable_takes_one_jacobian_per_iteration_and_one_for_the_covariance(

@@ -23,11 +23,11 @@ def test_render_is_deterministic():
 
 
 def test_document_structure():
-    svg = render_panels([make_panel(), make_panel()], width=500, panel_height=250)
+    svg = render_panels([make_panel(), make_panel()])
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") == 2
-    assert 'height="500"' in svg
+    assert 'height="640"' in svg
     assert "demo" in svg and "signal" in svg
 
 
