@@ -20,6 +20,12 @@ HIST_BIN_FLOOR_M = 1.0e-11
 #: a terrace solved below this share of the largest amplitude is absent
 _MIN_AMPLITUDE_SHARE = 0.05
 
+#: the histogram spans the heights inside Tukey's far-out fences, this many
+#: interquartile ranges beyond the quartiles: a dust grain or spike past them
+#: would set the bin count and stretch the axis, while terraces, whose
+#: quartiles span them, lie well inside
+_FENCE_IQRS = 3.0
+
 
 def remove_line_tilt(image: AfmImage, order=1) -> AfmImage:
     """Subtract a least-squares polynomial of ``order`` from every scan row.
@@ -107,15 +113,18 @@ class StepHeightResult:
 
 
 def height_histogram(image: AfmImage):
-    """(bin centers, counts) with Freedman-Diaconis widths, floored at 10 pm."""
+    """(bin centers, counts) with Freedman-Diaconis widths, floored at 10 pm,
+    over the heights inside Tukey's far-out fences (pixels past them are
+    not counted)."""
     h = image.heights_m.ravel()
     q75, q25 = np.percentile(h, [75, 25])
-    width = 2.0 * (q75 - q25) / h.size ** (1.0 / 3.0)
-    width = max(width, HIST_BIN_FLOOR_M)
-    span = h.max() - h.min()
+    iqr = q75 - q25
+    lo = max(h.min(), q25 - _FENCE_IQRS * iqr)
+    hi = min(h.max(), q75 + _FENCE_IQRS * iqr)
+    width = max(2.0 * iqr / h.size ** (1.0 / 3.0), HIST_BIN_FLOOR_M)
     # rounding down keeps every actual bin at or above the floor width
-    n_bins = max(int(span / width), 1)
-    counts, edges = np.histogram(h, bins=n_bins)
+    n_bins = max(int((hi - lo) / width), 1)
+    counts, edges = np.histogram(h, bins=n_bins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, counts
 

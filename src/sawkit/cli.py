@@ -2,11 +2,13 @@
 
 fit-resonance, fit-tempsweep, fit-powersweep, afm and walkoff analyze each
 input on its own: ``build_parser`` registers each one's ``analyze(args,
-text)`` and report suffix on the batch driver ``_run_batch``.  xps-quant
-combines its inputs into one report; synth writes fixture files from
-``--seed``.  Reports are canonical JSON (sorted keys, newline-terminated)
-and plots deterministic SVG, so reruns are byte-identical and CI diffs stay
-meaningful.  A failing input produces an ``<stem>.error.json`` record and,
+read)`` and report suffix on the batch driver ``_run_batch``.  ``read()``
+returns the input's text, which each analysis passes straight to its
+``spectra`` parser, looked up on the module at call time, so the text is
+freed before the fit.  xps-quant combines its inputs into one report; synth
+writes fixture files from ``--seed``.  Reports are canonical JSON (sorted
+keys, newline-terminated) and plots deterministic SVG, so reruns are
+byte-identical and CI diffs stay meaningful.  A failing input produces an ``<stem>.error.json`` record and,
 with ``--keep-going``, the batch continues; the exit code is 0 only when
 every input succeeded.  ``main`` records a failed command, such as a batch
 with no input, as ``<command>.error.json`` under ``--out``.  Every failure
@@ -98,7 +100,9 @@ def _write_error(args, name, exc, source=None):
 def _run_batch(args, suffix, analyze, summarize=None):
     """Analyze every input file on its own, honoring --keep-going.
 
-    ``analyze(args, text)`` returns ``(report, panels)``; the report goes to
+    ``analyze(args, read)`` returns ``(report, panels)``, where ``read()``
+    returns the input's text: an analysis that holds no reference to the
+    text lets it go once parsed.  The report goes to
     ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``, and
     ``summarize(args, reports)`` sees the reports that were written.
     Returns the exit code: 0 only when every input succeeded.  Raises,
@@ -118,7 +122,7 @@ def _run_batch(args, suffix, analyze, summarize=None):
     failed, reports = False, []
     for f in files:
         try:
-            report, panels = analyze(args, _read_input(f))
+            report, panels = analyze(args, functools.partial(_read_input, f))
             _write_report(args, f"{f.stem}.{suffix}", report, panels)
             reports.append(report)
         except (SawkitError, OSError) as exc:
@@ -149,8 +153,8 @@ def _resonance_panels(spectrum, result):
     return [mag, ph]
 
 
-def _fit_resonance(args, text):
-    spectrum = spectra.parse_s11_csv(text)
+def _fit_resonance(args, read):
+    spectrum = spectra.parse_s11_csv(read())
     model = "dark_mode" if args.model == "dark" else "lorentzian"
     result = resonance.fit_resonance(spectrum, model_kind=model)
     return result.to_json_dict(), lambda: _resonance_panels(spectrum, result)
@@ -160,8 +164,8 @@ def _fit_resonance(args, text):
 # fit-tempsweep / fit-powersweep
 # ---------------------------------------------------------------------------
 
-def _fit_tempsweep(args, text):
-    series = spectra.parse_tempsweep_csv(text)
+def _fit_tempsweep(args, read):
+    series = spectra.parse_tempsweep_csv(read())
     result = tls.fit_fdelta(series)
 
     def panels():
@@ -180,8 +184,8 @@ def _fit_tempsweep(args, text):
     return result.to_json_dict(), panels
 
 
-def _fit_powersweep(args, text):
-    series = spectra.parse_powersweep_csv(text)
+def _fit_powersweep(args, read):
+    series = spectra.parse_powersweep_csv(read())
     result = tls.fit_power_sweep(series, fixed_beta=args.fixed_beta)
 
     def panels():
@@ -309,8 +313,8 @@ def _parse_level_points(text):
     raise ValidationError(f"--level-points needs three integer x,y pairs, got {text!r}")
 
 
-def _afm(args, text):
-    image = spectra.parse_afm_grid(text)
+def _afm(args, read):
+    image = spectra.parse_afm_grid(read())
     flattened = afm_mod.remove_line_tilt(image, order=args.order)
     doc = {"r_q_m": afm_mod.rms_roughness(flattened), "order": args.order}
     hist_img = image
@@ -349,10 +353,10 @@ def _afm_summary(args, reports):
 # walkoff
 # ---------------------------------------------------------------------------
 
-def _walkoff(args, text):
+def _walkoff(args, read):
     if args.half_width < 0:
         raise ValidationError(f"--half-width must be >= 0, got {args.half_width}")
-    curve = spectra.parse_walkoff_csv(text)
+    curve = spectra.parse_walkoff_csv(read())
     smoothed = walkoff.smooth_curve(curve, args.half_width) if args.half_width > 0 else curve
     zeros = walkoff.find_zero_crossings(smoothed)
     tangencies = walkoff.find_tangencies(smoothed)

@@ -27,10 +27,15 @@ have serializers, which write them bit-exactly.
 
 Each reader takes the comments and the header line by line, then reads all
 numeric rows with one ``np.loadtxt`` call: blank lines, ``#`` comments
-between rows, CRLF endings and spaces around fields are all accepted.  The
-rules on row values (finite, strictly increasing, in range) are checked only
-in each container's ``__post_init__``, which reports the first offending row
-as :attr:`ValidationError.row <sawkit.errors.ValidationError>`.  Only once a
+between rows, CRLF endings and spaces around fields are all accepted.  Lines
+end where ``str.splitlines`` ends them: at LF, CRLF and a lone CR among
+others.  The CSV readers split the whole text at once; the AFM
+reader, whose text is the largest, streams its rows from the text into the
+loader one by one and counts them after the load, so it never holds a list
+of the lines beside the text.  The rules on row values (finite, strictly
+increasing, in range) are checked only in each container's
+``__post_init__``, which reports the first offending row as
+:attr:`ValidationError.row <sawkit.errors.ValidationError>`.  Only once a
 row is found faulty, by the loader or by the container, are the lines walked
 one by one, to name the faulty line in the error.  A metadata or header value
 the container refuses, such as ``# f0_hz=-6.9e8`` or a pixel pitch that is
@@ -40,6 +45,7 @@ read that value from.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,20 +216,30 @@ class WalkoffCurve:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _numbered_rows(text):
-    """(1-based line number, content) of the header and each data row.
+def _lines(text):
+    """(1-based line number, content) of the header and each data row, lazily.
 
-    The stripped non-blank lines of ``text`` that are not comments, walked
-    one by one; the error paths below use it to name a line, and the AFM
-    reader to read its few long rows.
+    Yields the stripped non-blank lines of ``text`` that are not comments,
+    numbered as ``str.splitlines`` numbers them.  The text is cut after each
+    LF (after each CR when it has no LF), and only the piece at hand is
+    split, so no list of all the lines is ever held.  The AFM reader loads
+    its rows from it, and the error paths below walk it to name a line.
     """
-    return [(i, line) for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
-            if line and line[0] != "#"]
+    sep = "\n" if "\n" in text else "\r"
+    number = start = 0
+    while start < len(text):
+        end = text.find(sep, start) + 1 or len(text)
+        for line in text[start:end].splitlines():
+            number += 1
+            line = line.strip()
+            if line and line[0] != "#":
+                yield number, line
+        start = end
 
 
 def _row_error(text, message, row):
     """A ParseError naming the line of data row ``row``; row -1 is the header."""
-    return ParseError(message, line=_numbered_rows(text)[row + 1][0])
+    return ParseError(message, line=list(_lines(text))[row + 1][0])
 
 
 def _unreadable(text, ncols, delimiter, exc):
@@ -233,7 +249,7 @@ def _unreadable(text, ncols, delimiter, exc):
     count, or a field the loader rejects (``1_000`` is one, though ``float``
     takes it).
     """
-    for lineno, line in _numbered_rows(text)[1:]:
+    for lineno, line in itertools.islice(_lines(text), 1, None):
         fields = line.partition("#")[0].split(delimiter)
         if len(fields) != ncols:
             return ParseError(f"expected {ncols} fields, got {len(fields)}", line=lineno)
@@ -327,13 +343,16 @@ def parse_xps_csv(text) -> XpsSpectrum:
 
 
 def parse_afm_grid(text) -> AfmImage:
-    """Parse an AFM height grid; header is ``nx ny dx_m dy_m``."""
-    numbered = _numbered_rows(text)
-    if not numbered:
+    """Parse an AFM height grid; header is ``nx ny dx_m dy_m``.
+
+    The rows go from :func:`_lines` straight into ``np.loadtxt``, so the
+    reader holds the text and the heights but no list of its lines.
+    """
+    lines = _lines(text)
+    head, header = next(lines, (None, ""))
+    if head is None:
         raise ParseError("empty AFM grid file")
-    head = numbered[0][0]
-    parts = numbered[0][1].split()
-    rows = [line for _, line in numbered[1:]]
+    parts = header.split()
     if len(parts) != 4:
         raise ParseError("header must be 'nx ny dx_m dy_m'", line=head)
     try:
@@ -343,9 +362,12 @@ def parse_afm_grid(text) -> AfmImage:
         raise ParseError("non-numeric header field", line=head) from None
     if nx < 0 or ny < 0:
         raise ParseError("negative grid dimension", line=head)
-    if len(rows) != ny:
-        raise ParseError(f"header claims {ny} rows but {len(rows)} present", line=head)
-    heights = _load_rows(rows, nx, None, text) if ny else np.empty((0, nx))
+    rows = (line for _, line in lines)
+    first = next(rows, None)  # np.loadtxt warns on no rows at all
+    heights = (np.empty((0, nx)) if first is None
+               else _load_rows(itertools.chain([first], rows), nx, None, text))
+    if len(heights) != ny:
+        raise ParseError(f"header claims {ny} rows but {len(heights)} present", line=head)
     return _build(text, AfmImage, heights, (dx, dy), field_lines={"pixel_pitch_m": head})
 
 

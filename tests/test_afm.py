@@ -175,6 +175,26 @@ class TestStepHeights:
         assert centers.size >= 2
         assert centers[1] - centers[0] >= 1e-11 - 1e-24
 
+    def test_fences_keep_every_pixel_of_a_terraced_image(self):
+        for n_terraces in (3, 4):
+            for seed in range(5):
+                img = synth_terrace_image((256, 256), n_terraces=n_terraces, rng_seed=seed)
+                assert height_histogram(img)[1].sum() == img.heights_m.size
+
+    def test_one_dust_pixel_sets_neither_bins_nor_steps(self):
+        # unfenced, the 50 nm pixel would set 3193 bins and leave 2 resolvable
+        # modes; fenced, the axis ends 3 IQR above the upper quartile, near 1.3 nm
+        img = synth_terrace_image((256, 256), rng_seed=0)
+        heights = img.heights_m.copy()
+        heights[100, 100] = 5e-8
+        dusty = AfmImage(heights, PITCH)
+        centers, counts = height_histogram(dusty)
+        assert counts.sum() == heights.size - 1
+        assert centers.size < 2 * height_histogram(img)[0].size
+        result = fit_step_heights(dusty)
+        assert result.mean_step_m == pytest.approx(fit_step_heights(img).mean_step_m, rel=1e-3)
+        assert result.mean_step_m == pytest.approx(2e-10, rel=0.05)
+
     @pytest.mark.parametrize("fractions", [(0.6, 0.25, 0.15), (0.15, 0.7, 0.15),
                                            (0.75, 0.15, 0.1)])
     def test_uneven_terrace_areas(self, fractions):

@@ -1,12 +1,13 @@
 import argparse
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sawkit import afm, cli
+from sawkit import afm, cli, spectra
 from sawkit.cli import main
 from sawkit.spectra import format_powersweep_csv, parse_afm_grid, parse_tempsweep_csv
 from conftest import flat_power_sweep
@@ -350,6 +351,23 @@ class TestAfmCommand:
         assert record["error"] and "input" not in record
         assert not list(out.glob("*.tmp"))
 
+    def test_grid_text_is_released_before_the_analysis(self, tmp_path):
+        # the text lives only through its read and parse, so the traced peak
+        # of a --fit-steps run stays under 2.7 times the file size; an
+        # analysis that kept the text through the fit reads about 3.2
+        grid = tmp_path / "g.txt"
+        assert run(["synth", "afm", "--nx", "256", "--ny", "256", "--seed", "0",
+                    "--output", grid]) == 0
+        argv = ["afm", grid, "--fit-steps", "--out", tmp_path]
+        assert run(argv) == 0  # the first call builds what later calls reuse
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7 * grid.stat().st_size
+
     def test_level_points_level_the_image_the_steps_are_fitted_on(self, tmp_path):
         # the three points lie on the first terrace of a tilted image
         grid = tmp_path / "tilted.txt"
@@ -411,6 +429,11 @@ PER_FILE_COMMANDS = {
     "walkoff": ("walkoff", write_walkoff),
 }
 
+#: per-file command -> the spectra parser that reads its input
+PARSERS = {"fit-resonance": "parse_s11_csv", "fit-tempsweep": "parse_tempsweep_csv",
+           "fit-powersweep": "parse_powersweep_csv", "afm": "parse_afm_grid",
+           "walkoff": "parse_walkoff_csv"}
+
 
 def afm_with_level_points(points):
     def build(tmp_path):
@@ -470,8 +493,8 @@ def with_nan_field(command, write_good, name):
 
 
 def afm_spike(tmp_path):
-    """A flat 16 x 16 grid with one pixel 1 um up: the histogram has 100000
-    bins, 255 of the 256 counts in the first."""
+    """A flat 16 x 16 grid with one pixel 1 um up: the histogram's fences
+    close on the flat level, so one bin holds all 256 counts."""
     rows = [["0"] * 16 for _ in range(16)]
     rows[5][7] = "1e-6"
     grid = tmp_path / "spike.txt"
@@ -620,6 +643,17 @@ class TestBatchErrors:
         err = capsys.readouterr().err
         assert "s11.csv" in err and "no error record written" in err
         assert not_a_dir.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", sorted(PER_FILE_COMMANDS))
+    def test_parser_is_looked_up_at_call_time(self, tmp_path, monkeypatch, command):
+        # a parser bound when the argument parser is built would miss a
+        # wrapper set on the spectra module, as a tracing harness sets it
+        PER_FILE_COMMANDS[command][1](tmp_path / "in.csv", 1)
+        name, calls = PARSERS[command], []
+        parse = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda text: calls.append(text) or parse(text))
+        assert run([command, tmp_path / "in.csv", "--out", tmp_path]) == 0
+        assert calls == [(tmp_path / "in.csv").read_text()]
 
     @pytest.mark.parametrize("case", sorted(OUTSIDE_INPUT_ERRORS))
     def test_outside_input_errors_are_recorded(self, tmp_path, case):

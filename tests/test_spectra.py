@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from sawkit.spectra import (
     parse_walkoff_csv,
     parse_xps_csv,
 )
-from sawkit.synth import synth_s11, synth_temperature_sweep
+from sawkit.synth import synth_s11, synth_temperature_sweep, synth_terrace_image
 from conftest import rates_from_qs, resonance_grid
 
 
@@ -240,12 +241,45 @@ class TestParsePaths:
 
     def test_afm_comments_and_blank_lines(self):
         rows = [" ".join(f"{0.25 * (i - j)}" for i in range(16)) for j in range(16)]
-        text = "\r\n".join(["# scan 1", "16 16 1e-09 2e-09", "", *rows[:8],
-                             "# mid", "  ", *rows[8:]])
-        img = parse_afm_grid(text)
         expected = 0.25 * (np.arange(16)[None, :] - np.arange(16)[:, None])
-        assert np.array_equal(img.heights_m, expected)
-        assert img.pixel_pitch_m == (1e-9, 2e-9)
+        for end in ("\r\n", "\r"):
+            text = end.join(["# scan 1", "16 16 1e-09 2e-09", "", *rows[:8],
+                             "# mid", "  ", *rows[8:]])
+            img = parse_afm_grid(text)
+            assert np.array_equal(img.heights_m, expected)
+            assert img.pixel_pitch_m == (1e-9, 2e-9)
+
+    def test_afm_mixed_line_ends_are_those_of_splitlines(self):
+        lines = ["16 16 1e-09 1e-09"] + [" ".join(["0"] * 16)] * 16
+        lines[9] = " ".join(["0"] * 15)   # line 10
+        ends = ["\n", "\r\n", "\r", "\f", "\u2028"]
+        text = "".join(line + ends[i % 5] for i, line in enumerate(lines))
+        with pytest.raises(ParseError) as err:
+            parse_afm_grid(text)
+        assert err.value.line == 10
+        lines[9] = lines[8]
+        text = "".join(line + ends[i % 5] for i, line in enumerate(lines))
+        assert np.all(parse_afm_grid(text).heights_m == 0)
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n# note\n\n  \n"])
+    def test_afm_header_without_rows_warns_nothing(self, tail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="header claims 16 rows but 0 present") as err:
+                parse_afm_grid("16 16 1e-9 1e-9" + tail)
+        assert err.value.line == 1
+
+    def test_afm_read_holds_no_list_of_lines(self):
+        # the rows stream into the loader: beyond the text, the read holds
+        # the heights and the loader's buffers, not a second copy of the text
+        text = format_afm_grid(synth_terrace_image((256, 256), rng_seed=0))
+        tracemalloc.start()
+        try:
+            parse_afm_grid(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * len(text)
 
     def test_one_call_read_matches_row_loop(self, rng):
         values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 3))
