@@ -20,11 +20,13 @@ HIST_BIN_FLOOR_M = 1.0e-11
 #: a terrace solved below this share of the largest amplitude is absent
 _MIN_AMPLITUDE_SHARE = 0.05
 
-#: the histogram spans the heights inside Tukey's far-out fences, this many
-#: interquartile ranges beyond the quartiles: a dust grain or spike past them
-#: would set the bin count and stretch the axis, while terraces, whose
-#: quartiles span them, lie well inside
-_FENCE_IQRS = 3.0
+#: the histogram spans the heights within this many core spans of the core,
+#: the 0.1st to 99.9th percentile: a dust grain or spike past that fence
+#: would set the bin count and stretch the axis.  Every terrace above 0.1 %
+#: of the area lies inside the core however the area is shared, so a
+#: dominant terrace cannot shrink the fence onto itself, as it would an
+#: interquartile range
+_FENCE_CORE_SPANS = 1.0
 
 
 def remove_line_tilt(image: AfmImage, order=1) -> AfmImage:
@@ -114,14 +116,19 @@ class StepHeightResult:
 
 def height_histogram(image: AfmImage):
     """(bin centers, counts) with Freedman-Diaconis widths, floored at 10 pm,
-    over the heights inside Tukey's far-out fences (pixels past them are
-    not counted)."""
+    over the heights inside the fences one core span beyond the 0.1st and
+    99.9th percentiles (pixels past them are not counted)."""
     h = image.heights_m.ravel()
+    # rounding the core's ranks inward keeps the most extreme pixel on each
+    # side out of it, so one spike cannot widen it even in a small image;
+    # a flat core still gets a margin of one floor bin
+    core_lo = np.percentile(h, 0.1, method="higher")
+    core_hi = np.percentile(h, 99.9, method="lower")
+    margin = _FENCE_CORE_SPANS * max(core_hi - core_lo, HIST_BIN_FLOOR_M)
+    lo = max(h.min(), core_lo - margin)
+    hi = min(h.max(), core_hi + margin)
     q75, q25 = np.percentile(h, [75, 25])
-    iqr = q75 - q25
-    lo = max(h.min(), q25 - _FENCE_IQRS * iqr)
-    hi = min(h.max(), q75 + _FENCE_IQRS * iqr)
-    width = max(2.0 * iqr / h.size ** (1.0 / 3.0), HIST_BIN_FLOOR_M)
+    width = max(2.0 * (q75 - q25) / h.size ** (1.0 / 3.0), HIST_BIN_FLOOR_M)
     # rounding down keeps every actual bin at or above the floor width
     n_bins = max(int((hi - lo) / width), 1)
     counts, edges = np.histogram(h, bins=n_bins, range=(lo, hi))

@@ -183,7 +183,8 @@ class TestStepHeights:
 
     def test_one_dust_pixel_sets_neither_bins_nor_steps(self):
         # unfenced, the 50 nm pixel would set 3193 bins and leave 2 resolvable
-        # modes; fenced, the axis ends 3 IQR above the upper quartile, near 1.3 nm
+        # modes; fenced, the axis ends one core span above the 99.9th
+        # percentile, near 1.45 nm
         img = synth_terrace_image((256, 256), rng_seed=0)
         heights = img.heights_m.copy()
         heights[100, 100] = 5e-8
@@ -195,6 +196,25 @@ class TestStepHeights:
         assert result.mean_step_m == pytest.approx(fit_step_heights(img).mean_step_m, rel=1e-3)
         assert result.mean_step_m == pytest.approx(2e-10, rel=0.05)
 
+    def test_one_dust_pixel_stays_out_of_a_small_histogram(self):
+        img = synth_terrace_image((32, 32), rng_seed=0)
+        heights = img.heights_m.copy()
+        heights[10, 10] = 5e-8
+        centers, counts = height_histogram(AfmImage(heights, PITCH))
+        assert counts.sum() == heights.size - 1
+        assert centers[-1] < 2e-9
+
+    def test_fences_hold_when_one_level_is_most_pixels(self):
+        # quantized to 50 pm, the middle terrace puts 59 % of the pixels on
+        # one value: the interquartile range is zero, the terraces are not
+        img = terrace_image((0.0, 2e-10, 4e-10), (0.2, 0.6, 0.2), seed=0, noise=1e-11)
+        quantized = AfmImage(np.round(img.heights_m / 5e-11) * 5e-11, PITCH)
+        assert np.subtract(*np.percentile(quantized.heights_m, [75, 25])) == 0.0
+        centers, counts = height_histogram(quantized)
+        assert counts.sum() == quantized.heights_m.size
+        assert centers[0] < 0.0 < 4e-10 < centers[-1] < 5e-10
+        assert centers[1] - centers[0] == pytest.approx(1e-11, rel=0.05)
+
     @pytest.mark.parametrize("fractions", [(0.6, 0.25, 0.15), (0.15, 0.7, 0.15),
                                            (0.75, 0.15, 0.1)])
     def test_uneven_terrace_areas(self, fractions):
@@ -202,6 +222,14 @@ class TestStepHeights:
         for seed in range(50):
             result = fit_step_heights(terrace_image((0.0, 2e-10, 4e-10), fractions, seed))
             for step in result.step_heights_m:
+                assert step == pytest.approx(2e-10, rel=0.15)
+
+    def test_clean_scan_with_a_dominant_middle_terrace(self):
+        # at 10 pm noise the middle terrace holds both quartiles, 20 sigma
+        # from the outer terraces, which must stay in the histogram
+        for seed in range(50):
+            img = terrace_image((0.0, 2e-10, 4e-10), (0.2, 0.6, 0.2), seed, noise=1e-11)
+            for step in fit_step_heights(img).step_heights_m:
                 assert step == pytest.approx(2e-10, rel=0.15)
 
     def test_equal_steps_pass_the_gate(self):

@@ -494,7 +494,7 @@ def with_nan_field(command, write_good, name):
 
 def afm_spike(tmp_path):
     """A flat 16 x 16 grid with one pixel 1 um up: the histogram's fences
-    close on the flat level, so one bin holds all 256 counts."""
+    close on the flat level, so one bin holds the 255 flat pixels."""
     rows = [["0"] * 16 for _ in range(16)]
     rows[5][7] = "1e-6"
     grid = tmp_path / "spike.txt"
