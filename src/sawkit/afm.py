@@ -117,21 +117,28 @@ class StepHeightResult:
 def height_histogram(image: AfmImage):
     """(bin centers, counts) with Freedman-Diaconis widths, floored at 10 pm,
     over the heights inside the fences one core span beyond the 0.1st and
-    99.9th percentiles (pixels past them are not counted)."""
-    h = image.heights_m.ravel()
+    99.9th percentiles (pixels past them are not counted).  The heights are
+    sorted once: the percentiles and extremes read the sorted copy, and each
+    bin counts the pixels between the ranks of its edges, half-open like
+    ``np.histogram``'s bins and the last one closed, without its per-pixel
+    index arrays."""
+    h = np.sort(image.heights_m, axis=None)
     # rounding the core's ranks inward keeps the most extreme pixel on each
     # side out of it, so one spike cannot widen it even in a small image;
     # a flat core still gets a margin of one floor bin
     core_lo = np.percentile(h, 0.1, method="higher")
     core_hi = np.percentile(h, 99.9, method="lower")
     margin = _FENCE_CORE_SPANS * max(core_hi - core_lo, HIST_BIN_FLOOR_M)
-    lo = max(h.min(), core_lo - margin)
-    hi = min(h.max(), core_hi + margin)
+    lo = max(h[0], core_lo - margin)
+    hi = min(h[-1], core_hi + margin)
     q75, q25 = np.percentile(h, [75, 25])
     width = max(2.0 * (q75 - q25) / h.size ** (1.0 / 3.0), HIST_BIN_FLOOR_M)
     # rounding down keeps every actual bin at or above the floor width
     n_bins = max(int((hi - lo) / width), 1)
-    counts, edges = np.histogram(h, bins=n_bins, range=(lo, hi))
+    edges = np.histogram_bin_edges(h, bins=n_bins, range=(lo, hi))
+    ranks = np.searchsorted(h, edges)
+    ranks[-1] = np.searchsorted(h, edges[-1], side="right")
+    counts = np.diff(ranks)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, counts
 

@@ -315,8 +315,9 @@ def _parse_level_points(text):
 
 def _afm(args, read):
     image = spectra.parse_afm_grid(read())
-    flattened = afm_mod.remove_line_tilt(image, order=args.order)
-    doc = {"r_q_m": afm_mod.rms_roughness(flattened), "order": args.order}
+    # the flattened copy is a temporary, gone before the steps are fitted
+    doc = {"r_q_m": afm_mod.rms_roughness(afm_mod.remove_line_tilt(image, order=args.order)),
+           "order": args.order}
     hist_img = image
     if args.level_points:
         hist_img = afm_mod.three_point_level(image, *_parse_level_points(args.level_points))

@@ -8,7 +8,9 @@ hands the engine its Jacobian: the resonance model its exact one,
 :func:`fit_separable` its variable-projection one.  A fit stops when the
 step it would take is under ``STEP_TOL``, before evaluating it, when an
 accepted step drops the cost by less than ``COST_TOL``, or when no damping
-finds a downhill step.
+finds a downhill step.  A fit holds one Jacobian at a time: the engine
+forms ``J'J`` and ``J'r`` from it and lets it go before it tries a step, and
+each memo (:func:`_one_slot`) holds the model pieces of one point.
 A model that is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
 the coefficients (variable projection, Golub & Pereyra 1973).  Whatever
@@ -59,6 +61,8 @@ def numeric_jacobian(fun, p, r0, x_scale):
 
     Step sizes are sqrt(eps) times the larger of ``|p|`` and ``x_scale``, so
     parameters of wildly different magnitude (Hz next to seconds) differentiate cleanly.
+    Each column is differenced and divided in place in the output, so beside
+    it the call holds only the residual ``fun`` returns for the step.
     """
     p = np.asarray(p, dtype=float)
     scale = np.maximum(np.abs(p), np.asarray(x_scale, dtype=float))
@@ -69,7 +73,9 @@ def numeric_jacobian(fun, p, r0, x_scale):
             h = _SQRT_EPS
         p_step = p.copy()
         p_step[i] += h
-        jac[:, i] = (np.asarray(fun(p_step), dtype=float) - r0) / h
+        col = jac[:, i]
+        np.subtract(fun(p_step), r0, out=col)
+        col /= h
     return jac
 
 
@@ -85,8 +91,10 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
 
     ``jac`` maps ``p`` to the ``(m, n)`` Jacobian of ``fun``; every fit hands
     in its own, and it is called once per iteration, at the point the last
-    accepted step reached.  It only steers the search; the caller attaches
-    the covariance of the optimum.
+    accepted step reached.  The Jacobian lives only until ``J'J`` and
+    ``J'r`` are formed from it, so it is gone before the trial steps and
+    before the next one is built.  It only steers the search; the caller
+    attaches the covariance of the optimum.
 
     The normal equations are damped with the Marquardt scaling
     ``(J'J + lam * diag(J'J))`` and ``lam``, starting at ``LAM0``, is adapted:
@@ -120,6 +128,7 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
         jac_p = jac(p)
         a = jac_p.T @ jac_p
         g = jac_p.T @ r
+        del jac_p  # gone before the trial steps and the next Jacobian
         d = np.diag(a).copy()
         d[d <= 0] = max(d.max(), 1.0) * 1e-14
 
@@ -176,12 +185,15 @@ def nested_gate(cost_small, big: LeastSquaresResult):
 def _one_slot(compute):
     """``compute`` (returning a tuple of arrays or None) remembered for its
     last arguments only, its arrays read-only: ``get(*args)`` recomputes only
-    when the exact bytes of ``args`` differ from those of the last call."""
+    when the exact bytes of ``args`` differ from those of the last call.  The
+    last value is dropped before the next is computed, so the slot never
+    holds two."""
     slot = [None, None]  # [key, value]
 
     def get(*args):
         key = b"".join(np.asarray(arg).tobytes() for arg in args)
         if key != slot[0]:
+            slot[:] = None, None
             value = compute(*args)
             for arr in value:
                 if arr is not None:

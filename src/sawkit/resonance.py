@@ -219,9 +219,11 @@ def _fit_functions(freq, data, fc):
     delay phasor ``exp(i*2*pi*(f - fc)*tau)``, keyed on the exact bytes of
     tau.  So no call divides, and neither piece is recomputed by the
     Jacobian at the point just evaluated, nor by a step from that point in
-    kappa_e, a_re or a_im.  The pieces are read-only and live only as long
-    as the closures, so nothing is kept from one fit to the next.  Each
-    Jacobian call writes its rows into one fresh array, which it returns.
+    kappa_e, a_re or a_im.  The pieces are read-only; each slot drops its
+    point's pieces before it computes the next, and lives only as long as
+    the closures, so nothing is kept from one fit to the next.  Each
+    Jacobian call writes its rows into one fresh array, which it returns
+    and the LM engine lets go once it has formed the normal equations.
     """
     turn = 2.0 * np.pi * (freq - fc)
     iturn = 1j * turn  # d/dtau of the delay's exponent

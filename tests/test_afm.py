@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sawkit import afm
 from sawkit.afm import (
     fit_step_heights,
     height_histogram,
@@ -141,6 +142,27 @@ class TestRmsRoughness:
         assert rms_roughness(doubled) == 2.0 * rms_roughness(img)
 
 
+def scan_order_histogram(image):
+    """The reference for ``height_histogram``: each figure from the heights
+    in scan order, the counts from ``np.histogram``."""
+    h = image.heights_m.ravel()
+    core_lo = np.percentile(h, 0.1, method="higher")
+    core_hi = np.percentile(h, 99.9, method="lower")
+    margin = afm._FENCE_CORE_SPANS * max(core_hi - core_lo, afm.HIST_BIN_FLOOR_M)
+    lo = max(h.min(), core_lo - margin)
+    hi = min(h.max(), core_hi + margin)
+    q75, q25 = np.percentile(h, [75, 25])
+    width = max(2.0 * (q75 - q25) / h.size ** (1.0 / 3.0), afm.HIST_BIN_FLOOR_M)
+    counts, edges = np.histogram(h, bins=max(int((hi - lo) / width), 1), range=(lo, hi))
+    return 0.5 * (edges[:-1] + edges[1:]), counts
+
+
+def with_pixel(image, row, col, height):
+    heights = image.heights_m.copy()
+    heights[row, col] = height
+    return AfmImage(heights, PITCH)
+
+
 class TestStepHeights:
     def test_three_terrace_steps_recovered(self):
         for step in (2.0e-10, 2.4e-10):
@@ -214,6 +236,28 @@ class TestStepHeights:
         assert counts.sum() == quantized.heights_m.size
         assert centers[0] < 0.0 < 4e-10 < centers[-1] < 5e-10
         assert centers[1] - centers[0] == pytest.approx(1e-11, rel=0.05)
+
+    def test_sorted_heights_give_the_scan_order_histogram(self):
+        # percentiles, extremes and counts do not depend on the pixels'
+        # order, so the sorted copy, counted by the ranks of the bin edges,
+        # gives np.histogram's centres and counts, pixels on an edge too
+        quantized = terrace_image((0.0, 2e-10, 4e-10), (0.2, 0.6, 0.2), seed=0, noise=1e-11)
+        images = [
+            *(synth_terrace_image((256, 256), n_terraces=k, rng_seed=seed)
+              for k in (3, 4) for seed in range(3)),
+            with_pixel(synth_terrace_image((256, 256), rng_seed=0), 100, 100, 5e-8),
+            with_pixel(synth_terrace_image((32, 32), rng_seed=0), 10, 10, 5e-8),
+            AfmImage(np.round(quantized.heights_m / 5e-11) * 5e-11, PITCH),
+            noise_image(2e-11, shape=(64, 64), seed=3),
+            with_pixel(AfmImage(np.zeros((16, 16)), PITCH), 5, 7, 1e-6),
+            AfmImage(np.full((16, 16), 3e-10), PITCH),
+        ]
+        for image in images:
+            (centers, counts), (expected_centers, expected_counts) = (
+                height_histogram(image), scan_order_histogram(image))
+            assert np.array_equal(centers, expected_centers)
+            assert np.array_equal(counts, expected_counts)
+            assert counts.dtype == expected_counts.dtype
 
     @pytest.mark.parametrize("fractions", [(0.6, 0.25, 0.15), (0.15, 0.7, 0.15),
                                            (0.75, 0.15, 0.1)])

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,68 @@ def test_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(lsq, "MAX_ITER", 1)
     with pytest.raises(FitError):
         fit_least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jac)
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced) of ``call()``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_holds_one_jacobian_at_a_time(rng):
+    # the last iteration's Jacobian is gone before the next one is built, so
+    # a jac that allocates only its output peaks at one Jacobian plus
+    # residual-sized arrays, not two Jacobians
+    m, n = 4000, 25
+    design = rng.standard_normal((m, n))
+    y = design @ np.tanh(np.ones(n))
+
+    def residual(p):
+        return design @ np.tanh(p) - y
+
+    def jacobian(p):
+        return design * (1.0 - np.tanh(p) ** 2)
+
+    res, peak = _traced_peak(lambda: fit_least_squares(residual, np.zeros(n), jac=jacobian))
+    assert res.n_iterations >= 3
+    assert peak < 1.5 * design.nbytes
+
+
+def test_one_slot_drops_its_last_value_before_computing_the_next():
+    previous, alive = [], []
+
+    def compute(x):
+        alive.append([ref() is not None for ref in previous])
+        out = np.full(1000, x)
+        previous.append(weakref.ref(out))
+        return out, None
+
+    get = lsq._one_slot(compute)
+    get(1.0)
+    get(1.0)
+    get(2.0)
+    get(np.array([3.0]))
+    assert alive == [[], [False], [False, False]]
+
+
+def test_numeric_jacobian_of_a_complex_view_allocates_one_residual():
+    # each column is differenced in place, so besides its output it holds
+    # only the residual fun returns, which as a view numpy cannot reuse
+    z = np.exp(1j * np.linspace(0.0, 6.0, 20000))
+
+    def fun(p):
+        out = z * p[0]
+        out += p[1]
+        return out.view(float)
+
+    p = np.array([1.5, 0.2])
+    r0 = fun(p)
+    jac, peak = _traced_peak(lambda: numeric_jacobian(fun, p, r0, [1.0, 1.0]))
+    assert peak < jac.nbytes + 1.5 * r0.nbytes
+    assert np.allclose(jac[::2], np.column_stack([z.real, np.ones(z.size)]), atol=1e-6)
 
 
 def test_numeric_jacobian_matches_analytic():

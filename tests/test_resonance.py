@@ -652,3 +652,20 @@ def test_kernel_allocations(rng, dark, jacobian_vectors, residual_vectors):
     residual(x)
     assert _peak_vectors(lambda: jacobian(x), n) < jacobian_vectors + 0.25
     assert _peak_vectors(lambda: residual(fresh), n) < residual_vectors + 0.25
+
+
+@pytest.mark.parametrize("model_kind,vectors", [("lorentzian", 14), ("dark_mode", 20)])
+def test_fit_holds_one_jacobian_at_a_time(model_kind, vectors):
+    # a 6001-point fit peaks at its one Jacobian (6 or 9 vectors), the
+    # model pieces of one point, the residuals and the covariance's numeric
+    # Jacobian; holding the last iteration's Jacobian while the next is built
+    # read 16.6 and 25.1 vectors
+    f0 = 679.564e6
+    kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
+    grid = resonance_grid(f0, 6.8e3, 1.4e4, points=6001)
+    dark = (TWO_PI * 15e3, 75e3, TWO_PI * 10e3) if model_kind == "dark_mode" else None
+    sp = synth_s11(f0, kappa, kappa_e, grid, dark=dark,
+                   noise_sigma=dip_depth(6.8e3, 1.4e4) / 100.0, rng_seed=0)
+    result = fit_resonance(sp, model_kind)  # the first call also builds what later calls reuse
+    assert (result.params.dark is not None) == (dark is not None)
+    assert _peak_vectors(lambda: fit_resonance(sp, model_kind), grid.size) < vectors
