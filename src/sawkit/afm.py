@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_separable, nested_gate
+from .lsq import fit_separable, median, nested_gate
 from .spectra import AfmImage
 
 #: histogram bins never get finer than this (10 pm)
@@ -67,7 +67,7 @@ def three_point_level(image: AfmImage, p1, p2, p3) -> AfmImage:
         raise ValidationError("the three points are collinear")
     a = np.array([[px * dx, py * dy, 1.0] for px, py in pts])
     # slicing clips the 3x3 window at the far edges, max(..., 0) at the near
-    z = np.array([np.median(h[max(py - 1, 0):py + 2, max(px - 1, 0):px + 2])
+    z = np.array([median(h[max(py - 1, 0):py + 2, max(px - 1, 0):px + 2])
                   for px, py in pts])
     cx, cy, c0 = np.linalg.solve(a, z)
     xs = np.arange(image.nx) * dx
@@ -114,24 +114,40 @@ class StepHeightResult:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
 
 
+def _sorted_percentile(h, q, rank=None):
+    """``np.percentile(h, q)`` of the sorted 1-d ``h``, read by rank with
+    numpy's own arithmetic: at the ``rank`` (``np.ceil`` for its
+    ``method="higher"``, ``np.floor`` for ``"lower"``) of the virtual index
+    ``(n - 1) q``, or, with no ``rank``, by its linear method's two-sided
+    lerp.  Neither partitions a copy of ``h``, nor imports ``numpy.ma`` as
+    the linear method does."""
+    virtual = (h.size - 1) * (q / 100)
+    if rank is not None:
+        return h[int(rank(virtual))]
+    i = min(int(virtual), h.size - 1)
+    a, b = h[i], h[min(i + 1, h.size - 1)]
+    t = virtual - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def height_histogram(image: AfmImage):
     """(bin centers, counts) with Freedman-Diaconis widths, floored at 10 pm,
     over the heights inside the fences one core span beyond the 0.1st and
     99.9th percentiles (pixels past them are not counted).  The heights are
-    sorted once: the percentiles and extremes read the sorted copy, and each
-    bin counts the pixels between the ranks of its edges, half-open like
-    ``np.histogram``'s bins and the last one closed, without its per-pixel
-    index arrays."""
+    sorted once: the percentiles (:func:`_sorted_percentile`) and extremes
+    read the sorted copy, and each bin counts the pixels between the ranks of
+    its edges, half-open like ``np.histogram``'s bins and the last one
+    closed, without its per-pixel index arrays."""
     h = np.sort(image.heights_m, axis=None)
     # rounding the core's ranks inward keeps the most extreme pixel on each
     # side out of it, so one spike cannot widen it even in a small image;
     # a flat core still gets a margin of one floor bin
-    core_lo = np.percentile(h, 0.1, method="higher")
-    core_hi = np.percentile(h, 99.9, method="lower")
+    core_lo = _sorted_percentile(h, 0.1, np.ceil)
+    core_hi = _sorted_percentile(h, 99.9, np.floor)
     margin = _FENCE_CORE_SPANS * max(core_hi - core_lo, HIST_BIN_FLOOR_M)
     lo = max(h[0], core_lo - margin)
     hi = min(h[-1], core_hi + margin)
-    q75, q25 = np.percentile(h, [75, 25])
+    q75, q25 = _sorted_percentile(h, 75), _sorted_percentile(h, 25)
     width = max(2.0 * (q75 - q25) / h.size ** (1.0 / 3.0), HIST_BIN_FLOOR_M)
     # rounding down keeps every actual bin at or above the floor width
     n_bins = max(int((hi - lo) / width), 1)

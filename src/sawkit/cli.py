@@ -3,9 +3,10 @@
 fit-resonance, fit-tempsweep, fit-powersweep, afm and walkoff analyze each
 input on its own: ``build_parser`` registers each one's ``analyze(args,
 read)`` and report suffix on the batch driver ``_run_batch``.  ``read()``
-returns the input's text, which each analysis passes straight to its
-``spectra`` parser, looked up on the module at call time, so the text is
-freed before the fit.  xps-quant combines its inputs into one report; synth
+returns the input's bytes, which each analysis passes straight to its
+``spectra`` parser, looked up on the module at call time, so they are
+freed before the fit; the parser decodes them as it reads, so the whole
+text is never built.  xps-quant combines its inputs into one report; synth
 writes fixture files from ``--seed``.  Reports are canonical JSON (sorted
 keys, newline-terminated) and plots deterministic SVG, so reruns are
 byte-identical and CI diffs stay meaningful.  A failing input produces an ``<stem>.error.json`` record and,
@@ -15,6 +16,8 @@ with no input, as ``<command>.error.json`` under ``--out``.  Every failure
 is also reported on stderr, so one whose record cannot be written is still
 seen.  Inputs and configs are read, and reports written, as UTF-8 whatever
 the locale; an input not in UTF-8 is recorded like any malformed one.
+Lines end as universal newlines end them (LF, CRLF or a lone CR), and
+``# key=value`` metadata is read before the header only.
 
 A process builds the argument parser once: the first ``main`` call builds
 it and later calls only parse and dispatch, so an in-process batch driver
@@ -61,12 +64,9 @@ def _write_atomic(path: Path, text: str):
         raise
 
 
-def _read_input(path: Path) -> str:
-    """The text of one input file; bytes that are not UTF-8 are a ParseError."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc}") from None
+def _read_input(path: Path) -> bytes:
+    """The bytes of one input file; its ``spectra`` parser decodes them."""
+    return path.read_bytes()
 
 
 def _gather_inputs(paths):
@@ -101,8 +101,8 @@ def _run_batch(args, suffix, analyze, summarize=None):
     """Analyze every input file on its own, honoring --keep-going.
 
     ``analyze(args, read)`` returns ``(report, panels)``, where ``read()``
-    returns the input's text: an analysis that holds no reference to the
-    text lets it go once parsed.  The report goes to
+    returns the input's bytes: an analysis that holds no reference to them
+    lets them go once parsed.  The report goes to
     ``<stem>.<suffix>.json`` and the plot to ``<stem>.<suffix>.svg``, and
     ``summarize(args, reports)`` sees the reports that were written.
     Returns the exit code: 0 only when every input succeeded.  Raises,

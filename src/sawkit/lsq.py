@@ -79,6 +79,19 @@ def numeric_jacobian(fun, p, r0, x_scale):
     return jac
 
 
+def median(a):
+    """``np.median`` of the flattened ``a``, bit for bit, without the import
+    of ``numpy.ma`` that ``np.median`` makes: its partition (a nan sorts
+    last and is then the median), then the ``np.mean`` of the middle element
+    or of the middle two, a sum from +0.0 that turns a -0.0 into +0.0."""
+    a = np.ravel(a)
+    k, odd = divmod(a.size, 2)
+    part = np.partition(a, [k, -1] if odd else [k - 1, k, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return np.mean(part[k - 1 + odd:k + 1])
+
+
 def _damped_step(a, g, d, lam):
     try:
         return np.linalg.solve(a + lam * np.diag(d), -g)
@@ -110,7 +123,9 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
     - 50 damping trials in one iteration find no downhill step.
 
     ``n_iterations`` counts the iteration a stop happens in.  Raises
-    FitError if ``MAX_ITER`` iterations pass without a stop.
+    FitError if the cost at ``p0`` is not finite (a residual that is nan or
+    inf, or whose square overflows), or if ``MAX_ITER`` iterations pass
+    without a stop.
     """
     p = np.asarray(p0, dtype=float).copy()
     n = p.size
@@ -119,9 +134,10 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
     p = np.clip(p, lo, hi)
 
     r = np.asarray(fun(p), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise FitError("residual is not finite at the initial parameters")
-    cost = float(r @ r)
+    with np.errstate(over="ignore"):  # an overflowing cost is refused below
+        cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise FitError("sum of squared residuals is not finite at the initial parameters")
     lam = LAM0
 
     for n_iter in range(1, MAX_ITER + 1):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import MAX_ITER, _one_slot, fit_least_squares, nested_gate, with_covariance
+from .lsq import MAX_ITER, _one_slot, fit_least_squares, median, nested_gate, with_covariance
 from .spectra import ComplexSpectrum
 
 
@@ -139,7 +139,7 @@ def q_factors(params: ResonanceModelParams):
 def _robust_noise(mag):
     # high-frequency scatter estimate: MAD of successive differences
     d = np.abs(np.diff(mag))
-    return 1.4826 * np.median(d) / np.sqrt(2.0)
+    return 1.4826 * median(d) / np.sqrt(2.0)
 
 
 def _smooth(x, width):
@@ -174,7 +174,7 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
     dev = np.abs(1.0 - spectrum.values * np.exp(-1j * 2.0 * np.pi * freq * tau) / a)
     smooth = _smooth(dev, max(3, n // 200))
     i0 = int(np.argmax(smooth))
-    baseline = float(np.median(smooth[idx]))
+    baseline = float(median(smooth[idx]))
     if dev[i0] - baseline < 3.0 * max(_robust_noise(dev), 1e-12):
         raise FitError("no resolvable dip: depth is below 3x the trace noise")
     if i0 < 3 or i0 > n - 4:
@@ -226,7 +226,6 @@ def _fit_functions(freq, data, fc):
     and the LM engine lets go once it has formed the normal equations.
     """
     turn = 2.0 * np.pi * (freq - fc)
-    iturn = 1j * turn  # d/dtau of the delay's exponent
     reciprocal = _one_slot(lambda f0, kappa, dark: _reciprocal(freq, f0, kappa, *dark))
     phasor = _one_slot(lambda tau: (_phasor(turn * tau),))
 
@@ -257,7 +256,11 @@ def _fit_functions(freq, data, fc):
         jt[3] *= rot
         np.multiply(jt[3], 1j, out=jt[4])
         np.multiply(jt[3], a, out=jt[5])
-        jt[5] *= iturn
+        # d/dtau of the delay's exponent is 1j * turn: a turn by 1j, then
+        # each part scaled by turn, with no complex copy of turn
+        jt[5] *= 1j
+        jt[5].real *= turn
+        jt[5].imag *= turn
         # d model / d kappa_e = -a * rot * inv; with it the derivative by the
         # denominator, d model / d den = a * rot * kappa_e * inv**2
         np.multiply(rot, -a, out=jt[2])

@@ -25,19 +25,20 @@ that breaks a container's invariant is reported as a
 traces, AFM grids and both sweeps, the kinds ``sawkit synth`` writes, also
 have serializers, which write them bit-exactly.
 
-Each reader takes the comments and the header line by line, then reads all
-numeric rows with one ``np.loadtxt`` call: blank lines, ``#`` comments
-between rows, CRLF endings and spaces around fields are all accepted.  Lines
-end where ``str.splitlines`` ends them: at LF, CRLF and a lone CR among
-others.  The CSV readers split the whole text at once; the AFM
-reader, whose text is the largest, streams its rows from the text into the
-loader one by one and counts them after the load, so it never holds a list
-of the lines beside the text.  The rules on row values (finite, strictly
-increasing, in range) are checked only in each container's
-``__post_init__``, which reports the first offending row as
-:attr:`ValidationError.row <sawkit.errors.ValidationError>`.  Only once a
-row is found faulty, by the loader or by the container, are the lines walked
-one by one, to name the faulty line in the error.  A metadata or header value
+Every parser takes the file's bytes, decoded as UTF-8 while they are read
+(bytes that are not UTF-8 are a ParseError), or a ``str``.  Lines end as
+universal newlines end them: at LF, CRLF or a lone CR, mixed or not.  The
+``# key=value`` comments before the header are the metadata; a ``#`` line
+after it is a plain comment.  Each reader takes the comments and the header
+line by line, then streams the rest of the lines into one ``np.loadtxt``
+call, so it holds neither the decoded text nor a list of its lines: blank
+lines, ``#`` comments between rows and spaces around fields are all
+accepted.  The rules on row values (finite, strictly increasing, in range)
+are checked only in each container's ``__post_init__``, which reports the
+first offending row as :attr:`ValidationError.row
+<sawkit.errors.ValidationError>`.  Only once a row is found faulty, by the
+loader or by the container, is the stream walked again from its start, line
+by line, to name the faulty line in the error.  A metadata or header value
 the container refuses, such as ``# f0_hz=-6.9e8`` or a pixel pitch that is
 not positive, is named as :attr:`ValidationError.field
 <sawkit.errors.ValidationError>`, and the reader reports it with the line it
@@ -45,6 +46,8 @@ read that value from.
 """
 from __future__ import annotations
 
+import functools
+import io
 import itertools
 from dataclasses import dataclass, field
 
@@ -111,7 +114,9 @@ class TemperatureSweepSeries:
         t, f, e = _freeze_table(self, "temperature/f0/err columns must have equal length",
                                 "non-finite temperature, f0 or error", size=0,
                                 temperatures_k=float, f0_hz=float, f0_err_hz=float)
-        if np.unique(t).size < 4:
+        # the distinct values of the sorted column, without np.unique's
+        # import of numpy.ma
+        if 1 + np.count_nonzero(np.diff(np.sort(t))) < 4:
             raise ValidationError("need at least 4 distinct temperatures")
         _reject_rows((t <= 0) | (t > 1.0), "temperatures must lie in (0, 1] K")
         if not 0.0 < self.reference_temperature_k <= 1.0:
@@ -216,40 +221,56 @@ class WalkoffCurve:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _lines(text):
-    """(1-based line number, content) of the header and each data row, lazily.
+def _stream(source):
+    """A text stream over ``source``: bytes, decoded as UTF-8 while they are
+    read, or a str.  Either way its lines end as universal newlines end
+    them, at LF, CRLF or a lone CR, and it can go back to its start."""
+    if isinstance(source, str):
+        return io.StringIO(source, newline=None)
+    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
 
-    Yields the stripped non-blank lines of ``text`` that are not comments,
-    numbered as ``str.splitlines`` numbers them.  The text is cut after each
-    LF (after each CR when it has no LF), and only the piece at hand is
-    split, so no list of all the lines is ever held.  The AFM reader loads
-    its rows from it, and the error paths below walk it to name a line.
+
+def _parser(read):
+    """The public parser that runs ``read`` on a :func:`_stream` over its
+    ``str`` or ``bytes`` source; bytes that are not UTF-8 are a ParseError."""
+    @functools.wraps(read)
+    def parse(source):
+        try:
+            with _stream(source) as stream:
+                return read(stream)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from None
+    return parse
+
+
+def _numbered_rows(stream):
+    """(1-based line number, stripped line) of the header and each data row.
+
+    Walks ``stream`` again from its start and yields its non-blank lines
+    that are not ``#`` comments.  Only the error paths below walk it, to
+    name a line.
     """
-    sep = "\n" if "\n" in text else "\r"
-    number = start = 0
-    while start < len(text):
-        end = text.find(sep, start) + 1 or len(text)
-        for line in text[start:end].splitlines():
-            number += 1
-            line = line.strip()
-            if line and line[0] != "#":
-                yield number, line
-        start = end
+    stream.seek(0)
+    for number, line in enumerate(stream, start=1):
+        line = line.strip()
+        if line and line[0] != "#":
+            yield number, line
 
 
-def _row_error(text, message, row):
+def _row_error(stream, message, row):
     """A ParseError naming the line of data row ``row``; row -1 is the header."""
-    return ParseError(message, line=list(_lines(text))[row + 1][0])
+    lineno, _ = next(itertools.islice(_numbered_rows(stream), row + 1, None))
+    return ParseError(message, line=lineno)
 
 
-def _unreadable(text, ncols, delimiter, exc):
+def _unreadable(stream, ncols, delimiter, exc):
     """The ParseError for rows that ``np.loadtxt`` did not read as ``ncols`` floats.
 
     Walks the rows after the header to name the first bad line: a wrong field
     count, or a field the loader rejects (``1_000`` is one, though ``float``
     takes it).
     """
-    for lineno, line in itertools.islice(_lines(text), 1, None):
+    for lineno, line in itertools.islice(_numbered_rows(stream), 1, None):
         fields = line.partition("#")[0].split(delimiter)
         if len(fields) != ncols:
             return ParseError(f"expected {ncols} fields, got {len(fields)}", line=lineno)
@@ -260,47 +281,68 @@ def _unreadable(text, ncols, delimiter, exc):
     return ParseError(f"unreadable rows: {exc}")
 
 
-def _load_rows(lines, ncols, delimiter, text):
-    """The data rows among ``lines`` (comments allowed) as one float array."""
+def _head(stream):
+    """Read ``stream`` from its start up to its header line.
+
+    Returns ((meta dict, 1-based line of each meta key), the header's line
+    number, the stripped header), the last two None when every line is blank
+    or a comment.  The ``# key=value`` comments before the header are the
+    metadata; the stream is left after the header.
+    """
+    meta, meta_lines = {}, {}
+    for number, line in enumerate(stream, start=1):
+        line = line.strip()
+        if line[:1] == "#":
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+                meta_lines[key.strip()] = number
+        elif line:
+            return (meta, meta_lines), number, line
+    return (meta, meta_lines), None, None
+
+
+def _load_rows(stream, ncols, delimiter):
+    """The rows left in ``stream`` (blank lines and comments allowed) as one
+    float array of ``ncols`` columns, by one ``np.loadtxt`` call; a fault in
+    them is named by its line through :func:`_unreadable`."""
+    lines = filter(None, map(str.strip, stream))
+    first = next((line for line in lines if line[0] != "#"), None)
+    if first is None:  # np.loadtxt warns on no rows at all
+        return np.empty((0, ncols))
     try:
-        rows = np.loadtxt(lines, delimiter=delimiter, comments="#", ndmin=2)
+        rows = np.loadtxt(itertools.chain([first], lines), delimiter=delimiter,
+                          comments="#", ndmin=2)
+    except UnicodeDecodeError:  # a ValueError too, but no row is at fault
+        raise
     except ValueError as exc:
-        raise _unreadable(text, ncols, delimiter, exc) from None
+        raise _unreadable(stream, ncols, delimiter, exc) from None
     if rows.shape[1] != ncols:
-        raise _unreadable(text, ncols, delimiter, f"{rows.shape[1]} columns")
+        raise _unreadable(stream, ncols, delimiter, f"{rows.shape[1]} columns")
     return rows
 
 
-def _read_csv(text, header):
+def _read_csv(stream, header):
     """Read the ``# key=value`` comments, check the header line, load the rows.
 
     Returns ((meta dict, 1-based line of each meta key), float array of
-    shape ``(rows, len(header))``).  The rows are read by one ``np.loadtxt``
-    call; a fault found in them, here or by the container built from them,
-    is named by its line through :func:`_row_error` or :func:`_unreadable`.
+    shape ``(rows, len(header))``).  A fault found in the rows, here or by
+    the container built from them, is named by its line through
+    :func:`_row_error` or :func:`_unreadable`.
     """
-    stripped = list(map(str.strip, text.splitlines()))
-    lines = list(filter(None, stripped))
-    comments = [i for i, line in enumerate(stripped, start=1) if line[:1] == "#"]
-    meta, meta_lines = {}, {}
-    for i in comments:
-        key, eq, value = stripped[i - 1][1:].partition("=")
-        if eq:
-            meta[key.strip()] = value.strip()
-            meta_lines[key.strip()] = i
-    start = next((i for i, line in enumerate(lines) if line[0] != "#"), None)
-    if start is None:
+    meta, head, line = _head(stream)
+    if head is None:
         raise ParseError(f"missing header {','.join(header)!r}")
-    if [t.strip() for t in lines[start].split(",")] != list(header):
-        raise _row_error(text, f"expected header {','.join(header)!r}, "
-                         f"got {lines[start]!r}", -1)
-    if len(lines) - 1 == len(comments):
+    if [t.strip() for t in line.split(",")] != list(header):
+        raise ParseError(f"expected header {','.join(header)!r}, got {line!r}", line=head)
+    rows = _load_rows(stream, len(header), ",")
+    if not len(rows):
         raise ParseError("no data rows")
-    return (meta, meta_lines), _load_rows(lines[start + 1:], len(header), ",", text)
+    return meta, rows
 
 
-def _build(text, cls, *args, field_lines=None, **kwargs):
-    """Construct a domain object read from ``text``; a violated invariant
+def _build(stream, cls, *args, field_lines=None, **kwargs):
+    """Construct a domain object read from ``stream``; a violated invariant
     becomes a ParseError naming the line of the first offending row, or the
     line ``field_lines`` gives for the offending field."""
     try:
@@ -308,7 +350,7 @@ def _build(text, cls, *args, field_lines=None, **kwargs):
     except ValidationError as exc:
         if exc.row is None:
             raise ParseError(str(exc), line=(field_lines or {}).get(exc.field)) from exc
-        raise _row_error(text, str(exc), exc.row) from exc
+        raise _row_error(stream, str(exc), exc.row) from exc
 
 
 def _meta_float(meta, meta_lines, key, default=None):
@@ -323,33 +365,31 @@ def _meta_float(meta, meta_lines, key, default=None):
                          line=meta_lines[key]) from None
 
 
-def parse_s11_csv(text) -> ComplexSpectrum:
+@_parser
+def parse_s11_csv(stream) -> ComplexSpectrum:
     """Parse a reflection trace.  See the module docstring for the format."""
-    (meta, _), cols = _read_csv(text, ("freq_hz", "re", "im"))
+    (meta, _), cols = _read_csv(stream, ("freq_hz", "re", "im"))
     # assigned, not re + 1j*im, which would turn a -0.0 real part into 0.0
     values = np.empty(len(cols), dtype=complex)
     values.real = cols[:, 1]
     values.imag = cols[:, 2]
-    return _build(text, ComplexSpectrum, cols[:, 0], values, meta)
+    return _build(stream, ComplexSpectrum, cols[:, 0], values, meta)
 
 
-def parse_xps_csv(text) -> XpsSpectrum:
+@_parser
+def parse_xps_csv(stream) -> XpsSpectrum:
     """Parse an XPS line scan; the ``# line=<element>`` header is required."""
-    (meta, meta_lines), cols = _read_csv(text, ("be_ev", "counts"))
+    (meta, meta_lines), cols = _read_csv(stream, ("be_ev", "counts"))
     if "line" not in meta:
         raise ParseError("missing '# line=<element>' header")
-    return _build(text, XpsSpectrum, *cols.T, meta["line"],
+    return _build(stream, XpsSpectrum, *cols.T, meta["line"],
                   field_lines={"element_line": meta_lines["line"]})
 
 
-def parse_afm_grid(text) -> AfmImage:
-    """Parse an AFM height grid; header is ``nx ny dx_m dy_m``.
-
-    The rows go from :func:`_lines` straight into ``np.loadtxt``, so the
-    reader holds the text and the heights but no list of its lines.
-    """
-    lines = _lines(text)
-    head, header = next(lines, (None, ""))
+@_parser
+def parse_afm_grid(stream) -> AfmImage:
+    """Parse an AFM height grid; header is ``nx ny dx_m dy_m``."""
+    _, head, header = _head(stream)
     if head is None:
         raise ParseError("empty AFM grid file")
     parts = header.split()
@@ -362,46 +402,46 @@ def parse_afm_grid(text) -> AfmImage:
         raise ParseError("non-numeric header field", line=head) from None
     if nx < 0 or ny < 0:
         raise ParseError("negative grid dimension", line=head)
-    rows = (line for _, line in lines)
-    first = next(rows, None)  # np.loadtxt warns on no rows at all
-    heights = (np.empty((0, nx)) if first is None
-               else _load_rows(itertools.chain([first], rows), nx, None, text))
+    heights = _load_rows(stream, nx, None)
     if len(heights) != ny:
         raise ParseError(f"header claims {ny} rows but {len(heights)} present", line=head)
-    return _build(text, AfmImage, heights, (dx, dy), field_lines={"pixel_pitch_m": head})
+    return _build(stream, AfmImage, heights, (dx, dy), field_lines={"pixel_pitch_m": head})
 
 
-def parse_tempsweep_csv(text) -> TemperatureSweepSeries:
+@_parser
+def parse_tempsweep_csv(stream) -> TemperatureSweepSeries:
     """Parse a ``temperature_K,f0_hz,f0_err_hz`` sweep.
 
     An optional ``# reference_temperature_K=...`` metadata line overrides the
     0.200 K default.
     """
-    (meta, meta_lines), cols = _read_csv(text, ("temperature_K", "f0_hz", "f0_err_hz"))
+    (meta, meta_lines), cols = _read_csv(stream, ("temperature_K", "f0_hz", "f0_err_hz"))
     key = "reference_temperature_K"
-    return _build(text, TemperatureSweepSeries, *cols.T,
+    return _build(stream, TemperatureSweepSeries, *cols.T,
                   reference_temperature_k=_meta_float(meta, meta_lines, key, 0.200),
                   field_lines={"reference_temperature_k": meta_lines.get(key)})
 
 
-def parse_powersweep_csv(text) -> PowerSweepSeries:
+@_parser
+def parse_powersweep_csv(stream) -> PowerSweepSeries:
     """Parse an ``n_mean,qi,qi_err`` sweep.
 
     ``# temperature_K=...`` and ``# f0_hz=...`` metadata lines carry the
     operating point the model needs.
     """
-    (meta, meta_lines), cols = _read_csv(text, ("n_mean", "qi", "qi_err"))
-    return _build(text, PowerSweepSeries, *cols.T,
+    (meta, meta_lines), cols = _read_csv(stream, ("n_mean", "qi", "qi_err"))
+    return _build(stream, PowerSweepSeries, *cols.T,
                   temperature_k=_meta_float(meta, meta_lines, "temperature_K"),
                   f0_hz=_meta_float(meta, meta_lines, "f0_hz"),
                   field_lines={"temperature_k": meta_lines["temperature_K"],
                                "f0_hz": meta_lines["f0_hz"]})
 
 
-def parse_walkoff_csv(text) -> WalkoffCurve:
+@_parser
+def parse_walkoff_csv(stream) -> WalkoffCurve:
     """Parse a ``theta_deg,eta_deg`` walk-off curve."""
-    _, cols = _read_csv(text, ("theta_deg", "eta_deg"))
-    return _build(text, WalkoffCurve, *cols.T)
+    _, cols = _read_csv(stream, ("theta_deg", "eta_deg"))
+    return _build(stream, WalkoffCurve, *cols.T)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_separable
+from .lsq import fit_separable, median
 from .spectra import XpsSpectrum
 
 #: literature binding energy of the Nb3d5/2 line in lithium niobate, used as
@@ -255,7 +255,7 @@ def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
         raise ValidationError("need matching energy/signal arrays, >= 5 points")
     if be[0] > be[-1]:
         be, y = be[::-1], y[::-1]
-    grid_step = float(np.median(np.diff(be)))
+    grid_step = float(median(np.diff(be)))
 
     bands = model.bands
     n = len(bands)

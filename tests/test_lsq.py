@@ -122,6 +122,31 @@ def test_iteration_cap_raises(monkeypatch):
         fit_least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jac)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
+def test_initial_cost_that_is_not_finite_raises(value):
+    # 1e300 is finite, but its square is not: the fit is refused before any
+    # step, not run on an infinite cost
+    evals = []
+
+    def residual(p):
+        evals.append(p)
+        return np.array([value, p[0]])
+
+    with pytest.raises(FitError, match="not finite at the initial parameters"):
+        fit_least_squares(residual, [1.0], jac=lambda p: np.array([[0.0], [1.0]]))
+    assert len(evals) == 1
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 255, 256])
+def test_median_is_np_median_bit_for_bit(rng, size):
+    # ties and signed zeros too: np.median means the middle values from +0.0
+    draws = [rng.standard_normal(size), rng.integers(-2, 3, size) * 1e-10,
+             np.where(rng.random(size) < 0.5, -0.0, 0.0),
+             rng.standard_normal((size, 3))]
+    for a in draws:
+        assert lsq.median(a).tobytes() == np.median(a).tobytes()
+
+
 def _traced_peak(call):
     """(result, peak bytes traced) of ``call()``."""
     tracemalloc.start()

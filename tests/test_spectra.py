@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 import warnings
 
@@ -216,10 +217,11 @@ class TestParsePaths:
 
     def test_comment_line_between_rows(self):
         rows = [",".join(r) for r in S11_ROWS]
+        # metadata is read before the header only: after it, "# b = 2" is a comment
         text = "\n".join(["# a=1", "freq_hz,re,im", *rows[:3], "# b = 2",
                           "#no key", *rows[3:]]) + "\n"
         sp = parse_s11_csv(text)
-        assert sp.meta == {"a": "1", "b": "2"}
+        assert sp.meta == {"a": "1"}
         assert_s11_expected(sp)
 
     def test_blank_lines(self):
@@ -249,17 +251,24 @@ class TestParsePaths:
             assert np.array_equal(img.heights_m, expected)
             assert img.pixel_pitch_m == (1e-9, 2e-9)
 
-    def test_afm_mixed_line_ends_are_those_of_splitlines(self):
+    def test_afm_mixed_line_ends_are_universal_newlines(self):
         lines = ["16 16 1e-09 1e-09"] + [" ".join(["0"] * 16)] * 16
         lines[9] = " ".join(["0"] * 15)   # line 10
-        ends = ["\n", "\r\n", "\r", "\f", "\u2028"]
-        text = "".join(line + ends[i % 5] for i, line in enumerate(lines))
-        with pytest.raises(ParseError) as err:
-            parse_afm_grid(text)
-        assert err.value.line == 10
-        lines[9] = lines[8]
-        text = "".join(line + ends[i % 5] for i, line in enumerate(lines))
-        assert np.all(parse_afm_grid(text).heights_m == 0)
+        ends = ["\n", "\r\n", "\r"]
+        for source in (str, str.encode):
+            text = "".join(line + ends[i % 3] for i, line in enumerate(lines))
+            with pytest.raises(ParseError) as err:
+                parse_afm_grid(source(text))
+            assert err.value.line == 10
+            good = lines[:9] + lines[8:9] + lines[10:]
+            text = "".join(line + ends[i % 3] for i, line in enumerate(good))
+            assert np.all(parse_afm_grid(source(text)).heights_m == 0)
+            # a form feed ends no line: the row that holds one is named
+            fed = good[:12] + [good[12] + "\f" + good[13]] + good[14:]
+            text = "".join(line + ends[i % 3] for i, line in enumerate(fed))
+            with pytest.raises(ParseError, match="expected 16 fields, got 32") as err:
+                parse_afm_grid(source(text))
+            assert err.value.line == 13
 
     @pytest.mark.parametrize("tail", ["", "\n", "\n# note\n\n  \n"])
     def test_afm_header_without_rows_warns_nothing(self, tail):
@@ -270,16 +279,35 @@ class TestParsePaths:
         assert err.value.line == 1
 
     def test_afm_read_holds_no_list_of_lines(self):
-        # the rows stream into the loader: beyond the text, the read holds
-        # the heights and the loader's buffers, not a second copy of the text
-        text = format_afm_grid(synth_terrace_image((256, 256), rng_seed=0))
+        # the rows stream into the loader: beyond the bytes, the read holds
+        # the heights and the loader's buffers, not the decoded text
+        data = format_afm_grid(synth_terrace_image((256, 256), rng_seed=0)).encode()
         tracemalloc.start()
         try:
-            parse_afm_grid(text)
+            parse_afm_grid(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.0 * len(text)
+        assert peak < 1.0 * len(data)
+
+    def test_s11_read_of_bytes_holds_no_text(self):
+        # the bytes are decoded as the rows stream into the loader: beyond
+        # the bytes, the read holds the columns and the loader's buffers
+        # (1.23 times the bytes), neither the decoded text nor lists of its
+        # lines (a read that split the text into two lists read 2.65)
+        kappa, kappa_e = rates_from_qs(6.9e8, 6.8e3, 1.4e4)
+        grid = resonance_grid(6.9e8, 6.8e3, 1.4e4, points=6001)
+        sp = synth_s11(6.9e8, kappa, kappa_e, grid, noise_sigma=0.004, rng_seed=1)
+        data = format_s11_csv(sp).encode()
+        parse_s11_csv(data)  # the first call also builds what later calls reuse
+        tracemalloc.start()
+        try:
+            back = parse_s11_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == sp.values.tobytes()
+        assert peak < 1.5 * len(data)
 
     def test_one_call_read_matches_row_loop(self, rng):
         values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 3))
@@ -287,7 +315,7 @@ class TestParsePaths:
         rows = [",".join(formats[(i + k) % 5].format(v) for k, v in enumerate(row))
                 for i, row in enumerate(values.tolist())]
         text = "\n".join(["theta_deg,eta_deg,extra", *rows]) + "\n"
-        _, cols = _read_csv(text, ("theta_deg", "eta_deg", "extra"))
+        _, cols = _read_csv(io.StringIO(text), ("theta_deg", "eta_deg", "extra"))
         reference = np.array([[float(t) for t in row.split(",")] for row in rows])
         assert cols.tobytes() == reference.tobytes()
 
