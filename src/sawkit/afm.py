@@ -76,10 +76,17 @@ def three_point_level(image: AfmImage, p1, p2, p3) -> AfmImage:
 
 
 def rms_roughness(image: AfmImage) -> float:
-    """R_q: root mean square height deviation over all pixels (meters)."""
-    # anchoring at one pixel first keeps a constant image at exactly zero
-    d = image.heights_m - image.heights_m.flat[0]
-    return float(np.sqrt(np.mean((d - d.mean()) ** 2)))
+    """R_q: root mean square height deviation over all pixels (meters).
+
+    Heights whose squared deviations overflow are a ValidationError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        # anchoring at one pixel first keeps a constant image at exactly zero
+        d = image.heights_m - image.heights_m.flat[0]
+        rq = float(np.sqrt(np.mean((d - d.mean()) ** 2)))
+    if not np.isfinite(rq):
+        raise ValidationError("R_q is not finite: the squared height deviations overflow")
+    return rq
 
 
 def _gaussians(x, centers, sigmas):

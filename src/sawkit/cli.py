@@ -48,7 +48,26 @@ _parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as sorted, indented JSON; a number that is nan or infinite,
+    which JSON cannot hold, is a SawkitError naming its key."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise SawkitError(f"{_non_finite_key(obj)} is not a finite number") from None
+
+
+def _non_finite_key(obj, path="report"):
+    """The key path of the first number in ``obj`` that is nan or infinite,
+    in the order the JSON is written, or None."""
+    if isinstance(obj, float):
+        return None if np.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{key}", obj[key]) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite_key(value, key) for key, value in items)), None)
 
 
 def _write_atomic(path: Path, text: str):

@@ -3,14 +3,15 @@ a weakly coupled dark mode.
 
 The model evaluated against the data is
 
-    S11(f) = a * exp(i * 2*pi*f * tau)
+    S11(f) = a * exp(i * 2*pi*(f - f_ref) * tau)
              * [ 1 - kappa_e / (i*Delta + kappa/2 + g^2 / (i*Delta_b + gamma/2)) ]
 
 with angular detunings ``Delta = 2*pi*(f - f0)`` and
 ``Delta_b = 2*pi*(f - f_dark)``; dropping the dark term (g = 0) gives the
-plain Lorentzian reflection dip.  Fits minimize the summed squared complex
-residual (real and imaginary parts jointly), preserving the phase
-information a magnitude-only fit would discard.
+plain Lorentzian reflection dip.  ``a`` is the background at ``f_ref``, which
+a fit sets to the centre of its grid and reports.  Fits minimize the summed
+squared complex residual (real and imaginary parts jointly), preserving the
+phase information a magnitude-only fit would discard.
 """
 from __future__ import annotations
 
@@ -44,8 +45,9 @@ class ResonanceModelParams:
     kappa_hz: float    # total loss rate, angular s^-1
     kappa_e_hz: float  # external coupling rate, angular s^-1
     dark: DarkModeParams | None = None
-    a: complex = 1.0 + 0.0j  # complex background scale
-    tau_s: float = 0.0       # cable delay: phase slope exp(i*2*pi*f*tau)
+    a: complex = 1.0 + 0.0j  # complex background scale at f_ref_hz
+    tau_s: float = 0.0       # cable delay: phase slope exp(i*2*pi*(f - f_ref)*tau)
+    f_ref_hz: float = 0.0    # the frequency the background a refers to
 
     def __post_init__(self):
         if self.kappa_hz <= 0:
@@ -122,7 +124,8 @@ def eval_s11(params: ResonanceModelParams, freq_hz):
     dark = params.dark
     dark_mode = () if dark is None else (dark.f_dark_hz, dark.gamma_hz, dark.g_hz)
     inv, _ = _reciprocal(freq, params.f0_hz, params.kappa_hz, *dark_mode)
-    out = _s11(inv, _phasor(2.0 * np.pi * freq * params.tau_s), params.kappa_e_hz, params.a)
+    out = _s11(inv, _phasor(2.0 * np.pi * (freq - params.f_ref_hz) * params.tau_s),
+               params.kappa_e_hz, params.a)
     if np.isscalar(freq_hz):
         return complex(out)
     return out
@@ -150,16 +153,19 @@ def _smooth(x, width):
 def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
     """Starting point for a fit: background, resonance position and widths.
 
-    The background ``a * exp(i*2*pi*f*tau)`` comes from the off-resonant
-    edge samples.  Dividing it out leaves ``dev = |1 - S11 / background|``,
-    which equals ``kappa_e / |i*Delta + kappa/2|`` on either side of
-    critical coupling, so the peak of ``dev`` gives f0 and kappa_e and the
-    full width at half maximum of ``dev**2`` gives kappa without choosing a
-    coupling branch.  The resonance must stand out of ``dev`` by three
-    times its noise and lie fully inside the grid; otherwise ``FitError``.
+    The background ``a * exp(i*2*pi*(f - f_ref)*tau)`` comes from the
+    off-resonant edge samples, with ``a`` at the grid centre ``f_ref``.
+    Dividing it out leaves ``dev = |1 - S11 / background|``, which equals
+    ``kappa_e / |i*Delta + kappa/2|`` on either side of critical coupling,
+    so the peak of ``dev`` gives f0 and kappa_e and the full width at half
+    maximum of ``dev**2`` gives kappa without choosing a coupling branch.
+    ``dev`` must have a finite sum of squares, and the resonance must stand
+    out of it by three times its noise and lie fully inside the grid;
+    otherwise ``FitError``.
     """
     freq = spectrum.frequencies_hz
     n = freq.size
+    fc = float(freq[(n - 1) // 2])
 
     # background from the off-resonant edges: phase slope gives the delay
     edge = max(5, n // 10)
@@ -167,11 +173,13 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
     phase = np.unwrap(np.angle(spectrum.values[idx]))
     slope, _ = np.polyfit(freq[idx], phase, 1)
     tau = slope / (2.0 * np.pi)
-    a = np.mean(spectrum.values[idx] * np.exp(-1j * 2.0 * np.pi * freq[idx] * tau))
-    if not abs(a) > 0.0:
-        raise FitError("no resolvable dip: the off-resonant background vanishes")
-
-    dev = np.abs(1.0 - spectrum.values * np.exp(-1j * 2.0 * np.pi * freq * tau) / a)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
+        a = np.mean(spectrum.values[idx] * np.exp(-1j * 2.0 * np.pi * (freq[idx] - fc) * tau))
+        if not abs(a) > 0.0:
+            raise FitError("no resolvable dip: the off-resonant background vanishes")
+        dev = np.abs(1.0 - spectrum.values * np.exp(-1j * 2.0 * np.pi * (freq - fc) * tau) / a)
+        if not np.isfinite(dev @ dev):
+            raise FitError("sum of squared deviations from the background is not finite")
     smooth = _smooth(dev, max(3, n // 200))
     i0 = int(np.argmax(smooth))
     baseline = float(median(smooth[idx]))
@@ -194,23 +202,23 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
     kappa = 2.0 * np.pi * max(f_hi - f_lo, freq[i0 + 1] - freq[i0])
     kappa_e = float(np.clip(kappa * dev[i0] / 2.0, 1e-6 * kappa, 0.999 * kappa))
 
-    return ResonanceModelParams(f0_hz=float(freq[i0]), kappa_hz=float(kappa),
-                                kappa_e_hz=kappa_e, a=complex(a), tau_s=float(tau))
+    return ResonanceModelParams(f0_hz=float(freq[i0]), kappa_hz=float(kappa), kappa_e_hz=kappa_e,
+                                a=complex(a), tau_s=float(tau), f_ref_hz=fc)
 
 
 _MODEL_KINDS = ("lorentzian", "dark_mode")
 
 
 def _fit_functions(freq, data, fc):
-    """(model, residual, jacobian) of the internal parameter vector.
+    """(model, residual, jacobian) of the parameter vector.
 
-    Internal background convention: the phase slope is taken about the grid
-    center ``fc``, which keeps tau and arg(a) from trading against each other
-    during the fit.  The vector is (f0, kappa, kappa_e, a_re, a_im, tau); a
-    9-vector appends the dark mode (f_dark, gamma, g).  ``residual`` is
-    ``model - data`` viewed as floats, so its rows interleave the real and
-    imaginary part of each frequency, and ``jacobian`` gives its exact
-    derivatives in the same rows, one column per parameter.
+    The phase slope is taken about ``fc``, the background's reference
+    frequency: at the grid centre it keeps tau and arg(a) from trading
+    against each other during the fit.  The vector is (f0, kappa, kappa_e,
+    a_re, a_im, tau); a 9-vector appends the dark mode (f_dark, gamma, g).
+    ``residual`` is ``model - data`` viewed as floats, so its rows interleave
+    the real and imaginary part of each frequency, and ``jacobian`` gives its
+    exact derivatives in the same rows, one column per parameter.
 
     The three functions are products of two pieces of the model, each kept
     for the last parameter value it was computed at: the reciprocal
@@ -313,13 +321,11 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
 
     freq = spectrum.frequencies_hz
     data = spectrum.values
-    fc = float(freq[(freq.size - 1) // 2])
     span = float(freq[-1] - freq[0])
 
-    model, residual, jacobian = _fit_functions(freq, data, fc)
-    a_int = init.a * np.exp(1j * 2.0 * np.pi * fc * init.tau_s)
+    model, residual, jacobian = _fit_functions(freq, data, init.f_ref_hz)
     x0 = [init.f0_hz, init.kappa_hz, init.kappa_e_hz,
-          a_int.real, a_int.imag, init.tau_s]
+          init.a.real, init.a.imag, init.tau_s]
     mag_a = max(abs(init.a), 0.1)
     scale = [init.kappa_hz / (2.0 * np.pi), init.kappa_hz, init.kappa_hz,
              mag_a, mag_a, 1.0 / (2.0 * np.pi * span)]
@@ -351,27 +357,18 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
             res, scale = _physical(dark_fit), dark_scale
     res = with_covariance(residual, res, scale)
 
-    x = res.params
-    rot = np.exp(-1j * 2.0 * np.pi * fc * x[5])
-    a_pub = (x[3] + 1j * x[4]) * rot
-    # carry the covariance of (a_re, a_im, tau) through the turn back to f = 0
-    d_pub = np.array([rot, 1j * rot, -1j * 2.0 * np.pi * fc * a_pub])
-    jac = np.array([d_pub.real, d_pub.imag])
-    errors = res.param_errors.copy()
-    errors[3:5] = np.sqrt(np.diag(jac @ res.covariance[3:6, 3:6] @ jac.T))
+    x = res.params.tolist()
     dark = None
     err_keys = ["f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im", "tau_s"]
-    if x.size == 9:
-        dark = DarkModeParams(f_dark_hz=float(x[6]), gamma_hz=float(x[7]), g_hz=float(x[8]))
+    if len(x) == 9:
+        dark = DarkModeParams(*x[6:])
         err_keys += ["f_dark_hz", "gamma_hz", "g_hz"]
-
-    params = ResonanceModelParams(f0_hz=float(x[0]), kappa_hz=float(x[1]),
-                                  kappa_e_hz=float(x[2]), dark=dark,
-                                  a=complex(a_pub), tau_s=float(x[5]))
+    params = ResonanceModelParams(*x[:3], dark=dark, a=complex(*x[3:5]), tau_s=x[5],
+                                  f_ref_hz=init.f_ref_hz)
     qi, qe = q_factors(params)
     return ResonanceFitResult(
         params=params,
-        param_errors={k: float(e) for k, e in zip(err_keys, errors)},
+        param_errors=dict(zip(err_keys, res.param_errors.tolist())),
         qi=float(qi),
         qe=float(qe),
         residual_rms=float(np.sqrt(res.cost / freq.size)),

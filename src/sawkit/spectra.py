@@ -26,7 +26,8 @@ traces, AFM grids and both sweeps, the kinds ``sawkit synth`` writes, also
 have serializers, which write them bit-exactly.
 
 Every parser takes the file's bytes, decoded as UTF-8 while they are read
-(bytes that are not UTF-8 are a ParseError), or a ``str``.  Lines end as
+(bytes that are not UTF-8 are a ParseError naming their line), or a ``str``,
+which it encodes to UTF-8 and reads the same way.  Lines end as
 universal newlines end them: at LF, CRLF or a lone CR, mixed or not.  The
 ``# key=value`` comments before the header are the metadata; a ``#`` line
 after it is a plain comment.  Each reader takes the comments and the header
@@ -221,26 +222,38 @@ class WalkoffCurve:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _stream(source):
-    """A text stream over ``source``: bytes, decoded as UTF-8 while they are
-    read, or a str.  Either way its lines end as universal newlines end
-    them, at LF, CRLF or a lone CR, and it can go back to its start."""
-    if isinstance(source, str):
-        return io.StringIO(source, newline=None)
-    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
-
-
 def _parser(read):
-    """The public parser that runs ``read`` on a :func:`_stream` over its
-    ``str`` or ``bytes`` source; bytes that are not UTF-8 are a ParseError."""
+    """The public parser that runs ``read`` on a text stream over its source.
+
+    The stream decodes the source's bytes as UTF-8 while they are read; a
+    ``str`` source is encoded to them first, so both take one path.  Its
+    lines end as universal newlines end them, at LF, CRLF or a lone CR, and
+    it can go back to its start.  Bytes that are not UTF-8 are a ParseError
+    naming their line.
+    """
     @functools.wraps(read)
     def parse(source):
+        if isinstance(source, str):
+            source = source.encode("utf-8", "surrogatepass")
         try:
-            with _stream(source) as stream:
+            with io.TextIOWrapper(io.BytesIO(source), encoding="utf-8") as stream:
                 return read(stream)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(source) from None
     return parse
+
+
+def _not_utf8(data):
+    """The ParseError naming the first line of ``data`` that is not UTF-8.
+
+    A line break is one byte below 0x80, which no multi-byte UTF-8 sequence
+    holds, so the bytes are UTF-8 exactly when each of their lines is.
+    """
+    for number, line in enumerate(data.splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(f"not UTF-8 text: {exc}", line=number)
 
 
 def _numbered_rows(stream):

@@ -132,12 +132,16 @@ def fit_fdelta(series) -> TlsFitResult:
     t_ref = series.reference_temperature_k
     f_ref = f0[int(np.argmin(np.abs(t - t_ref)))]
     shape = (_bracket(f_ref, t) - _bracket(f_ref, t_ref)) / np.pi
-    sw = 1.0 / err if np.all(err > 0) else np.ones_like(t)
+    # 1/err scaled by the power of two that puts the largest in (1/2, 1]: the
+    # scale is exact and cancels from the result, and no weight overflows
+    scale = np.ldexp(1.0, np.frexp(err.min())[1] - 1)
+    sw = scale / err if np.all(err > 0) else np.ones_like(t)
     design = np.column_stack([np.ones_like(t), shape]) * sw[:, None]
     # solving for the offset from f_ref keeps the shift digits
     (dc, d), _, rank, _ = np.linalg.lstsq(design, (f0 - f_ref) * sw, rcond=None)
     if rank < 2:
-        raise FitError("degenerate temperature shape: no usable spread in T")
+        raise FitError("degenerate temperature shape: "
+                       "no usable spread in T among the weighted points")
     c = f_ref + dc
     f_delta = d / c
 

@@ -59,6 +59,25 @@ def flat_power_sweep(seed=0):
     return PowerSweepSeries(n, qi, 0.01 * qi, temperature_k=0.010, f0_hz=6.9e8)
 
 
+def assert_sigma_matches_scatter(values, sigmas):
+    """The reported one-sigma errors ``sigmas`` of ``values``, one of each per
+    noise draw along axis 0, match the scatter of the values over the draws.
+
+    The median error lies within a factor of 3 of the scatter, so it is right
+    on average.  The standard deviation of the pulls, ``(value - mean over
+    draws) / that draw's error``, differs from 1 by at most 4 of its standard
+    errors, ``1/sqrt(2(n - 1))`` for n draws, so each draw's error is right too.
+    """
+    values = np.asarray(values, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    scatter = np.std(values, axis=0, ddof=1)
+    reported = np.median(sigmas, axis=0)
+    assert np.all(scatter / 3.0 < reported), (reported, scatter)
+    assert np.all(reported < 3.0 * scatter), (reported, scatter)
+    pull_std = np.std((values - values.mean(axis=0)) / sigmas, axis=0, ddof=1)
+    assert np.all(abs(pull_std - 1.0) <= 4.0 / np.sqrt(2.0 * (len(values) - 1))), pull_std
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

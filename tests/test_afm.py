@@ -12,6 +12,7 @@ from sawkit.afm import (
 from sawkit.errors import FitError, ValidationError
 from sawkit.spectra import AfmImage
 from sawkit.synth import synth_terrace_image
+from conftest import assert_sigma_matches_scatter
 
 PITCH = (1e-9, 1e-9)
 
@@ -300,13 +301,12 @@ class TestStepHeights:
                 fit_step_heights(img)
 
     def test_reported_sigma_matches_seed_scatter(self):
-        # 40 noise draws at the benchmark's image size: the median reported
+        # 40 noise draws at the benchmark's image size: each reported
         # one-sigma step error has to match the scatter of the fitted steps
         fits = [fit_step_heights(synth_terrace_image((256, 256), rng_seed=seed))
                 for seed in range(40)]
-        scatter = np.std([r.mean_step_m for r in fits], ddof=1)
-        reported = np.median([r.mean_step_err_m for r in fits])
-        assert scatter / 3.0 < reported < 3.0 * scatter
+        assert_sigma_matches_scatter([r.mean_step_m for r in fits],
+                                     [r.mean_step_err_m for r in fits])
 
     def test_model_accounts_for_every_pixel(self):
         img = terrace_image((0.0, 2e-10, 4e-10), (0.6, 0.25, 0.15), seed=2)

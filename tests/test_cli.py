@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -10,10 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sawkit import afm, cli, spectra
+from sawkit import afm, cli, spectra, tls
 from sawkit.cli import main
-from sawkit.errors import ParseError
-from sawkit.spectra import format_powersweep_csv, parse_afm_grid, parse_tempsweep_csv
+from sawkit.errors import ParseError, SawkitError
+from sawkit.spectra import (
+    TemperatureSweepSeries,
+    format_powersweep_csv,
+    format_tempsweep_csv,
+    parse_afm_grid,
+    parse_tempsweep_csv,
+)
 from conftest import flat_power_sweep
 
 
@@ -159,20 +166,29 @@ class TestFitResonance:
         assert "not UTF-8" in read_json(tmp_path / "out" / "m.error.json")["error"]
         assert not (tmp_path / "out" / "m.fit.json").exists()
 
-    # the initial estimate squares the trace's deviation, which overflows too
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
-    def test_value_whose_square_overflows_is_refused(self, tmp_path):
-        # one finite value of 1e308 makes the cost infinite: the fit is
-        # refused before its first step instead of reporting Infinity
+    def refuse_one_value(self, tmp_path, index, real, imag=None):
+        """The fit of a trace whose line ``index`` (from 0, the header's) is
+        set to ``real`` (and ``imag``) is refused with a record, not reported
+        with Infinity."""
         trace = self.synth_trace(tmp_path, "m.csv")
         lines = trace.read_text().split("\n")
-        freq, _, imag = lines[1000].split(",")
-        lines[1000] = f"{freq},1e308,{imag}"
+        freq, _, im = lines[index].split(",")
+        lines[index] = f"{freq},{real},{imag or im}"
         trace.write_text("\n".join(lines))
         assert run(["fit-resonance", trace, "--out", tmp_path / "out"]) == 1
         error = read_json(tmp_path / "out" / "m.error.json")["error"]
-        assert "not finite at the initial parameters" in error
+        assert "squared deviations from the background is not finite" in error
         assert not (tmp_path / "out" / "m.fit.json").exists()
+
+    def test_value_whose_square_overflows_is_refused(self, tmp_path):
+        # one finite value of 1e308 makes the squared deviation infinite: the
+        # initial estimate refuses it, with no overflow warning
+        self.refuse_one_value(tmp_path, 1000, "1e308")
+
+    def test_edge_value_whose_product_overflows_is_refused(self, tmp_path):
+        # 1.7e308 + 1.7e308j among the edge samples the background is taken
+        # from overflows its delay-turned product, with no warning either
+        self.refuse_one_value(tmp_path, 5, "1.7e308", "1.7e308")
 
     def test_dark_model_flag(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -207,6 +223,58 @@ class TestSweepCommands:
         doc = read_json(tmp_path / "sweep.tls.json")
         assert doc["f_delta_tls"] == pytest.approx(7.53e-5, rel=0.05)
         assert (tmp_path / "sweep.tls.svg").exists()
+
+    def tempsweep_with_errors(self, tmp_path, errors):
+        """A 20-point sweep with 10 Hz noise, its f0_err_hz set by ``errors``."""
+        csv = tmp_path / "sweep.csv"
+        run(["synth", "tempsweep", "--points", "20", "--noise-hz", "10", "--seed", "6",
+             "--output", csv])
+        series = parse_tempsweep_csv(csv.read_bytes())
+        err = errors(series.f0_err_hz.copy())
+        csv.write_text(format_tempsweep_csv(TemperatureSweepSeries(
+            series.temperatures_k, series.f0_hz, err, series.reference_temperature_k)))
+        return csv
+
+    def test_tempsweep_error_whose_reciprocal_overflows_is_recorded(self, tmp_path):
+        # one f0_err_hz of 1e-320: 1/err overflows, which escaped as a
+        # LinAlgError; with the weights scaled to that point the others
+        # carry none, and the fit is refused with a record
+        def one_tiny(err):
+            err[3] = 1e-320
+            return err
+
+        csv = self.tempsweep_with_errors(tmp_path, one_tiny)
+        assert run(["fit-tempsweep", csv, "--out", tmp_path]) == 1
+        assert "no usable spread" in read_json(tmp_path / "sweep.error.json")["error"]
+        assert not (tmp_path / "sweep.tls.json").exists()
+
+    def test_tempsweep_tiny_errors_give_the_report_of_equal_errors(self, tmp_path):
+        # every f0_err_hz at 1e-300: the squared weights overflowed and the
+        # report read "f_delta_err": NaN; scaled, equal errors weigh equally
+        # whatever their size
+        csv = self.tempsweep_with_errors(tmp_path, lambda err: np.full_like(err, 1e-300))
+        assert run(["fit-tempsweep", csv, "--out", tmp_path / "tiny"]) == 0
+        csv = self.tempsweep_with_errors(tmp_path, lambda err: err)
+        assert run(["fit-tempsweep", csv, "--out", tmp_path / "ten"]) == 0
+        tiny = read_json(tmp_path / "tiny" / "sweep.tls.json")
+        assert tiny == pytest.approx(read_json(tmp_path / "ten" / "sweep.tls.json"), rel=1e-9)
+        assert np.isfinite(tiny["f_delta_err"]) and tiny["f_delta_err"] > 0
+
+    def test_non_finite_report_value_is_recorded_by_its_key(self, tmp_path, monkeypatch):
+        # JSON has no nan: the writer refuses it, naming the key, and the
+        # batch records the failure instead of writing "NaN"
+        fit_fdelta = tls.fit_fdelta
+
+        def nan_error(series):
+            return dataclasses.replace(fit_fdelta(series), f_delta_err=float("nan"))
+
+        monkeypatch.setattr(tls, "fit_fdelta", nan_error)
+        csv = self.tempsweep_with_errors(tmp_path, lambda err: err)
+        assert run(["fit-tempsweep", csv, "--out", tmp_path]) == 1
+        error = read_json(tmp_path / "sweep.error.json")["error"]
+        assert error == "report.f_delta_err is not a finite number"
+        assert not (tmp_path / "sweep.tls.json").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_powersweep_roundtrip(self, tmp_path):
         csv = tmp_path / "power.csv"
@@ -350,6 +418,20 @@ class TestAfmCommand:
         assert run(["afm", grid, "--out", tmp_path]) == 0
         doc = read_json(tmp_path / "flat.afm.json")
         assert doc["r_q_m"] == 0.0
+
+    def test_height_whose_square_overflows_is_recorded(self, tmp_path):
+        # one pixel of 1e308 m: R_q read Infinity; its square overflows, so
+        # the image is refused with a record and no overflow warning
+        grid = tmp_path / "big.txt"
+        run(["synth", "afm", "--seed", "0", "--output", grid])
+        lines = grid.read_text().split("\n")
+        row = lines[50].split()
+        row[30] = "1e308"
+        lines[50] = " ".join(row)
+        grid.write_text("\n".join(lines))
+        assert run(["afm", grid, "--fit-steps", "--out", tmp_path]) == 1
+        assert "R_q is not finite" in read_json(tmp_path / "big.error.json")["error"]
+        assert not (tmp_path / "big.afm.json").exists()
 
     def test_order_sets_the_row_polynomial(self, tmp_path):
         grid = tmp_path / "tilted.txt"
@@ -764,7 +846,7 @@ def xps_report(tmp_path):
 
 RESONANCE_KEYS = """
     params params.f0_hz params.kappa_hz params.kappa_e_hz params.a_re params.a_im
-    params.tau_s params.dark param_errors param_errors.f0_hz param_errors.kappa_hz
+    params.tau_s params.f_ref_hz params.dark param_errors param_errors.f0_hz param_errors.kappa_hz
     param_errors.kappa_e_hz param_errors.a_re param_errors.a_im param_errors.tau_s
     qi qe residual_rms n_iterations
 """
@@ -823,6 +905,14 @@ class TestReportSchema:
     def test_report_keys(self, tmp_path, case):
         build, keys = REPORT_SCHEMAS[case]
         assert key_paths(build(tmp_path)) == set(keys.split())
+
+
+class TestCanonicalJson:
+    def test_first_non_finite_number_is_named_by_its_key_path(self):
+        # JSON has no nan or infinity; the first one in written order is named
+        doc = {"zeros": [{"theta_deg": 1.0}, {"theta_deg": float("inf")}], "zz": float("nan")}
+        with pytest.raises(SawkitError, match=r"^report\.a\.zeros\[1\]\.theta_deg is not"):
+            cli._canonical_json({"a": doc, "b": float("nan")})
 
 
 class TestNoMaskedArrays:

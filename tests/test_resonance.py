@@ -21,7 +21,7 @@ from sawkit.resonance import (
 )
 from sawkit.spectra import ComplexSpectrum
 from sawkit.synth import synth_s11
-from conftest import dip_depth, rates_from_qs, resonance_grid
+from conftest import assert_sigma_matches_scatter, dip_depth, rates_from_qs, resonance_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,6 +72,21 @@ class TestEvalS11:
             expected = oracle_eval(f, f0, kappa, kappa_e, a, tau,
                                    dark.f_dark_hz, dark.gamma_hz, dark.g_hz)
             assert abs(eval_s11(p, f) - expected) <= 1e-12 * abs(expected)
+
+    def test_background_at_a_reference_frequency(self):
+        # a background given at f_ref is the one at f = 0 turned by the delay
+        # over f_ref: both parametrisations give the same trace
+        a, tau, f_ref = 0.8 * cmath.exp(0.3j), 2.9e-8, 6.9e8
+        at_zero = ResonanceModelParams(f0_hz=6.9e8, kappa_hz=1e6, kappa_e_hz=4e5,
+                                       a=a, tau_s=tau)
+        at_ref = ResonanceModelParams(f0_hz=6.9e8, kappa_hz=1e6, kappa_e_hz=4e5,
+                                      a=a * cmath.exp(1j * TWO_PI * f_ref * tau),
+                                      tau_s=tau, f_ref_hz=f_ref)
+        grid = np.linspace(6.89e8, 6.91e8, 101)
+        assert np.allclose(eval_s11(at_ref, grid), eval_s11(at_zero, grid),
+                           rtol=0.0, atol=1e-12)
+        assert eval_s11(at_ref, f_ref) == pytest.approx(
+            a * cmath.exp(1j * TWO_PI * f_ref * tau) * (1.0 - 4e5 / 5e5), abs=1e-15)
 
     def test_hermitian_symmetry_of_rational_model(self):
         # real background, no delay: mirroring all detunings conjugates S11
@@ -171,8 +186,8 @@ def _dark_mode_draw(seed):
 
 def _delayed_draw(seed):
     # a high-Q mode behind a 29 ns delay and a rotated, attenuated
-    # background: 2*pi*f0*tau is 125 rad, so the published f = 0 background
-    # differs from the fitted grid-center one by a large turn
+    # background: 2*pi*f0*tau is 125 rad, so the background at f = 0 would
+    # differ from the grid-centre one the fit reports by a large turn
     f0, qi, qe, tau = 688.4e6, 1.9e4, 3e4, 29e-9
     a = 0.4 * cmath.exp(1.3j)
     kappa, kappa_e = rates_from_qs(f0, qi, qe)
@@ -190,7 +205,8 @@ SIGMA_CASES = {"lorentzian": _lorentzian_draw, "dark_mode": _dark_mode_draw,
 _BASE_KEYS = ("f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im", "tau_s")
 SIGMA_KEYS = (
     [pytest.param("lorentzian", k, id=k) for k in _BASE_KEYS]
-    + [pytest.param("dark_mode", k, id=f"dark-{k}") for k in ("f_dark_hz", "gamma_hz", "g_hz")]
+    + [pytest.param("dark_mode", k, id=f"dark-{k}")
+       for k in _BASE_KEYS + ("f_dark_hz", "gamma_hz", "g_hz")]
     + [pytest.param("delayed", k, id=f"delayed-{k}") for k in _BASE_KEYS])
 
 
@@ -220,6 +236,20 @@ class TestFitResonance:
         sp = synth_s11(f0, kappa, kappa_e, grid)
         result = fit_resonance(sp)
         assert result.residual_rms < 1e-10
+
+    def test_reported_background_reproduces_the_trace(self):
+        # a noiseless delayed trace: the background is reported at the grid
+        # centre, and the reported parameters give back the trace
+        f0, tau = 688.4e6, 29e-9
+        kappa, kappa_e = rates_from_qs(f0, 1.9e4, 3e4)
+        grid = resonance_grid(f0, 1.9e4, 3e4, points=1201)
+        values = 0.4 * cmath.exp(1.3j) * synth_s11(f0, kappa, kappa_e, grid).values \
+            * np.exp(1j * TWO_PI * grid * tau)
+        params = fit_resonance(ComplexSpectrum(grid, values)).params
+        assert params.f_ref_hz == grid[600]
+        assert params.a == pytest.approx(0.4 * cmath.exp(1.3j + 1j * TWO_PI * grid[600] * tau),
+                                         abs=1e-10)
+        assert np.abs(eval_s11(params, grid) - values).max() < 1e-10
 
     def test_dark_mode_detuning_recovered(self):
         f0 = 679.564e6
@@ -377,7 +407,8 @@ class TestFitResonance:
         # same model and data, independent optimizer started at the truth.
         # scipy's finite-difference steps are relative to max(1, |x|), so its
         # parameters are kept near unit size or near zero: f0 as an offset
-        # from the grid center, the delay as the phase it turns over the span
+        # from the grid center, the background at the grid center, and the
+        # delay as the phase it turns over the span
         f0, tau = 688.4e6, 12e-9
         a = 0.8 * cmath.exp(2.1j)
         kappa, kappa_e = rates_from_qs(f0, qi, qe)
@@ -401,9 +432,13 @@ class TestFitResonance:
             method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15)
         result = fit_resonance(sp)
         p = result.params
+        assert p.f_ref_hz == fc
         for key, ours, theirs in [("f0_hz", p.f0_hz - fc, ref.x[0]),
                                   ("kappa_hz", p.kappa_hz, ref.x[1]),
-                                  ("kappa_e_hz", p.kappa_e_hz, ref.x[2])]:
+                                  ("kappa_e_hz", p.kappa_e_hz, ref.x[2]),
+                                  ("a_re", p.a.real, ref.x[3]),
+                                  ("a_im", p.a.imag, ref.x[4]),
+                                  ("tau_s", p.tau_s, ref.x[5] / (TWO_PI * span))]:
             assert abs(ours - theirs) < 0.01 * result.param_errors[key]
 
     def test_unknown_model_kind_rejected(self):
@@ -414,16 +449,14 @@ class TestFitResonance:
 
     @pytest.mark.parametrize("case,key", SIGMA_KEYS)
     def test_reported_sigma_matches_seed_scatter(self, case, key):
-        # 30 noise draws of one trace: the median reported one-sigma error
-        # has to match the scatter of the fitted values over the draws
+        # 30 noise draws of one trace: each reported one-sigma error has to
+        # match the scatter of the fitted values over the draws
         fits = seed_fits(case)
         values = []
         for r in fits:
             d = r.params.to_json_dict()
             values.append({**d, **(d["dark"] or {})}[key])
-        scatter = np.std(values, ddof=1)
-        reported = np.median([r.param_errors[key] for r in fits])
-        assert scatter / 3.0 < reported < 3.0 * scatter
+        assert_sigma_matches_scatter(values, [r.param_errors[key] for r in fits])
 
     def test_one_jacobian_per_iteration_and_one_for_the_covariance(self, monkeypatch):
         # the LM steps call the exact Jacobian once per iteration; the only

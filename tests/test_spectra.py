@@ -309,6 +309,41 @@ class TestParsePaths:
         assert back.values.tobytes() == sp.values.tobytes()
         assert peak < 1.5 * len(data)
 
+    def test_s11_read_of_str_takes_the_bytes_path(self):
+        # a str is encoded to UTF-8 and read as bytes are: beyond the text,
+        # the read holds its bytes and what a read of them holds (2.2 times
+        # the text); a StringIO, four bytes a character, peaked at 5.2
+        kappa, kappa_e = rates_from_qs(6.9e8, 6.8e3, 1.4e4)
+        grid = resonance_grid(6.9e8, 6.8e3, 1.4e4, points=6001)
+        sp = synth_s11(6.9e8, kappa, kappa_e, grid, noise_sigma=0.004, rng_seed=1)
+        text = format_s11_csv(sp)
+        parse_s11_csv(text)  # the first call also builds what later calls reuse
+        tracemalloc.start()
+        try:
+            back = parse_s11_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == sp.values.tobytes()
+        assert peak < 2.5 * len(text)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"])
+    def test_byte_that_is_not_utf8_names_its_line(self, end):
+        # the decoder reads in chunks; the error names the line, as every
+        # other ParseError does, not a position in the chunk
+        lines = make_s11_text(n=2000).encode().split(b"\n")
+        lines[1000] = b"\xff" + lines[1000]   # line 1001
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            parse_s11_csv(end.join(lines))
+        assert err.value.line == 1001
+
+    def test_str_that_is_not_unicode_names_its_line(self):
+        lines = make_s11_text().split("\n")
+        lines[3] = "\ud800" + lines[3]   # a lone surrogate on line 4
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            parse_s11_csv("\n".join(lines))
+        assert err.value.line == 4
+
     def test_one_call_read_matches_row_loop(self, rng):
         values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 3))
         formats = ["{:.17g}", "{!r}", "{:.6e}", "{:.3f}", "{:.12G}"]

@@ -17,7 +17,7 @@ from sawkit.tls import (
     re_digamma_half_plus_imag,
     tls_frequency_shift,
 )
-from conftest import PSI_HALF, flat_power_sweep
+from conftest import PSI_HALF, assert_sigma_matches_scatter, flat_power_sweep
 
 #: the y grid the digamma accuracy claim is declared on
 DIGAMMA_Y_GRID = (0.0, 0.01, 0.1, 1.0, 5.0, 8.0, 20.0, 100.0)
@@ -131,14 +131,13 @@ class TestFitFdelta:
 
     def test_reported_sigma_matches_seed_scatter(self):
         # 300 noise draws: every point's noise, the reference point's too,
-        # has to show up in the reported one-sigma error
+        # has to show up in each reported one-sigma error
         t = np.linspace(0.010, 0.200, 30)
         fits = [fit_fdelta(synth_temperature_sweep(2e-5, 6.9e8, t, noise_sigma_hz=10.0,
                                                    rng_seed=seed))
                 for seed in range(300)]
-        scatter = np.std([r.f_delta_tls for r in fits], ddof=1)
-        reported = np.median([r.f_delta_err for r in fits])
-        assert scatter / 3.0 < reported < 3.0 * scatter
+        assert_sigma_matches_scatter([r.f_delta_tls for r in fits],
+                                     [r.f_delta_err for r in fits])
 
     def test_table_values_recover_under_noise(self):
         # loss products spanning the reported device range
@@ -237,15 +236,14 @@ class TestFitPowerSweep:
             assert fit.params.f_delta_tls == pytest.approx(p.f_delta_tls, rel=0.10)
 
     def test_reported_sigma_matches_seed_scatter(self):
-        # 60 noise draws: the median reported one-sigma error of F*delta_TLS
-        # has to match the scatter of the fitted values
+        # 60 noise draws: each reported one-sigma error of F*delta_TLS has
+        # to match the scatter of the fitted values
         p = PowerModelParams(**{**GCIB_LIKE, "beta": 0.5})
         fits = [fit_power_sweep(synth_power_sweep(p, np.geomspace(1.0, 1e10, 25),
                                                   noise_frac=0.02, rng_seed=seed))
                 for seed in range(60)]
-        scatter = np.std([f.params.f_delta_tls for f in fits], ddof=1)
-        reported = np.median([f.param_errors["f_delta_tls"] for f in fits])
-        assert scatter / 3.0 < reported < 3.0 * scatter
+        assert_sigma_matches_scatter([f.params.f_delta_tls for f in fits],
+                                     [f.param_errors["f_delta_tls"] for f in fits])
 
     def test_short_sweep_fixes_beta(self):
         p = PowerModelParams(**{**GCIB_LIKE, "beta": 0.5})

@@ -17,6 +17,7 @@ from sawkit.xps import (
     pseudo_voigt,
     shirley_background,
 )
+from conftest import assert_sigma_matches_scatter
 
 
 def gaussian_line(be, center, sigma, area, floor=0.0):
@@ -207,17 +208,14 @@ class TestO1sBandAreas:
             assert fit.areas[1:] == pytest.approx(O1S_AREAS[1:], rel=0.05)
 
     def test_reported_area_sigma_matches_seed_scatter(self):
-        # 60 noise draws on a line without a step: the median reported area
-        # error of every band has to match the scatter of its fitted area
+        # 60 noise draws on a line without a step: each reported area error
+        # of every band has to match the scatter of its fitted area
         be = np.linspace(524.0, 538.0, 281)
         clean = sum(a * pseudo_voigt(be, c, 0.6, 0.5, 0.3)
                     for c, a in zip(O1S_BAND_CENTERS_EV, O1S_AREAS))
         fits = [fit_bands(be, clean + 0.5 * np.random.default_rng(seed).standard_normal(be.size),
                           O1S_MODEL) for seed in range(60)]
-        scatter = np.std([f.areas for f in fits], axis=0, ddof=1)
-        reported = np.median([f.area_errors for f in fits], axis=0)
-        assert np.all(scatter / 3.0 < reported)
-        assert np.all(reported < 3.0 * scatter)
+        assert_sigma_matches_scatter([f.areas for f in fits], [f.area_errors for f in fits])
 
 
 class TestAtomicPercentages:
