@@ -83,11 +83,6 @@ def _write_atomic(path: Path, text: str):
         raise
 
 
-def _read_input(path: Path) -> bytes:
-    """The bytes of one input file; its ``spectra`` parser decodes them."""
-    return path.read_bytes()
-
-
 def _gather_inputs(paths):
     files = []
     for p in paths:
@@ -141,7 +136,7 @@ def _run_batch(args, suffix, analyze, summarize=None):
     failed, reports = False, []
     for f in files:
         try:
-            report, panels = analyze(args, functools.partial(_read_input, f))
+            report, panels = analyze(args, f.read_bytes)
             _write_report(args, f"{f.stem}.{suffix}", report, panels)
             reports.append(report)
         except (SawkitError, OSError) as exc:
@@ -279,7 +274,7 @@ def cmd_xps_quant(args) -> int:
     parsed = []
     for source in _gather_inputs(args.inputs):
         args.source = source  # the spectrum being read, named in its error record
-        sp = spectra.parse_xps_csv(_read_input(source))
+        sp = spectra.parse_xps_csv(source.read_bytes())
         if any(sp.element_line == other.element_line for other in parsed):
             raise ValidationError(f"line {sp.element_line} is given twice; "
                                   "one spectrum per element line")

@@ -294,8 +294,10 @@ def _scaled_covariance(jac, cost, scale):
     next to seconds) share one eigenvalue floor.  Near-null directions of
     the normalized J'J are genuinely unidentified parameters; their
     eigenvalues are floored (not discarded) so the corresponding variances
-    come out huge rather than deceptively small.  ``jac`` is scaled in
-    place, so the caller hands over a Jacobian it no longer needs.
+    come out huge rather than deceptively small; one whose scale squared
+    overflows comes out infinite, which a report refuses by its key.
+    ``jac`` is scaled in place, so the caller hands over a Jacobian it no
+    longer needs.
     """
     dof = max(1, jac.shape[0] - jac.shape[1])
     s2 = cost / dof
@@ -303,4 +305,5 @@ def _scaled_covariance(jac, cost, scale):
     w, v = np.linalg.eigh(jac.T @ jac)
     floor = max(float(w.max()), 0.0) * 1e-14 + np.finfo(float).tiny
     inv_w = 1.0 / np.maximum(w, floor)
-    return (v * inv_w) @ v.T * np.outer(scale, scale) * s2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v * inv_w) @ v.T * np.outer(scale, scale) * s2

@@ -170,6 +170,10 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
     # background from the off-resonant edges: phase slope gives the delay
     edge = max(5, n // 10)
     idx = np.concatenate([np.arange(edge), np.arange(n - edge, n)])
+    with np.errstate(over="ignore"):  # np.polyfit scales by this root sum of squares
+        if not np.isfinite(np.sum(freq[idx] ** 2)):
+            raise ValidationError(f"frequency span {freq[0]:.6g} Hz to {freq[-1]:.6g} Hz "
+                                  "is out of range: the squares of its frequencies overflow")
     phase = np.unwrap(np.angle(spectrum.values[idx]))
     slope, _ = np.polyfit(freq[idx], phase, 1)
     tau = slope / (2.0 * np.pi)

@@ -37,13 +37,14 @@ lines, ``#`` comments between rows and spaces around fields are all
 accepted.  The rules on row values (finite, strictly increasing, in range)
 are checked only in each container's ``__post_init__``, which reports the
 first offending row as :attr:`ValidationError.row
-<sawkit.errors.ValidationError>`.  Only once a row is found faulty, by the
-loader or by the container, is the stream walked again from its start, line
-by line, to name the faulty line in the error.  A metadata or header value
-the container refuses, such as ``# f0_hz=-6.9e8`` or a pixel pitch that is
-not positive, is named as :attr:`ValidationError.field
-<sawkit.errors.ValidationError>`, and the reader reports it with the line it
-read that value from.
+<sawkit.errors.ValidationError>`.  One walk of the stream from its start
+numbers its lines: it reads the comments and the header, and only once a row
+is found faulty, by the loader or by the container, is it taken again, up to
+the faulty line, which the error names.  Each metadata value is kept with
+the line it was read from, and a metadata or header value the container
+refuses, such as ``# f0_hz=-6.9e8`` or a pixel pitch that is not positive,
+is named as :attr:`ValidationError.field <sawkit.errors.ValidationError>`
+and reported with that line.
 """
 from __future__ import annotations
 
@@ -142,7 +143,9 @@ class PowerSweepSeries:
                                 mean_phonon_number=float, qi=float, qi_err=float)
         _reject_rows((n <= 0) | (q <= 0) | (e < 0),
                      "phonon numbers and qi must be positive and errors nonnegative")
-        if np.log10(n.max() / n.min()) < 3.0 - 1e-9:
+        with np.errstate(over="ignore"):  # an infinite ratio spans enough decades
+            decades = np.log10(n.max() / n.min())
+        if decades < 3.0 - 1e-9:
             raise ValidationError("sweep must span at least 3 decades of phonon number")
         for name in ("temperature_k", "f0_hz"):
             if not 0 < getattr(self, name) < np.inf:
@@ -256,69 +259,61 @@ def _not_utf8(data):
             return ParseError(f"not UTF-8 text: {exc}", line=number)
 
 
-def _numbered_rows(stream):
-    """(1-based line number, stripped line) of the header and each data row.
-
-    Walks ``stream`` again from its start and yields its non-blank lines
-    that are not ``#`` comments.  Only the error paths below walk it, to
-    name a line.
-    """
+def _lines(stream):
+    """(1-based line number, stripped line) of each line of ``stream``, from its start."""
     stream.seek(0)
     for number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if line and line[0] != "#":
-            yield number, line
+        yield number, line.strip()
 
 
-def _row_error(stream, message, row):
-    """A ParseError naming the line of data row ``row``; row -1 is the header."""
-    lineno, _ = next(itertools.islice(_numbered_rows(stream), row + 1, None))
-    return ParseError(message, line=lineno)
+def _line_error(stream, message, row=None, ncols=None, delimiter=None):
+    """The ParseError naming a faulty data row, found by walking ``stream`` again.
 
-
-def _unreadable(stream, ncols, delimiter, exc):
-    """The ParseError for rows that ``np.loadtxt`` did not read as ``ncols`` floats.
-
-    Walks the rows after the header to name the first bad line: a wrong field
-    count, or a field the loader rejects (``1_000`` is one, though ``float``
-    takes it).
+    With ``row``, that is data row ``row`` and the error reads ``message``.
+    Otherwise it is the first row ``np.loadtxt`` does not read as ``ncols``
+    floats: a wrong field count, or a field the loader rejects (``1_000`` is
+    one, though ``float`` takes it); ``message``, the loader's complaint,
+    is kept only if no row is at fault.  The walk stops at the row it names.
     """
-    for lineno, line in itertools.islice(_numbered_rows(stream), 1, None):
+    rows = ((number, line) for number, line in _lines(stream) if line and line[0] != "#")
+    next(rows)  # the header
+    if row is not None:
+        number, _ = next(itertools.islice(rows, row, None))
+        return ParseError(message, line=number)
+    for number, line in rows:
         fields = line.partition("#")[0].split(delimiter)
         if len(fields) != ncols:
-            return ParseError(f"expected {ncols} fields, got {len(fields)}", line=lineno)
+            return ParseError(f"expected {ncols} fields, got {len(fields)}", line=number)
         try:
             np.loadtxt([line], delimiter=delimiter, comments="#")
         except ValueError:
-            return ParseError(f"non-numeric field in row {line!r}", line=lineno)
-    return ParseError(f"unreadable rows: {exc}")
+            return ParseError(f"non-numeric field in row {line!r}", line=number)
+    return ParseError(f"unreadable rows: {message}")
 
 
 def _head(stream):
     """Read ``stream`` from its start up to its header line.
 
-    Returns ((meta dict, 1-based line of each meta key), the header's line
-    number, the stripped header), the last two None when every line is blank
-    or a comment.  The ``# key=value`` comments before the header are the
-    metadata; the stream is left after the header.
+    Returns (metadata, the header's line number, the stripped header), the
+    last two None when every line is blank or a comment.  The ``# key=value``
+    comments before the header are the metadata, ``{key: (value, line)}``;
+    the stream is left after the header.
     """
-    meta, meta_lines = {}, {}
-    for number, line in enumerate(stream, start=1):
-        line = line.strip()
+    meta = {}
+    for number, line in _lines(stream):
         if line[:1] == "#":
             key, eq, value = line[1:].partition("=")
             if eq:
-                meta[key.strip()] = value.strip()
-                meta_lines[key.strip()] = number
+                meta[key.strip()] = value.strip(), number
         elif line:
-            return (meta, meta_lines), number, line
-    return (meta, meta_lines), None, None
+            return meta, number, line
+    return meta, None, None
 
 
 def _load_rows(stream, ncols, delimiter):
     """The rows left in ``stream`` (blank lines and comments allowed) as one
     float array of ``ncols`` columns, by one ``np.loadtxt`` call; a fault in
-    them is named by its line through :func:`_unreadable`."""
+    them is named by its line through :func:`_line_error`."""
     lines = filter(None, map(str.strip, stream))
     first = next((line for line in lines if line[0] != "#"), None)
     if first is None:  # np.loadtxt warns on no rows at all
@@ -329,19 +324,19 @@ def _load_rows(stream, ncols, delimiter):
     except UnicodeDecodeError:  # a ValueError too, but no row is at fault
         raise
     except ValueError as exc:
-        raise _unreadable(stream, ncols, delimiter, exc) from None
+        raise _line_error(stream, exc, ncols=ncols, delimiter=delimiter) from None
     if rows.shape[1] != ncols:
-        raise _unreadable(stream, ncols, delimiter, f"{rows.shape[1]} columns")
+        raise _line_error(stream, f"{rows.shape[1]} columns", ncols=ncols, delimiter=delimiter)
     return rows
 
 
 def _read_csv(stream, header):
     """Read the ``# key=value`` comments, check the header line, load the rows.
 
-    Returns ((meta dict, 1-based line of each meta key), float array of
-    shape ``(rows, len(header))``).  A fault found in the rows, here or by
-    the container built from them, is named by its line through
-    :func:`_row_error` or :func:`_unreadable`.
+    Returns (metadata ``{key: (value, line)}``, float array of shape
+    ``(rows, len(header))``).  A fault found in the rows, here or by the
+    container built from them, is named by its line through
+    :func:`_line_error`.
     """
     meta, head, line = _head(stream)
     if head is None:
@@ -354,49 +349,49 @@ def _read_csv(stream, header):
     return meta, rows
 
 
-def _build(stream, cls, *args, field_lines=None, **kwargs):
+def _build(stream, cls, *args, lines=None, **kwargs):
     """Construct a domain object read from ``stream``; a violated invariant
     becomes a ParseError naming the line of the first offending row, or the
-    line ``field_lines`` gives for the offending field."""
+    line ``lines`` gives for the offending field."""
     try:
         return cls(*args, **kwargs)
     except ValidationError as exc:
         if exc.row is None:
-            raise ParseError(str(exc), line=(field_lines or {}).get(exc.field)) from exc
-        raise _row_error(stream, str(exc), exc.row) from exc
+            raise ParseError(str(exc), line=(lines or {}).get(exc.field)) from exc
+        raise _line_error(stream, str(exc), row=exc.row) from exc
 
 
-def _meta_float(meta, meta_lines, key, default=None):
+def _meta_float(meta, key, default=None):
     """A numeric ``# key=value`` metadata entry, or ``default`` if absent."""
-    value = meta.get(key, default)
+    value, line = meta.get(key, (default, None))
     if value is None:
         raise ParseError(f"missing '# {key}=...' metadata line")
     try:
         return float(value)
     except ValueError:
-        raise ParseError(f"non-numeric metadata '# {key}={value}'",
-                         line=meta_lines[key]) from None
+        raise ParseError(f"non-numeric metadata '# {key}={value}'", line=line) from None
 
 
 @_parser
 def parse_s11_csv(stream) -> ComplexSpectrum:
     """Parse a reflection trace.  See the module docstring for the format."""
-    (meta, _), cols = _read_csv(stream, ("freq_hz", "re", "im"))
+    meta, cols = _read_csv(stream, ("freq_hz", "re", "im"))
     # assigned, not re + 1j*im, which would turn a -0.0 real part into 0.0
     values = np.empty(len(cols), dtype=complex)
     values.real = cols[:, 1]
     values.imag = cols[:, 2]
-    return _build(stream, ComplexSpectrum, cols[:, 0], values, meta)
+    return _build(stream, ComplexSpectrum, cols[:, 0], values,
+                  {key: value for key, (value, _) in meta.items()})
 
 
 @_parser
 def parse_xps_csv(stream) -> XpsSpectrum:
     """Parse an XPS line scan; the ``# line=<element>`` header is required."""
-    (meta, meta_lines), cols = _read_csv(stream, ("be_ev", "counts"))
+    meta, cols = _read_csv(stream, ("be_ev", "counts"))
     if "line" not in meta:
         raise ParseError("missing '# line=<element>' header")
-    return _build(stream, XpsSpectrum, *cols.T, meta["line"],
-                  field_lines={"element_line": meta_lines["line"]})
+    element_line, line = meta["line"]
+    return _build(stream, XpsSpectrum, *cols.T, element_line, lines={"element_line": line})
 
 
 @_parser
@@ -418,7 +413,7 @@ def parse_afm_grid(stream) -> AfmImage:
     heights = _load_rows(stream, nx, None)
     if len(heights) != ny:
         raise ParseError(f"header claims {ny} rows but {len(heights)} present", line=head)
-    return _build(stream, AfmImage, heights, (dx, dy), field_lines={"pixel_pitch_m": head})
+    return _build(stream, AfmImage, heights, (dx, dy), lines={"pixel_pitch_m": head})
 
 
 @_parser
@@ -428,11 +423,11 @@ def parse_tempsweep_csv(stream) -> TemperatureSweepSeries:
     An optional ``# reference_temperature_K=...`` metadata line overrides the
     0.200 K default.
     """
-    (meta, meta_lines), cols = _read_csv(stream, ("temperature_K", "f0_hz", "f0_err_hz"))
+    meta, cols = _read_csv(stream, ("temperature_K", "f0_hz", "f0_err_hz"))
     key = "reference_temperature_K"
     return _build(stream, TemperatureSweepSeries, *cols.T,
-                  reference_temperature_k=_meta_float(meta, meta_lines, key, 0.200),
-                  field_lines={"reference_temperature_k": meta_lines.get(key)})
+                  reference_temperature_k=_meta_float(meta, key, 0.200),
+                  lines={"reference_temperature_k": meta.get(key, (None, None))[1]})
 
 
 @_parser
@@ -442,12 +437,12 @@ def parse_powersweep_csv(stream) -> PowerSweepSeries:
     ``# temperature_K=...`` and ``# f0_hz=...`` metadata lines carry the
     operating point the model needs.
     """
-    (meta, meta_lines), cols = _read_csv(stream, ("n_mean", "qi", "qi_err"))
+    meta, cols = _read_csv(stream, ("n_mean", "qi", "qi_err"))
     return _build(stream, PowerSweepSeries, *cols.T,
-                  temperature_k=_meta_float(meta, meta_lines, "temperature_K"),
-                  f0_hz=_meta_float(meta, meta_lines, "f0_hz"),
-                  field_lines={"temperature_k": meta_lines["temperature_K"],
-                               "f0_hz": meta_lines["f0_hz"]})
+                  temperature_k=_meta_float(meta, "temperature_K"),
+                  f0_hz=_meta_float(meta, "f0_hz"),
+                  lines={"temperature_k": meta["temperature_K"][1],
+                         "f0_hz": meta["f0_hz"][1]})
 
 
 @_parser

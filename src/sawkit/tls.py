@@ -71,7 +71,11 @@ def re_digamma_half_plus_imag(y):
 
 
 def _bracket(f0_hz, temperature_k):
-    y = HBAR * f0_hz / (KB * temperature_k)
+    with np.errstate(divide="ignore", over="ignore"):  # refused below
+        y = HBAR * f0_hz / (KB * temperature_k)
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("hbar*f0/(kB*T) is not finite: a temperature is too small "
+                              "for its f0")
     return re_digamma_half_plus_imag(y) - np.log(y)
 
 
@@ -147,11 +151,15 @@ def fit_fdelta(series) -> TlsFitResult:
 
     resid = f0 - c - d * shape
     dof = max(1, t.size - 2)
-    cov = np.linalg.inv(design.T @ design) * float(np.sum((resid * sw) ** 2)) / dof
-    grad = np.array([-d / c**2, 1.0 / c])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        cov = np.linalg.inv(design.T @ design) * float(np.sum((resid * sw) ** 2)) / dof
+        grad = np.array([-d / c**2, 1.0 / c])
+        f_delta_err = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+    if not np.isfinite(f_delta_err):
+        raise FitError("the error of F_delta is not finite: the squared f0 residuals overflow")
     return TlsFitResult(
         f_delta_tls=float(f_delta),
-        f_delta_err=float(np.sqrt(max(grad @ cov @ grad, 0.0))),
+        f_delta_err=f_delta_err,
         f0_hz=float(c),
         reference_temperature_k=float(t_ref),
         residual_rms=float(np.sqrt(np.mean((resid / c) ** 2))),
@@ -160,8 +168,10 @@ def fit_fdelta(series) -> TlsFitResult:
 
 
 def _thermal_factor(f0_hz, temperature_k):
-    """tanh(hbar w / 2 kB T): the share of TLS left unsaturated by temperature."""
-    return np.tanh(HBAR * 2.0 * np.pi * f0_hz / (2.0 * KB * temperature_k))
+    """tanh(hbar w / 2 kB T): the share of TLS left unsaturated by temperature;
+    1 where kB T underflows to 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.tanh(np.divide(HBAR * 2.0 * np.pi * f0_hz, 2.0 * KB * temperature_k))
 
 
 def q_tls(f_delta_tls, f0_hz, temperature_k):
@@ -208,8 +218,10 @@ def qi_power_model(params: PowerModelParams, mean_phonon_number):
     n = np.asarray(mean_phonon_number, dtype=float)
     if np.any(n <= 0):
         raise ValidationError("mean phonon number must be positive")
+    with np.errstate(divide="ignore"):  # n / n_c that underflows saturates nothing
+        log_ratio = np.log(n / params.n_c)
     tls_loss = (params.f_delta_tls * _thermal_factor(params.f0_hz, params.temperature_k)
-                * _saturation(np.log(n / params.n_c), params.beta))
+                * _saturation(log_ratio, params.beta))
     out = 1.0 / (tls_loss + 1.0 / params.q_i_res)
     if np.isscalar(mean_phonon_number):
         return float(out)
@@ -257,19 +269,24 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
 
     if fixed_beta is not None and not 0.0 < fixed_beta <= 2.0:
         raise ValidationError("fixed beta must lie in (0, 2]")
-    decades = np.log10(n.max() / n.min())
+    with np.errstate(over="ignore"):  # an infinite ratio spans enough decades
+        decades = np.log10(n.max() / n.min())
     beta_fixed = fixed_beta is not None or bool(decades < BETA_FREE_MIN_DECADES)
     beta0 = DEFAULT_BETA if fixed_beta is None else float(fixed_beta)
 
     tanh_arg = _thermal_factor(series.f0_hz, series.temperature_k)
-    if np.all(qi_err > 0):
-        w = qi**2 / qi_err  # 1/sigma of the 1/Q data
-    else:
-        w = np.full_like(qi, qi.mean())  # uniform in 1/Q units
+    with np.errstate(over="ignore"):  # refused below
+        if np.all(qi_err > 0):
+            w = qi**2 / qi_err  # 1/sigma of the 1/Q data
+        else:
+            w = np.full_like(qi, qi.mean())  # uniform in 1/Q units
+    if not np.all(np.isfinite(w)):
+        raise FitError("a weight qi**2/qi_err of the 1/Q data is not finite: qi is too large")
 
     # n_c starts where 1/Q has dropped halfway from its low-power value
     order = np.argsort(n)
-    below = np.nonzero(1.0 / qi[order] < 0.5 * (1.0 / qi.min() + 1.0 / qi.max()))[0]
+    with np.errstate(over="ignore"):  # an infinite 1/Q compares as well
+        below = np.nonzero(1.0 / qi[order] < 0.5 * (1.0 / qi.min() + 1.0 / qi.max()))[0]
     n_c0 = float(n[order[below[0]]]) if below.size else float(np.sqrt(n.min() * n.max()))
 
     def basis(p):

@@ -76,7 +76,8 @@ def find_zero_crossings(curve: WalkoffCurve):
     Each crossing carries the local slope (centered difference at the nearer
     sample) and an uncertainty of half the local sample spacing.  An empty
     list is a valid result.  Tangential touches produce no sign change; see
-    :func:`find_tangencies`.
+    :func:`find_tangencies`.  Signs are compared, not multiplied, so no
+    product of two samples can overflow or underflow.
     """
     theta = curve.theta_deg
     eta = curve.eta_deg
@@ -91,10 +92,10 @@ def find_zero_crossings(curve: WalkoffCurve):
         if e0 == 0.0:
             # exact sample zero: a crossing only if the signs flip across it
             left = eta[i - 1] if i > 0 else 0.0
-            if left * e1 < 0:
+            if min(left, e1) < 0 < max(left, e1):
                 crossings.append(crossing(theta[i], i, theta[i + 1] - theta[i]))
             continue
-        if e0 * e1 < 0:
+        if min(e0, e1) < 0 < max(e0, e1):
             frac = e0 / (e0 - e1)
             t = theta[i] + frac * (theta[i + 1] - theta[i])
             crossings.append(crossing(t, i if frac < 0.5 else i + 1, theta[i + 1] - theta[i]))
@@ -115,7 +116,8 @@ def find_tangencies(curve: WalkoffCurve):
     mag = np.abs(eta)
     out = []
     for i in range(1, theta.size - 1):
+        sides = eta[i - 1], eta[i + 1]
         if (mag[i] <= mag[i - 1] and mag[i] < mag[i + 1] and mag[i] < TANGENCY_THRESHOLD_DEG
-                and eta[i - 1] * eta[i + 1] > 0):
+                and (min(sides) > 0 or max(sides) < 0)):  # one sign on both sides
             out.append((float(theta[i]), float(eta[i]) + 0.0))  # + 0.0 maps -0.0 to 0.0
     return out

@@ -122,7 +122,8 @@ def shirley_background(spectrum: XpsSpectrum, window) -> ShirleyBackground:
     noise.  Iteration stops when the largest change drops below
     ``SHIRLEY_TOL * (|I_hi - I_lo| + eps)``, and ``SHIRLEY_MAX_ITER`` passes
     without that raise FitError; the converged background is clipped to
-    never exceed the data.
+    never exceed the data.  A window whose running area, times the step
+    ``I_hi - I_lo``, is not finite is refused before the first pass.
     """
     asc = spectrum.ascending()
     be = asc.binding_energy_ev
@@ -142,6 +143,13 @@ def shirley_background(spectrum: XpsSpectrum, window) -> ShirleyBackground:
 
     bg = np.full(y.size, i_lo)
     de = np.gradient(e)
+    # the step times the running area of the counts above i_lo bounds the
+    # first pass's background; one that overflows never converges
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = abs(i_hi - i_lo) * float(np.sum(np.abs(y - i_lo) * de))
+    if not np.isfinite(reach):
+        raise ValidationError("the running area of the Shirley window is not finite: "
+                              "its counts are too large")
     for iteration in range(1, SHIRLEY_MAX_ITER + 1):
         s = y - bg
         # rectangle accumulation: each sample's weight lands at its own

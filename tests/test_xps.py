@@ -124,6 +124,17 @@ class TestShirley:
         with pytest.raises(ValidationError):
             shirley_background(sp, (530.0, 530.5))
 
+    @pytest.mark.parametrize("index", [101, 200, 300])  # first, mid, last in window
+    def test_window_whose_running_area_overflows_is_refused(self, index):
+        # the suite turns a RuntimeWarning into an error, so an overflow on
+        # the way fails this test instead of raising the ValidationError
+        sp = synth_xps_spectrum(np.arange(520, 540, 0.05), [(530, 0.6, 0.5, 0.3, 8000)],
+                                step=(200, 600), noise_sigma=0.5, rng_seed=1)
+        counts = sp.counts.copy()
+        counts[index] = 1e308
+        with pytest.raises(ValidationError, match="running area .* not finite"):
+            shirley_background(XpsSpectrum(sp.binding_energy_ev, counts, "O1s"), (525, 535))
+
     def test_nonconvergence_raises(self, monkeypatch):
         be = np.arange(0, 60, 1.0) + 500.0
         counts = np.where(be < 530.0, 100.0, 300.0)
