@@ -3,14 +3,16 @@
 Every nonlinear fitter in the package goes through :func:`fit_least_squares`,
 so convergence behavior and iteration accounting are uniform across
 analyses.  Residual functions return a 1-d float array; the cost is the
-plain sum of squared residuals (callers bake in any weights).  Every fit
-hands the engine its Jacobian: the resonance model its exact one,
-:func:`fit_separable` its variable-projection one.  A fit stops when the
-step it would take is under ``STEP_TOL``, before evaluating it, when an
-accepted step drops the cost by less than ``COST_TOL``, or when no damping
-finds a downhill step.  A fit holds one Jacobian at a time: the engine
-forms ``J'J`` and ``J'r`` from it and lets it go before it tries a step, and
-each memo (:func:`_one_slot`) holds the model pieces of one point.
+plain sum of squared residuals (callers bake in any weights), and every
+cost is one fixed-order sum (:func:`_cost`), so a fit steps the same way at
+any BLAS thread count.  Every fit hands the engine its Jacobian: the
+resonance model its exact one, :func:`fit_separable` its variable-projection
+one.  A fit stops when the step it would take is under ``STEP_TOL``,
+before evaluating it, when an accepted step drops the cost by less than
+``COST_TOL``, or when no damping finds a downhill step.  A fit holds one
+Jacobian at a time: the engine forms ``J'J`` and ``J'r`` from it and lets it
+go before it tries a step, and each memo (:func:`_one_slot`) holds the model
+pieces of one point.
 A model that is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
 the coefficients (variable projection, Golub & Pereyra 1973).  Whatever
@@ -92,6 +94,16 @@ def median(a):
     return np.mean(part[k - 1 + odd:k + 1])
 
 
+def _cost(r):
+    """``sum(r**2)`` summed in one fixed order, so a fit takes the same steps
+    at any BLAS thread count (``np.einsum`` calls no BLAS, where ``r @ r``
+    is a ``ddot`` that OpenBLAS splits across threads on long vectors);
+    ``inf`` for a residual that is not finite or whose squares overflow,
+    which ``np.einsum``, unlike ``@``, sums without a warning."""
+    cost = float(np.einsum("i,i->", r, r))
+    return cost if np.isfinite(cost) else np.inf
+
+
 def _damped_step(a, g, d, lam):
     try:
         return np.linalg.solve(a + lam * np.diag(d), -g)
@@ -134,8 +146,7 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
     p = np.clip(p, lo, hi)
 
     r = np.asarray(fun(p), dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing cost is refused below
-        cost = float(r @ r)
+    cost = _cost(r)
     if not np.isfinite(cost):
         raise FitError("sum of squared residuals is not finite at the initial parameters")
     lam = LAM0
@@ -162,7 +173,7 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
             if np.linalg.norm(p_try - p) < STEP_TOL * (np.linalg.norm(p_try) + STEP_TOL):
                 return LeastSquaresResult(p, r, cost, n_iter)
             r_try = np.asarray(fun(p_try), dtype=float)
-            cost_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
+            cost_try = _cost(r_try)
             if cost_try < cost:
                 rel_drop = (cost - cost_try) / max(cost, np.finfo(float).tiny)
                 p, r, cost = p_try, r_try, cost_try

@@ -261,7 +261,8 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
     mimic the constant loss.  A loss rate that solves to zero (a sweep
     without saturation, or without a residual loss) raises FitError, and so
     does a saturation term that does not pass :func:`lsq.nested_gate`
-    against a constant 1/Q.
+    against a constant 1/Q, and a weight ``qi**2/qi_err`` that overflows or
+    underflows to zero.
     """
     n = np.asarray(series.mean_phonon_number, dtype=float)
     qi = np.asarray(series.qi, dtype=float)
@@ -282,6 +283,8 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
             w = np.full_like(qi, qi.mean())  # uniform in 1/Q units
     if not np.all(np.isfinite(w)):
         raise FitError("a weight qi**2/qi_err of the 1/Q data is not finite: qi is too large")
+    if not np.all(w > 0):  # a point of zero weight would drop out unnoticed
+        raise FitError("a weight qi**2/qi_err of the 1/Q data underflows to zero: qi is too small")
 
     # n_c starts where 1/Q has dropped halfway from its low-power value
     order = np.argsort(n)

@@ -163,7 +163,8 @@ class TestFitResonance:
         with pytest.raises(ParseError, match="not UTF-8"):
             spectra.parse_s11_csv(trace.read_bytes())
         assert run(["fit-resonance", trace, "--out", tmp_path / "out"]) == 1
-        assert "not UTF-8" in read_json(tmp_path / "out" / "m.error.json")["error"]
+        error = read_json(tmp_path / "out" / "m.error.json")["error"]
+        assert error.startswith("line 101: not UTF-8 text: ")
         assert not (tmp_path / "out" / "m.fit.json").exists()
 
     def refuse_one_value(self, tmp_path, index, real, imag=None):
@@ -177,7 +178,7 @@ class TestFitResonance:
         trace.write_text("\n".join(lines))
         assert run(["fit-resonance", trace, "--out", tmp_path / "out"]) == 1
         error = read_json(tmp_path / "out" / "m.error.json")["error"]
-        assert "squared deviations from the background is not finite" in error
+        assert error == "sum of squared deviations from the background is not finite"
         assert not (tmp_path / "out" / "m.fit.json").exists()
 
     def test_value_whose_square_overflows_is_refused(self, tmp_path):
@@ -284,6 +285,21 @@ class TestSweepCommands:
         assert run(["fit-powersweep", csv, "--out", tmp_path]) == 0
         doc = read_json(tmp_path / "power.power.json")
         assert doc["params"]["f_delta_tls"] == pytest.approx(5.66e-4, rel=0.10)
+
+    def test_powersweep_weight_that_underflows_is_refused(self, tmp_path):
+        # qi = 1e-320 on one row: qi**2 / qi_err underflowed to 0, and the
+        # fit ran without that point and exited 0 with no word of it
+        csv = tmp_path / "power.csv"
+        run(["synth", "powersweep", "--noise-frac", "0.01", "--seed", "3", "--points", "41",
+             "--output", csv])
+        lines = csv.read_text().split("\n")
+        n_mean, _, qi_err = lines[7].split(",")
+        lines[7] = f"{n_mean},1e-320,{qi_err}"
+        csv.write_text("\n".join(lines))
+        assert run(["fit-powersweep", csv, "--out", tmp_path]) == 1
+        assert read_json(tmp_path / "power.error.json")["error"] == (
+            "a weight qi**2/qi_err of the 1/Q data underflows to zero: qi is too small")
+        assert not (tmp_path / "power.power.json").exists()
 
     def test_flat_powersweep_writes_error_record(self, tmp_path):
         csv = tmp_path / "flat.csv"
@@ -418,6 +434,20 @@ class TestAfmCommand:
         assert run(["afm", grid, "--out", tmp_path]) == 0
         doc = read_json(tmp_path / "flat.afm.json")
         assert doc["r_q_m"] == 0.0
+
+    def test_one_dust_pixel_grid_fits_its_steps(self, tmp_path):
+        # a 50 nm pixel lies past the histogram's fences, so the 200 pm
+        # steps of the rest of the grid are fitted
+        grid = tmp_path / "dust.txt"
+        run(["synth", "afm", "--nx", "256", "--ny", "256", "--seed", "0", "--output", grid])
+        lines = grid.read_text().split("\n")
+        row = lines[101].split()
+        row[100] = "5e-08"
+        lines[101] = " ".join(row)
+        grid.write_text("\n".join(lines))
+        assert run(["afm", grid, "--fit-steps", "--out", tmp_path]) == 0
+        step = read_json(tmp_path / "dust.afm.json")["steps"]["mean_step_m"]
+        assert step == pytest.approx(2e-10, rel=0.05)
 
     def test_height_whose_square_overflows_is_recorded(self, tmp_path):
         # one pixel of 1e308 m: R_q read Infinity; its square overflows, so
@@ -800,6 +830,13 @@ class TestBatchErrors:
         out = tmp_path / "results"
         assert run(argv + ["--out", out]) == 1
         assert read_json(out / f"{name}.error.json")["error"]
+
+    def test_nan_row_is_recorded_with_its_line(self, tmp_path):
+        # two comment lines and the header, then the third data row
+        argv, name = OUTSIDE_INPUT_ERRORS["powersweep-nan-phonon-number"](tmp_path)
+        out = tmp_path / "results"
+        assert run(argv + ["--out", out]) == 1
+        assert read_json(out / f"{name}.error.json")["error"].startswith("line 6: ")
 
     @pytest.mark.parametrize("case", sorted(REFUSED_METADATA))
     def test_refused_metadata_is_recorded_with_its_line(self, tmp_path, case):

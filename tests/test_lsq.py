@@ -137,6 +137,27 @@ def test_initial_cost_that_is_not_finite_raises(value):
     assert len(evals) == 1
 
 
+def test_trial_cost_that_overflows_is_rejected_without_a_warning():
+    # every step away from p = 5 meets residuals of 1e200, finite but with
+    # squares that overflow: the trial cost is inf and the step rejected,
+    # where a cost taken as r @ r warned "overflow encountered in matmul"
+    def residual(p):
+        return np.array([p[0], 0.0]) if p[0] == 5.0 else np.full(2, 1e200)
+
+    res = fit_least_squares(residual, [5.0], jac=lambda p: np.array([[1.0], [0.0]]))
+    assert res.params.tolist() == [5.0] and res.cost == 25.0
+
+
+def test_cost_is_the_sum_of_squares_or_inf(rng):
+    # a fixed-order sum: equal to the plain sum of squares to rounding, inf
+    # for a residual that is nan, inf or has squares that overflow
+    r = rng.normal(size=12002)
+    assert lsq._cost(r) == pytest.approx(float(np.sum(r * r)), rel=1e-13)
+    for bad in (np.nan, np.inf, 1e200):
+        r[6001] = bad
+        assert lsq._cost(r) == np.inf
+
+
 @pytest.mark.parametrize("size", [1, 2, 7, 8, 255, 256])
 def test_median_is_np_median_bit_for_bit(rng, size):
     # ties and signed zeros too: np.median means the middle values from +0.0

@@ -7,13 +7,17 @@ with every RuntimeWarning raised as an error.  The mutations set one token
 1e-320, nan, inf or junk, cut a row short, swap two rows, or put a byte that
 is not UTF-8 in a row.  Each run must return 0 or 1 with nothing escaping
 ``main``, an exit 1 must leave an error record, and every JSON file written
-must parse with ``NaN`` and ``Infinity`` refused.
+must parse with ``NaN`` and ``Infinity`` refused.  Beside the fixed list,
+``hypothesis`` draws the line, the field and the token from a fixed seed, so
+rows the list never touches (the last row, an AFM pixel mid-grid) are
+mutated too.  No run may make LAPACK print an "illegal value" line.
 """
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sawkit.cli import main
 
@@ -135,22 +139,61 @@ def run_mutated(argv, out):
     return None
 
 
+@pytest.fixture(scope="module")
+def clean(tmp_path_factory):
+    """command -> (the argv before its input, its clean input, flags, the
+    input's bytes), each input written once."""
+    root = tmp_path_factory.mktemp("clean")
+    nb = root / "Nb3d.csv"  # the mutated O1s line is quantified against Nb3d
+    write_xps_line("Nb3d", 207.3, 5000.0, 2)(nb)
+    inputs = {}
+    for command, (write, flags, _, _) in INPUTS.items():
+        good = root / f"{command}.csv"
+        write(good)
+        argv = [command, str(nb)] if command == "xps-quant" else [command]
+        inputs[command] = argv, good, flags, good.read_bytes()
+    return inputs
+
+
+def assert_no_lapack_complaint(capfd):
+    out, err = capfd.readouterr()
+    assert "illegal value" not in out + err
+
+
 @pytest.mark.parametrize("command", sorted(INPUTS))
-def test_mutated_input_ends_in_a_report_or_an_error_record(tmp_path, command):
-    write, flags, token_lines, row = INPUTS[command]
-    good = tmp_path / "good.csv"
-    write(good)
-    argv = [command]
-    if command == "xps-quant":  # the mutated O1s line is quantified against Nb3d
-        nb = tmp_path / "Nb3d.csv"
-        write_xps_line("Nb3d", 207.3, 5000.0, 2)(nb)
-        argv.append(str(nb))
+def test_mutated_input_ends_in_a_report_or_an_error_record(tmp_path, capfd, clean, command):
+    argv, good, flags, data = clean[command]
+    _, _, token_lines, row = INPUTS[command]
     assert run_mutated(argv + [str(good)] + flags, tmp_path / "good") is None
     found = []
-    for i, (name, data) in enumerate(mutations(good.read_bytes(), token_lines, row)):
+    for i, (name, mutated) in enumerate(mutations(data, token_lines, row)):
         path = tmp_path / f"m{i}.csv"
-        path.write_bytes(data)
+        path.write_bytes(mutated)
         problem = run_mutated(argv + [str(path)] + flags, tmp_path / f"out{i}")
         if problem:
             found.append(f"{name}: {problem}")
     assert not found, "\n".join(found)
+    assert_no_lapack_complaint(capfd)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_drawn_mutation_ends_in_a_report_or_an_error_record(tmp_path, capfd, clean, data):
+    command = data.draw(st.sampled_from(sorted(INPUTS)), label="command")
+    argv, _, flags, text = clean[command]
+    lines = text.decode("utf-8").split("\n")[:-1]  # every input ends in a newline
+    number = data.draw(st.integers(1, len(lines)), label="line")
+    line = lines[number - 1]
+    n_fields = 1 if line.startswith("#") else len(line.split("," if "," in line else None))
+    field = data.draw(st.integers(0, n_fields - 1), label="field")
+    token = data.draw(st.sampled_from(TOKENS), label="token")
+    mutated, changed = set_token(line, field, token)
+    assert changed
+    lines[number - 1] = mutated
+    run = tmp_path / f"{command}-{number}-{field}-{token}"
+    run.mkdir(exist_ok=True)
+    path = run / "mutated.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_mutated(argv + [str(path)] + flags, run / "out") is None
+    assert_no_lapack_complaint(capfd)
