@@ -32,8 +32,8 @@ trace = synth_s11(f0, kappa, kappa_e, grid, noise_sigma=depth / 100, rng_seed=1)
 result = fit_resonance(trace)
 print(f"  f0 = {result.params.f0_hz / 1e6:.6f} MHz "
       f"(+/- {result.param_errors['f0_hz']:.1f} Hz)")
-print(f"  Qi = {result.qi:.0f}   Qe = {result.qe:.0f}   "
-      f"(generated: {qi:.0f} / {qe:.0f})")
+print(f"  Qi = {result.qi:.0f} +/- {result.qi_err:.0f}   "
+      f"Qe = {result.qe:.0f} +/- {result.qe_err:.0f}   (generated: {qi:.0f} / {qe:.0f})")
 print(f"  residual rms = {result.residual_rms:.2e}, "
       f"{result.n_iterations} iterations")
 

@@ -16,12 +16,12 @@ pieces of one point.
 A model that is a non-negative sum of nonlinear columns goes through
 :func:`fit_separable`, which searches only the column parameters and solves
 the coefficients (variable projection, Golub & Pereyra 1973).  Whatever
-Jacobian the steps took, every covariance is that of one Jacobian at the
-optimum (:func:`_scaled_covariance`): a separable fit's is
-``[(dB/dp) c, B]`` over its parameters and coefficients, the resonance
-fit's one numeric Jacobian of its residual (:func:`with_covariance`), and
-``tls.fit_fdelta``, solved in closed form, takes its 2x2 covariance from its
-own design matrix.  Every nested-model comparison comes from :func:`nested_gate`.
+Jacobian the steps took, every covariance in the package comes from
+:func:`_scaled_covariance` of one Jacobian at the optimum: a separable fit's
+``[(dB/dp) c, B]`` over its parameters and coefficients, the resonance fit's
+one :func:`numeric_jacobian` of its residual, and the weighted design matrix
+of ``tls.fit_fdelta``, solved in closed form.  Every nested-model comparison
+comes from :func:`nested_gate`.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ class LeastSquaresResult:
     residual: np.ndarray
     cost: float
     n_iterations: int
-    covariance: np.ndarray | None = None  # set by with_covariance
+    covariance: np.ndarray | None = None  # set by fit_separable
 
     @property
     def param_errors(self):
@@ -119,7 +119,7 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
     accepted step reached.  The Jacobian lives only until ``J'J`` and
     ``J'r`` are formed from it, so it is gone before the trial steps and
     before the next one is built.  It only steers the search; the caller
-    attaches the covariance of the optimum.
+    takes the covariance of the optimum from :func:`_scaled_covariance`.
 
     The normal equations are damped with the Marquardt scaling
     ``(J'J + lam * diag(J'J))`` and ``lam``, starting at ``LAM0``, is adapted:
@@ -188,16 +188,6 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
             return LeastSquaresResult(p, r, cost, n_iter)
 
     raise FitError(f"no convergence after {MAX_ITER} iterations (cost {cost:.3e})")
-
-
-def with_covariance(fun, res, x_scale):
-    """``res`` with the covariance of its optimum attached: one numeric
-    Jacobian of ``fun`` (which is ``res.residual`` at ``res.params``), steps as
-    in the fit, through :func:`_scaled_covariance`."""
-    x_scale = np.asarray(x_scale, dtype=float)
-    jac = numeric_jacobian(fun, res.params, r0=res.residual, x_scale=x_scale)
-    return replace(res, covariance=_scaled_covariance(
-        jac, res.cost, np.maximum(np.abs(res.params), x_scale)))
 
 
 def nested_gate(cost_small, big: LeastSquaresResult):

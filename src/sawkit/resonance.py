@@ -11,7 +11,8 @@ with angular detunings ``Delta = 2*pi*(f - f0)`` and
 plain Lorentzian reflection dip.  ``a`` is the background at ``f_ref``, which
 a fit sets to the centre of its grid and reports.  Fits minimize the summed
 squared complex residual (real and imaginary parts jointly), preserving the
-phase information a magnitude-only fit would discard.
+phase information a magnitude-only fit would discard.  Every delay rotation,
+the start-up estimate's too, is a :func:`_phasor` of ``2*pi*(f - f_ref)*tau``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import MAX_ITER, _one_slot, fit_least_squares, median, nested_gate, with_covariance
+from .lsq import (MAX_ITER, _one_slot, _scaled_covariance, fit_least_squares, median,
+                  nested_gate, numeric_jacobian)
 from .spectra import ComplexSpectrum
 
 
@@ -68,7 +70,9 @@ class ResonanceFitResult:
     params: ResonanceModelParams
     param_errors: dict
     qi: float
+    qi_err: float
     qe: float
+    qe_err: float
     residual_rms: float
     n_iterations: int
 
@@ -154,8 +158,10 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
     """Starting point for a fit: background, resonance position and widths.
 
     The background ``a * exp(i*2*pi*(f - f_ref)*tau)`` comes from the
-    off-resonant edge samples, with ``a`` at the grid centre ``f_ref``.
-    Dividing it out leaves ``dev = |1 - S11 / background|``, which equals
+    off-resonant edge samples, with ``a`` at the grid centre ``f_ref`` and
+    ``tau`` the slope of their phase by the fit's turn, a centred line; a
+    span whose squared turns overflow is a ``ValidationError``.  Dividing
+    it out leaves ``dev = |1 - S11 / background|``, which equals
     ``kappa_e / |i*Delta + kappa/2|`` on either side of critical coupling,
     so the peak of ``dev`` gives f0 and kappa_e and the full width at half
     maximum of ``dev**2`` gives kappa without choosing a coupling branch.
@@ -167,21 +173,23 @@ def estimate_initial_params(spectrum: ComplexSpectrum) -> ResonanceModelParams:
     n = freq.size
     fc = float(freq[(n - 1) // 2])
 
-    # background from the off-resonant edges: phase slope gives the delay
+    # background from the off-resonant edges: their phase slope gives the delay
     edge = max(5, n // 10)
     idx = np.concatenate([np.arange(edge), np.arange(n - edge, n)])
-    with np.errstate(over="ignore"):  # np.polyfit scales by this root sum of squares
-        if not np.isfinite(np.sum(freq[idx] ** 2)):
-            raise ValidationError(f"frequency span {freq[0]:.6g} Hz to {freq[-1]:.6g} Hz "
-                                  "is out of range: the squares of its frequencies overflow")
-    phase = np.unwrap(np.angle(spectrum.values[idx]))
-    slope, _ = np.polyfit(freq[idx], phase, 1)
-    tau = slope / (2.0 * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        turn = 2.0 * np.pi * (freq - fc)
+        t = turn[idx] - np.mean(turn[idx])
+        t2 = np.sum(t * t)
+    if not 0.0 < t2 < np.inf:
+        raise ValidationError(f"frequency span {freq[0]:.6g} Hz to {freq[-1]:.6g} Hz is out of "
+                              "range: its squared offsets from the centre overflow or vanish")
+    tau = np.sum(t * np.unwrap(np.angle(spectrum.values[idx]))) / t2
+    rot = _phasor(-tau * turn)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
-        a = np.mean(spectrum.values[idx] * np.exp(-1j * 2.0 * np.pi * (freq[idx] - fc) * tau))
+        a = np.mean(spectrum.values[idx] * rot[idx])
         if not abs(a) > 0.0:
             raise FitError("no resolvable dip: the off-resonant background vanishes")
-        dev = np.abs(1.0 - spectrum.values * np.exp(-1j * 2.0 * np.pi * (freq - fc) * tau) / a)
+        dev = np.abs(1.0 - spectrum.values * rot / a)
         if not np.isfinite(dev @ dev):
             raise FitError("sum of squared deviations from the background is not finite")
     smooth = _smooth(dev, max(3, n // 200))
@@ -311,7 +319,8 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     otherwise, or when it does not converge, the Lorentzian fit is reported
     with ``dark`` None and ``n_iterations`` counting both fits.  The LM steps
     use the exact Jacobian of the model; one-sigma uncertainties come from the
-    residual-variance-scaled covariance of a numeric Jacobian at the optimum.
+    ``lsq._scaled_covariance`` of one numeric Jacobian at the optimum, and
+    those of Qi and Qe from its (f0, kappa, kappa_e) block.
     Residual, Jacobian and model are products of the reciprocal denominator
     (keyed on f0, kappa and the dark mode) and the delay phasor (keyed on
     tau) of the last point evaluated (:func:`_fit_functions`).  The Jacobian
@@ -359,7 +368,9 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
         # establish a dark mode.  Below threshold the Lorentzian fit stands.
         if dark_fit is not None and nested_gate(res.cost, dark_fit)[1]:
             res, scale = _physical(dark_fit), dark_scale
-    res = with_covariance(residual, res, scale)
+    scale = np.maximum(np.abs(res.params), scale)
+    cov = _scaled_covariance(numeric_jacobian(residual, res.params, res.residual, scale),
+                             res.cost, scale)
 
     x = res.params.tolist()
     dark = None
@@ -370,11 +381,20 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     params = ResonanceModelParams(*x[:3], dark=dark, a=complex(*x[3:5]), tau_s=x[5],
                                   f_ref_hz=init.f_ref_hz)
     qi, qe = q_factors(params)
+    # the delta method on the (f0, kappa, kappa_e) block of the covariance,
+    # for Qi = 2*pi*f0 / (kappa - kappa_e) and Qe = 2*pi*f0 / kappa_e
+    f0, loss_i, kappa_e = res.params[0], res.params[1] - res.params[2], res.params[2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused by key
+        grads = np.array([[qi / f0, -qi / loss_i, qi / loss_i], [qe / f0, 0.0, -qe / kappa_e]])
+        q_var = np.einsum("ij,jk,ik->i", grads, cov[:3, :3], grads)
+    qi_err, qe_err = np.sqrt(np.clip(q_var, 0.0, None)).tolist()
     return ResonanceFitResult(
         params=params,
-        param_errors=dict(zip(err_keys, res.param_errors.tolist())),
+        param_errors=dict(zip(err_keys, np.sqrt(np.clip(np.diag(cov), 0.0, None)).tolist())),
         qi=float(qi),
+        qi_err=qi_err,
         qe=float(qe),
+        qe_err=qe_err,
         residual_rms=float(np.sqrt(res.cost / freq.size)),
         n_iterations=n_iterations,
     )

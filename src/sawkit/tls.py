@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_separable, nested_gate
+from .lsq import _scaled_covariance, fit_separable, nested_gate
 
 HBAR = 1.054571817e-34  # J s (exact SI)
 KB = 1.380649e-23       # J / K (exact SI)
@@ -125,9 +125,9 @@ def fit_fdelta(series) -> TlsFitResult:
     The model ``f0(T) = c + c*F_delta*shape(T)`` is linear in ``c``, the
     mode frequency at the reference temperature, and in ``c*F_delta``, so
     the weighted least-squares solution is closed form and the error of
-    ``F_delta`` comes from their 2x2 covariance.  The bracket inside
-    ``shape`` takes the frequency of the sweep point closest to the
-    reference temperature, which changes the shift only at second order.
+    ``F_delta`` comes from their 2x2 covariance (``lsq._scaled_covariance``).  The
+    bracket inside ``shape`` takes the frequency of the sweep point closest to
+    the reference temperature, which changes the shift only at second order.
     """
     t = np.asarray(series.temperatures_k, dtype=float)
     f0 = np.asarray(series.f0_hz, dtype=float)
@@ -150,9 +150,9 @@ def fit_fdelta(series) -> TlsFitResult:
     f_delta = d / c
 
     resid = f0 - c - d * shape
-    dof = max(1, t.size - 2)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        cov = np.linalg.inv(design.T @ design) * float(np.sum((resid * sw) ** 2)) / dof
+        cov = _scaled_covariance(design, float(np.sum((resid * sw) ** 2)),
+                                 1.0 / np.linalg.norm(design, axis=0))
         grad = np.array([-d / c**2, 1.0 / c])
         f_delta_err = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
     if not np.isfinite(f_delta_err):

@@ -885,7 +885,7 @@ RESONANCE_KEYS = """
     params params.f0_hz params.kappa_hz params.kappa_e_hz params.a_re params.a_im
     params.tau_s params.f_ref_hz params.dark param_errors param_errors.f0_hz param_errors.kappa_hz
     param_errors.kappa_e_hz param_errors.a_re param_errors.a_im param_errors.tau_s
-    qi qe residual_rms n_iterations
+    qi qi_err qe qe_err residual_rms n_iterations
 """
 DARK_KEYS = """
     params.dark.f_dark_hz params.dark.gamma_hz params.dark.g_hz

@@ -156,6 +156,19 @@ class TestInitialEstimate:
         init = estimate_initial_params(sp)
         assert init.kappa_e_hz == pytest.approx(kappa_e, rel=0.2)
 
+    @pytest.mark.parametrize("grid", [np.linspace(1e200, 1.0001e200, 64),
+                                      np.linspace(-1.0, 1.0, 64) * 1e308,
+                                      np.linspace(0.0, 1e-170, 64)],
+                             ids=["far", "wide", "tiny"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_span_whose_squared_turns_overflow_or_vanish_refused(self, grid):
+        # the squared turns 2*pi*(f - fc) of the edges about their centroid
+        # overflow, or sum to zero: the span is named, before the flat trace
+        # could read as one with no dip or the slope divide by zero
+        sp = ComplexSpectrum(grid, np.ones(grid.size, complex))
+        with pytest.raises(ValidationError, match="frequency span .* is out of range"):
+            estimate_initial_params(sp)
+
     def test_truncated_dip_rejected(self):
         f0 = 6.9e8
         kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
@@ -202,7 +215,7 @@ def _delayed_draw(seed):
 #: one fitter of a noise draw per case of the seed-scatter test
 SIGMA_CASES = {"lorentzian": _lorentzian_draw, "dark_mode": _dark_mode_draw,
                "delayed": _delayed_draw}
-_BASE_KEYS = ("f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im", "tau_s")
+_BASE_KEYS = ("f0_hz", "kappa_hz", "kappa_e_hz", "a_re", "a_im", "tau_s", "qi", "qe")
 SIGMA_KEYS = (
     [pytest.param("lorentzian", k, id=k) for k in _BASE_KEYS]
     + [pytest.param("dark_mode", k, id=f"dark-{k}")
@@ -450,13 +463,14 @@ class TestFitResonance:
     @pytest.mark.parametrize("case,key", SIGMA_KEYS)
     def test_reported_sigma_matches_seed_scatter(self, case, key):
         # 30 noise draws of one trace: each reported one-sigma error has to
-        # match the scatter of the fitted values over the draws
-        fits = seed_fits(case)
-        values = []
-        for r in fits:
+        # match the scatter of the fitted values over the draws, Qi's and
+        # Qe's too
+        values, sigmas = [], []
+        for r in seed_fits(case):
             d = r.params.to_json_dict()
-            values.append({**d, **(d["dark"] or {})}[key])
-        assert_sigma_matches_scatter(values, [r.param_errors[key] for r in fits])
+            values.append({**d, **(d["dark"] or {}), "qi": r.qi, "qe": r.qe}[key])
+            sigmas.append({**r.param_errors, "qi": r.qi_err, "qe": r.qe_err}[key])
+        assert_sigma_matches_scatter(values, sigmas)
 
     def test_one_jacobian_per_iteration_and_one_for_the_covariance(self, monkeypatch):
         # the LM steps call the exact Jacobian once per iteration; the only
@@ -475,7 +489,7 @@ class TestFitResonance:
             return lsq_numeric_jacobian(*args, **kwargs)
 
         monkeypatch.setattr(resonance, "fit_least_squares", counted_fit)
-        monkeypatch.setattr(lsq, "numeric_jacobian", counted_numeric)
+        monkeypatch.setattr(resonance, "numeric_jacobian", counted_numeric)
         result = SIGMA_CASES["dark_mode"](0)
         assert len(exact) == result.n_iterations
         assert len(numeric) == 1
@@ -511,7 +525,7 @@ class TestFitResonance:
 
         monkeypatch.setattr(resonance, "_reciprocal", counted_reciprocal)
         monkeypatch.setattr(resonance, "fit_least_squares", counted_fit)
-        monkeypatch.setattr(lsq, "numeric_jacobian", counted_numeric)
+        monkeypatch.setattr(resonance, "numeric_jacobian", counted_numeric)
         SIGMA_CASES["dark_mode"](0)
         assert counts["search"] > 0
         assert counts["jacobian"] == 0

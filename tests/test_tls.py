@@ -92,6 +92,12 @@ class TestFrequencyShift:
             tls_frequency_shift(1e-5, 6.9e8, -0.01)
 
 
+def scatter_sweep(seed):
+    """One noise draw of the temperature sweep of the seed-scatter tests."""
+    return synth_temperature_sweep(2e-5, 6.9e8, np.linspace(0.010, 0.200, 30),
+                                   noise_sigma_hz=10.0, rng_seed=seed)
+
+
 class TestFitFdelta:
     def test_noiseless_roundtrip_exact(self):
         truth = 7.53e-5
@@ -132,12 +138,28 @@ class TestFitFdelta:
     def test_reported_sigma_matches_seed_scatter(self):
         # 300 noise draws: every point's noise, the reference point's too,
         # has to show up in each reported one-sigma error
-        t = np.linspace(0.010, 0.200, 30)
-        fits = [fit_fdelta(synth_temperature_sweep(2e-5, 6.9e8, t, noise_sigma_hz=10.0,
-                                                   rng_seed=seed))
-                for seed in range(300)]
+        fits = [fit_fdelta(scatter_sweep(seed)) for seed in range(300)]
         assert_sigma_matches_scatter([r.f_delta_tls for r in fits],
                                      [r.f_delta_err for r in fits])
+
+    def test_sigma_is_that_of_the_weighted_design(self):
+        # on the same draws, sigma = sqrt(g (D'D)^-1 g' s2) of the weighted
+        # design D = [1, shape] / err, the gradient g of F_delta = d / c by
+        # (c, d) and the residual variance s2
+        for seed in range(300):
+            series = scatter_sweep(seed)
+            result = fit_fdelta(series)
+            t, err, t_ref = series.temperatures_k, series.f0_err_hz, 0.200
+            f_ref = series.f0_hz[np.argmin(np.abs(t - t_ref))]
+            shape = tls_frequency_shift(1.0, f_ref, t, reference_temperature_k=t_ref)
+            design = np.column_stack([np.ones_like(t), shape]) / err[:, None]
+            c = result.f0_hz
+            d = result.f_delta_tls * c
+            resid = (series.f0_hz - c - d * shape) / err
+            s2 = resid @ resid / (t.size - 2)
+            grad = np.array([-d / c**2, 1.0 / c])
+            expected = np.sqrt(grad @ np.linalg.inv(design.T @ design) @ grad * s2)
+            assert result.f_delta_err == pytest.approx(expected, rel=1e-12), seed
 
     def test_table_values_recover_under_noise(self):
         # loss products spanning the reported device range
