@@ -6,7 +6,7 @@ the step result carries the histogram it was fitted to, for plotting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,18 +34,24 @@ def remove_line_tilt(image: AfmImage, order=1) -> AfmImage:
 
     Rows run along the fast axis.  The result is idempotent: residual rows
     are orthogonal to the polynomial basis, so a second pass changes nothing.
+    A row whose heights span more than the float range is a ValidationError.
     """
     if order not in (0, 1, 2):
         raise ValidationError("order must be 0, 1, or 2")
     h = image.heights_m
     nx = h.shape[1]
-    # anchor each row at its first pixel so constant rows flatten to an
-    # exact zero instead of least-squares roundoff
-    anchored = h - h[:, :1]
     x = np.linspace(-1.0, 1.0, nx)
     basis = np.vander(x, order + 1, increasing=True)  # (nx, order+1)
-    coef, *_ = np.linalg.lstsq(basis, anchored.T, rcond=None)
-    return AfmImage(anchored - (basis @ coef).T, image.pixel_pitch_m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        # anchor each row at its first pixel so constant rows flatten to an
+        # exact zero instead of least-squares roundoff
+        anchored = h - h[:, :1]
+        coef, *_ = np.linalg.lstsq(basis, anchored.T, rcond=None)
+        flat = anchored - (basis @ coef).T
+    if not np.all(np.isfinite(flat)):
+        raise ValidationError("the flattened heights are not finite: "
+                              "a row's heights span more than the float range")
+    return AfmImage(flat, image.pixel_pitch_m)
 
 
 def three_point_level(image: AfmImage, p1, p2, p3) -> AfmImage:
@@ -53,7 +59,8 @@ def three_point_level(image: AfmImage, p1, p2, p3) -> AfmImage:
 
     Points are (x, y) pixel coordinates and must not be collinear.  The
     subtracted plane passes exactly through the three median heights, so the
-    reference terrace lands at zero.
+    reference terrace lands at zero.  Heights that overflow the plane or its
+    subtraction are a ValidationError.
     """
     h = image.heights_m
     dx, dy = image.pixel_pitch_m
@@ -66,13 +73,18 @@ def three_point_level(image: AfmImage, p1, p2, p3) -> AfmImage:
     if cross == 0:
         raise ValidationError("the three points are collinear")
     a = np.array([[px * dx, py * dy, 1.0] for px, py in pts])
-    # slicing clips the 3x3 window at the far edges, max(..., 0) at the near
-    z = np.array([median(h[max(py - 1, 0):py + 2, max(px - 1, 0):px + 2])
-                  for px, py in pts])
-    cx, cy, c0 = np.linalg.solve(a, z)
     xs = np.arange(image.nx) * dx
     ys = np.arange(image.ny)[:, None] * dy
-    return AfmImage(h - (cx * xs + cy * ys + c0), image.pixel_pitch_m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        # slicing clips the 3x3 window at the far edges, max(..., 0) at the near
+        z = np.array([median(h[max(py - 1, 0):py + 2, max(px - 1, 0):px + 2])
+                      for px, py in pts])
+        cx, cy, c0 = np.linalg.solve(a, z)
+        leveled = h - (cx * xs + cy * ys + c0)
+    if not np.all(np.isfinite(leveled)):
+        raise ValidationError("the leveled heights are not finite: "
+                              "the heights span more than the float range")
+    return AfmImage(leveled, image.pixel_pitch_m)
 
 
 def rms_roughness(image: AfmImage) -> float:
@@ -105,7 +117,7 @@ class StepHeightResult:
     mean_step_err_m: float    # one sigma, from the fit covariance
     unequal_delta_chi2: float  # cost drop of free centers below the comb, in residual variances
     equal_steps: bool         # that drop stayed under lsq.NESTED_MIN_CHI2
-    histogram: tuple = field(default=(), repr=False)  # fitted (bin centers, counts); no JSON
+    histogram: tuple = field(default=(), repr=False)  # fitted (bin centers, counts), for plots
 
     def __post_init__(self):
         if self.sigma_m <= 0:
@@ -116,9 +128,6 @@ class StepHeightResult:
     def evaluate(self, x):
         """The fitted histogram model (pixels per bin) at heights ``x``."""
         return _gaussians(x, self.centers_m, self.sigma_m) @ np.asarray(self.amplitudes)
-
-    def to_json_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
 
 
 def _sorted_percentile(h, q, rank=None):

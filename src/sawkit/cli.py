@@ -9,8 +9,11 @@ freed before the fit; the parser decodes them as it reads, so the whole
 text is never built.  xps-quant combines its inputs into one report; synth
 writes fixture files from ``--seed``.  Reports are canonical JSON (sorted
 keys, newline-terminated) and plots deterministic SVG, so reruns are
-byte-identical and CI diffs stay meaningful.  A failing input produces an ``<stem>.error.json`` record and,
-with ``--keep-going``, the batch continues; the exit code is 0 only when
+byte-identical and CI diffs stay meaningful.  An analysis hands its result
+dataclasses to the report as they are: the writer's one hook writes each as
+its fields, and ``_REPORT_KEYS`` lists every key that differs from its field
+and every field left out.  A failing input produces an ``<stem>.error.json``
+record and, with ``--keep-going``, the batch continues; the exit code is 0 only when
 every input succeeded.  ``main`` records a failed command, such as a batch
 with no input, as ``<command>.error.json`` under ``--out``.  Every failure
 is also reported on stderr, so one whose record cannot be written is still
@@ -47,13 +50,47 @@ TWO_PI = 2.0 * np.pi
 _parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
 
 
+#: report keys that differ from their result field's name, by (result type,
+#: field); None leaves the field out of the report
+_REPORT_KEYS = {
+    (tls.TlsFitResult, "reference_temperature_k"): "reference_temperature_K",
+    (tls.PowerModelParams, "temperature_k"): "temperature_K",
+    (xps.Band, "amplitude"): "area",
+    (xps.Band, "center_bound_ev"): None,
+    (afm_mod.StepHeightResult, "histogram"): None,
+}
+
+
+def _report_fields(obj):
+    """``json.dumps``' hook: a result dataclass as its fields under their
+    report keys (:data:`_REPORT_KEYS`), a complex field ``x`` as ``x_re`` and
+    ``x_im``; a numpy array or scalar as its Python value."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if not dataclasses.is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not a report value")
+    doc = {}
+    for f in dataclasses.fields(obj):
+        key, value = _REPORT_KEYS.get((type(obj), f.name), f.name), getattr(obj, f.name)
+        if key is None:
+            continue
+        if isinstance(value, complex):
+            doc[f"{key}_re"], doc[f"{key}_im"] = value.real, value.imag
+        else:
+            doc[key] = value
+    return doc
+
+
 def _canonical_json(obj) -> str:
-    """``obj`` as sorted, indented JSON; a number that is nan or infinite,
-    which JSON cannot hold, is a SawkitError naming its key."""
+    """``obj`` as sorted, indented JSON, its result dataclasses written by
+    :func:`_report_fields`; a number that is nan or infinite, which JSON
+    cannot hold, is a SawkitError naming its key."""
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_report_fields) + "\n"
     except ValueError:
-        raise SawkitError(f"{_non_finite_key(obj)} is not a finite number") from None
+        plain = json.loads(json.dumps(obj, default=_report_fields))
+        raise SawkitError(f"{_non_finite_key(plain)} is not a finite number") from None
 
 
 def _non_finite_key(obj, path="report"):
@@ -171,7 +208,7 @@ def _fit_resonance(args, read):
     spectrum = spectra.parse_s11_csv(read())
     model = "dark_mode" if args.model == "dark" else "lorentzian"
     result = resonance.fit_resonance(spectrum, model_kind=model)
-    return result.to_json_dict(), lambda: _resonance_panels(spectrum, result)
+    return result, lambda: _resonance_panels(spectrum, result)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +232,7 @@ def _fit_tempsweep(args, read):
         panel.add_line(grid, model, label="fit")
         return [panel]
 
-    return result.to_json_dict(), panels
+    return result, panels
 
 
 def _fit_powersweep(args, read):
@@ -212,7 +249,7 @@ def _fit_powersweep(args, read):
                        tls.qi_power_model(result.params, grid), label="fit")
         return [panel]
 
-    return result.to_json_dict(), panels
+    return result, panels
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +335,15 @@ def cmd_xps_quant(args) -> int:
         panel.add_line(sh.binding_energy_ev, sh.background, label="background")
         if sp.element_line in band_cfg:
             fit = xps.fit_bands(sh.binding_energy_ev, sh.net, band_cfg[sp.element_line])
-            band_areas[sp.element_line] = [float(a) for a in fit.areas]
-            band_fits[sp.element_line] = fit.to_json_dict()
+            band_areas[sp.element_line] = fit.areas
+            band_fits[sp.element_line] = fit
             panel.add_line(sh.binding_energy_ev,
                            sh.background + fit.model.evaluate(sh.binding_energy_ev),
                            label="bands")
         panels.append(panel)
-    doc = xps.atomic_percentages(areas, table).to_json_dict()
-    doc["charge_shift_ev"] = shift
-    doc["areas"] = {k: float(v) for k, v in areas.items()}
-    doc["band_areas"] = band_areas
-    doc["band_fits"] = band_fits
+    doc = _report_fields(xps.atomic_percentages(areas, table)) | {
+        "charge_shift_ev": shift, "areas": areas, "band_areas": band_areas,
+        "band_fits": band_fits}
     _write_report(args, "xps_quant", doc, lambda: panels)
     return 0
 
@@ -339,7 +374,7 @@ def _afm(args, read):
     steps = None
     if args.fit_steps:
         steps = afm_mod.fit_step_heights(hist_img)
-        doc["steps"] = steps.to_json_dict()
+        doc["steps"] = steps
 
     def panels():
         centers, counts = (afm_mod.height_histogram(hist_img) if steps is None
@@ -376,7 +411,7 @@ def _walkoff(args, read):
     zeros = walkoff.find_zero_crossings(smoothed)
     tangencies = walkoff.find_tangencies(smoothed)
     doc = {
-        "zeros": [z.to_json_dict() for z in zeros],
+        "zeros": zeros,
         "tangencies": [{"theta_deg": t, "eta_deg": e} for t, e in tangencies],
         "half_width": args.half_width,
     }

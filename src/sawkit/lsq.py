@@ -105,10 +105,7 @@ def _cost(r):
 
 
 def _damped_step(a, g, d, lam):
-    try:
-        return np.linalg.solve(a + lam * np.diag(d), -g)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a + lam * np.diag(d), -g, rcond=None)[0]
+    return np.linalg.solve(a + lam * np.diag(d), -g)
 
 
 def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
@@ -136,8 +133,9 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
 
     ``n_iterations`` counts the iteration a stop happens in.  Raises
     FitError if the cost at ``p0`` is not finite (a residual that is nan or
-    inf, or whose square overflows), or if ``MAX_ITER`` iterations pass
-    without a stop.
+    inf, or whose square overflows), if ``J'J`` or ``J'r`` is not (a
+    Jacobian that is nan or inf, or whose products overflow), or if
+    ``MAX_ITER`` iterations pass without a stop.
     """
     p = np.asarray(p0, dtype=float).copy()
     n = p.size
@@ -153,9 +151,13 @@ def fit_least_squares(fun, p0, *, jac, lower=None, upper=None):
 
     for n_iter in range(1, MAX_ITER + 1):
         jac_p = jac(p)
-        a = jac_p.T @ jac_p
-        g = jac_p.T @ r
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            a = jac_p.T @ jac_p
+            g = jac_p.T @ r
         del jac_p  # gone before the trial steps and the next Jacobian
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+            raise FitError("J'J or J'r is not finite: the Jacobian holds nan or inf, "
+                           "or its products overflow")
         d = np.diag(a).copy()
         d[d <= 0] = max(d.max(), 1.0) * 1e-14
 

@@ -16,7 +16,7 @@ the start-up estimate's too, is a :func:`_phasor` of ``2*pi*(f - f_ref)*tau``.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class ResonanceModelParams:
             raise ValidationError("need 0 < kappa_e < kappa")
         object.__setattr__(self, "a", complex(self.a))
 
-    def to_json_dict(self):
-        doc = asdict(self)
-        a = doc.pop("a")
-        doc["a_re"], doc["a_im"] = a.real, a.imag
-        return doc
-
 
 @dataclass(frozen=True)
 class ResonanceFitResult:
@@ -79,9 +73,6 @@ class ResonanceFitResult:
     def __post_init__(self):
         if self.residual_rms < 0:
             raise ValidationError("residual_rms must be >= 0")
-
-    def to_json_dict(self):
-        return asdict(self) | {"params": self.params.to_json_dict()}
 
 
 def _reciprocal(freq_hz, f0_hz, kappa, f_dark_hz=None, gamma=0.0, g=0.0):

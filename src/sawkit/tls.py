@@ -15,7 +15,7 @@ only the critical phonon number and the exponent are searched.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,11 +113,6 @@ class TlsFitResult:
         if self.f_delta_err < 0:
             raise ValidationError("f_delta_err must be >= 0")
 
-    def to_json_dict(self):
-        doc = asdict(self)
-        doc["reference_temperature_K"] = doc.pop("reference_temperature_k")
-        return doc
-
 
 def fit_fdelta(series) -> TlsFitResult:
     """Extract the TLS loss product from a temperature sweep.
@@ -199,11 +194,6 @@ class PowerModelParams:
         if not 0.0 < self.beta <= 2.0:
             raise ValidationError("beta must lie in (0, 2]")
 
-    def to_json_dict(self):
-        doc = asdict(self)
-        doc["temperature_K"] = doc.pop("temperature_k")
-        return doc
-
 
 def _saturation(log_ratio, beta):
     """1 / sqrt(1 + (n/n_c)**beta) from ``ln(n/n_c)``, free of overflow."""
@@ -241,9 +231,6 @@ class PowerSweepFitResult:
     beta_unidentifiable: bool
     residual_rms: float
     n_iterations: int
-
-    def to_json_dict(self):
-        return asdict(self) | {"params": self.params.to_json_dict()}
 
 
 def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:

@@ -7,7 +7,7 @@ steering.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class ZeroCrossing:
     theta_deg: float
     slope_deg_per_deg: float
     uncertainty_deg: float
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 def _centered_slope(theta, eta, j):

@@ -11,7 +11,7 @@ and that one width pair and solves the areas.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -227,25 +227,19 @@ class BandModel:
 
 @dataclass(frozen=True)
 class BandFitResult:
-    model: BandModel           # fitted bands
-    areas: np.ndarray          # per-band areas (== fitted amplitudes)
+    bands: tuple               # fitted bands; a band's amplitude is its area
     area_errors: np.ndarray
     degenerate: bool           # any band with area uncertainty above its area
     residual_rms: float
     n_iterations: int
 
-    def to_json_dict(self):
-        return {
-            "bands": [
-                {"center_ev": b.center_ev, "sigma_ev": b.sigma_ev,
-                 "gamma_ev": b.gamma_ev, "mix": b.mix, "area": b.amplitude}
-                for b in self.model.bands
-            ],
-            "area_errors": [float(x) for x in self.area_errors],
-            "degenerate": self.degenerate,
-            "residual_rms": self.residual_rms,
-            "n_iterations": self.n_iterations,
-        }
+    @property
+    def model(self) -> BandModel:
+        return BandModel(self.bands)
+
+    @property
+    def areas(self) -> np.ndarray:
+        return np.array([b.amplitude for b in self.bands])
 
 
 def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
@@ -276,12 +270,12 @@ def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
         lower=[b.center_ev - b.center_bound_ev for b in bands] + [0.05 * grid_step] * 2,
         upper=[b.center_ev + b.center_bound_ev for b in bands] + [np.inf] * 2)
     centers, (sigma, gamma), areas = res.params[:n], res.params[n:n + 2], res.params[n + 2:]
-    fitted = BandModel(tuple(
+    fitted = tuple(
         replace(b, center_ev=float(c), sigma_ev=float(sigma), gamma_ev=float(gamma),
                 amplitude=float(a))
-        for b, c, a in zip(bands, centers, areas)))
+        for b, c, a in zip(bands, centers, areas))
     total_area = float(areas.sum())
-    for b in fitted.bands:
+    for b in fitted:
         width = b.mix * b.gamma_ev * 2.0 + (1.0 - b.mix) * b.sigma_ev * 2.355
         # a band carrying real area must stay broader than the grid; a band
         # fitted to (near) zero amplitude may shrink harmlessly
@@ -292,8 +286,7 @@ def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
     degenerate = bool(np.any(area_errors >
                              np.maximum(areas, 0.05 * total_area + 1e-3 * y_scale)))
     return BandFitResult(
-        model=fitted,
-        areas=areas,
+        bands=fitted,
         area_errors=area_errors,
         degenerate=degenerate,
         residual_rms=float(np.sqrt(res.cost / y.size)),
@@ -330,9 +323,6 @@ class XpsQuantReport:
             raise ValidationError(f"percentages must sum to 100, got {total!r}")
         object.__setattr__(self, "atomic_percent", dict(self.atomic_percent))
         object.__setattr__(self, "ratios_to_nb", dict(self.ratios_to_nb))
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 def atomic_percentages(integrated_areas, table: SensitivityTable) -> XpsQuantReport:

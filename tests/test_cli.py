@@ -191,6 +191,23 @@ class TestFitResonance:
         # from overflows its delay-turned product, with no warning either
         self.refuse_one_value(tmp_path, 5, "1.7e308", "1.7e308")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", ["lorentzian", "dark"])
+    @pytest.mark.parametrize("f0_hz", ["1e-150", "1e-155"])
+    def test_trace_whose_normal_equations_overflow_is_refused(self, tmp_path, f0_hz, model):
+        # the Jacobian's products overflow on these grids: at 1e-150 Hz the
+        # fit stopped in its first iteration and reported its start point,
+        # exit 0; at 1e-155 Hz the report was refused only by its
+        # param_errors.tau_s, after warnings
+        trace = tmp_path / "t.csv"
+        assert run(["synth", "s11", "--f0-hz", f0_hz, "--noise", "0.004", "--seed", "1",
+                    "--output", trace]) == 0
+        assert run(["fit-resonance", trace, "--model", model, "--out", tmp_path]) == 1
+        assert read_json(tmp_path / "t.error.json")["error"] == (
+            "J'J or J'r is not finite: the Jacobian holds nan or inf, "
+            "or its products overflow")
+        assert not (tmp_path / "t.fit.json").exists()
+
     def test_dark_model_flag(self, tmp_path):
         path = tmp_path / "d.csv"
         run(["synth", "s11", "--f0-hz", "679.564e6", "--qi", "6800", "--qe",
@@ -463,6 +480,31 @@ class TestAfmCommand:
         assert "R_q is not finite" in read_json(tmp_path / "big.error.json")["error"]
         assert not (tmp_path / "big.afm.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_row_whose_heights_span_past_the_float_range_is_recorded(self, tmp_path, order):
+        # every height is finite, but each row's -1.7e308 in column 0 and
+        # +1.7e308 from column 5 differ by more than the largest float: the
+        # row anchor overflowed with a warning, or without one the grid was
+        # refused as a "non-finite height"
+        rows = [["-1.7e308"] + ["0"] * 4 + ["1.7e308"] * 11 for _ in range(16)]
+        grid = tmp_path / "wide.txt"
+        grid.write_text("16 16 1e-9 1e-9\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+        assert run(["afm", grid, "--order", order, "--out", tmp_path]) == 1
+        assert read_json(tmp_path / "wide.error.json")["error"] == (
+            "the flattened heights are not finite: a row's heights span more than the float range")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_plane_through_heights_past_the_float_range_is_recorded(self, tmp_path):
+        # flat rows, the top half at -1.7e308 and the bottom at +1.7e308: each
+        # row flattens, but the plane through the three points overflows
+        rows = [[h] * 16 for h in ["-1.7e308"] * 8 + ["1.7e308"] * 8]
+        grid = tmp_path / "steep.txt"
+        grid.write_text("16 16 1e-9 1e-9\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+        assert run(["afm", grid, "--level-points", "1,1 10,1 1,12", "--out", tmp_path]) == 1
+        assert read_json(tmp_path / "steep.error.json")["error"] == (
+            "the leveled heights are not finite: the heights span more than the float range")
+
     def test_order_sets_the_row_polynomial(self, tmp_path):
         grid = tmp_path / "tilted.txt"
         assert run(["synth", "afm", "--nx", "64", "--ny", "64", "--tilt-x", "1e-11",
@@ -548,7 +590,7 @@ class TestAfmCommand:
         assert doc["leveled"] is True
         leveled = afm.three_point_level(parse_afm_grid(grid.read_text()),
                                         (5, 5), (5, 90), (20, 50))
-        assert doc["steps"] == json.loads(json.dumps(afm.fit_step_heights(leveled).to_json_dict()))
+        assert doc["steps"] == json.loads(cli._canonical_json(afm.fit_step_heights(leveled)))
         assert doc["steps"]["mean_step_m"] == pytest.approx(2e-10, rel=0.1)
 
 
@@ -740,6 +782,65 @@ REFUSED_METADATA = {
 }
 
 
+def input_text(command, text):
+    """``command`` on one input file that holds ``text``."""
+    def build(tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        return [command, path], "in"
+    return build
+
+
+def xps_on_an_empty_directory(tmp_path):
+    (tmp_path / "xps").mkdir()
+    return ["xps-quant", tmp_path / "xps"], "xps_quant"
+
+
+def powersweep_without_metadata(key):
+    """A power sweep without its ``# key=`` metadata line."""
+    def build(tmp_path):
+        sweep = tmp_path / "s.csv"
+        run(["synth", "powersweep", "--points", "20", "--output", sweep])
+        sweep.write_text("".join(line for line in sweep.read_text().splitlines(True)
+                                 if not line.startswith(f"# {key}=")))
+        return ["fit-powersweep", sweep], "s"
+    return build
+
+
+def xps_config(config):
+    return xps_with_config(json.dumps(config))
+
+
+#: user input refused with a cause -> (builder of (argv, error record stem),
+#: the error it records)
+INPUT_REFUSALS = {
+    "xps-one-element-window": (xps_config({"windows": {"Nb3d": [207.0]}}),
+                               "config: the Nb3d window must be [lo_ev, hi_ev]"),
+    "xps-window-outside-the-spectrum": (xps_config({"windows": {"Nb3d": [100.0, 110.0]}}),
+                                        "window endpoints must lie inside the spectrum"),
+    "xps-empty-sensitivity": (xps_config({"sensitivity": {}}), "sensitivity table is empty"),
+    "xps-zero-sensitivity-factor": (xps_config({"sensitivity": {"Nb3d": 0}}),
+                                    "sensitivity factor for Nb3d must be positive"),
+    "xps-zero-band-sigma": (xps_config({"bands": {"Nb3d": [{"center_ev": 207.3,
+                                                            "sigma_ev": 0}]}}),
+                            "band widths must be positive"),
+    "xps-band-mix-above-one": (xps_config({"bands": {"Nb3d": [{"center_ev": 207.3,
+                                                               "mix": 1.5}]}}),
+                               "mix must lie in [0, 1]"),
+    "xps-zero-center-bound": (xps_config({"bands": {"Nb3d": [{"center_ev": 207.3,
+                                                              "center_bound_ev": 0}]}}),
+                              "center bound must be positive"),
+    "xps-line-without-bands": (xps_config({"bands": {"O1s": []}}),
+                               "band model needs at least one band"),
+    "xps-empty-directory": (xps_on_an_empty_directory, "no XPS spectra found"),
+    "s11-only-comments": (input_text("fit-resonance", "# f0_hz=6.9e8\n# a note\n"),
+                          "missing header 'freq_hz,re,im'"),
+    "powersweep-without-f0": (powersweep_without_metadata("f0_hz"),
+                              "missing '# f0_hz=...' metadata line"),
+    "afm-empty-file": (input_text("afm", ""), "empty AFM grid file"),
+}
+
+
 def run_batch_with_bad_middle(tmp_path, command, keep_going, bad_bytes):
     """Run ``command`` over inputs a, b, c where b holds ``bad_bytes``."""
     suffix, write_good = PER_FILE_COMMANDS[command]
@@ -845,6 +946,14 @@ class TestBatchErrors:
         out = tmp_path / "results"
         assert run(argv + ["--out", out]) == 1
         assert read_json(out / f"{name}.error.json")["error"].startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("case", sorted(INPUT_REFUSALS))
+    def test_input_refusal_is_recorded_with_its_cause(self, tmp_path, case):
+        build, error = INPUT_REFUSALS[case]
+        argv, name = build(tmp_path)
+        out = tmp_path / "results"
+        assert run(argv + ["--out", out]) == 1
+        assert read_json(out / f"{name}.error.json")["error"] == error
 
 
 def key_paths(doc, path=""):

@@ -130,6 +130,20 @@ def test_iteration_cap_raises(monkeypatch):
         fit_least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jac)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+def test_jacobian_whose_normal_equations_are_not_finite_raises(entry, capfd):
+    # a nan, an inf or an overflowing product in J'J or J'r is refused before
+    # any step, with no warning: on a nan the fit stopped at its start point,
+    # and no lstsq fallback is left to print LAPACK's "illegal value" line
+    def jac(p):
+        return np.array([[entry, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    with pytest.raises(FitError, match="J'J or J'r is not finite"):
+        fit_least_squares(lambda p: np.array([p[0], p[0] - 1.0, p[1]]), [3.0, 2.0], jac=jac)
+    assert "illegal value" not in "".join(capfd.readouterr())
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
 def test_initial_cost_that_is_not_finite_raises(value):
     # 1e300 is finite, but its square is not: the fit is refused before any

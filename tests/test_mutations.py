@@ -4,9 +4,10 @@ One small input per command is written once; a fixed list of mutations is
 applied to it, and each mutated input runs in-process through ``cli.main``
 with every RuntimeWarning raised as an error.  The mutations set one token
 (a data field, a metadata value or an AFM header field) to 0, +-1e308,
-1e-320, nan, inf or junk, cut a row short, swap two rows, or put a byte that
-is not UTF-8 in a row.  Each run must return 0 or 1 with nothing escaping
-``main``, an exit 1 must leave an error record, and every JSON file written
+1e-320, nan, inf or junk, set a row's first and last fields to -1e308 and
+1e308, whose difference overflows, cut a row short, swap two rows, or put a
+byte that is not UTF-8 in a row.  Each run must return 0 or 1 with nothing
+escaping ``main``, an exit 1 must leave an error record, and every JSON file written
 must parse with ``NaN`` and ``Infinity`` refused.  Beside the fixed list,
 ``hypothesis`` draws the line, the field and the token from a fixed seed, so
 rows the list never touches (the last row, an AFM pixel mid-grid) are
@@ -101,10 +102,13 @@ def mutations(data, token_lines, row):
                 if changed:
                     yield f"line {number} field {field} = {token}", with_line(number, text)
     target = lines[row - 1]
+    sep = "," if "," in target else " "
+    inner = (target.split(sep) if sep == "," else target.split())[1:-1]
+    yield (f"line {row} first field -1e308, last 1e308",
+           with_line(row, sep.join(["-1e308", *inner, "1e308"])))
     middle = len(target) // 2
     yield f"line {row} cut at its middle", with_line(row, target[:middle])
-    yield f"line {row} without its last field", with_line(row, target.rpartition(
-        "," if "," in target else " ")[0])
+    yield f"line {row} without its last field", with_line(row, target.rpartition(sep)[0])
     swapped = list(lines)
     swapped[row - 1], swapped[row] = swapped[row], swapped[row - 1]
     yield f"lines {row} and {row + 1} swapped", "\n".join(swapped).encode("utf-8")

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize as scipy_optimize
 
-from sawkit import lsq, resonance
+from sawkit import cli, lsq, resonance
 from sawkit.errors import FitError, ValidationError
 from sawkit.lsq import fit_least_squares
 from sawkit.lsq import numeric_jacobian as lsq_numeric_jacobian
@@ -24,6 +25,11 @@ from sawkit.synth import synth_s11
 from conftest import assert_sigma_matches_scatter, dip_depth, rates_from_qs, resonance_grid
 
 TWO_PI = 2.0 * math.pi
+
+
+def report(result):
+    """``result`` as the report ``sawkit`` writes of it, read back."""
+    return json.loads(cli._canonical_json(result))
 
 
 def oracle_eval(f, f0, kappa, kappa_e, a=1.0, tau=0.0,
@@ -302,8 +308,8 @@ class TestFitResonance:
         kappa, kappa_e = rates_from_qs(f0, 6.8e3, 1.4e4)
         grid = np.linspace(f0 - 400e3, f0 + 400e3, 3001)
         sp = synth_s11(f0, kappa, kappa_e, grid, noise_sigma=0.005, rng_seed=2)
-        lorentz = fit_resonance(sp).to_json_dict()
-        dark = fit_resonance(sp, model_kind="dark_mode").to_json_dict()
+        lorentz = report(fit_resonance(sp))
+        dark = report(fit_resonance(sp, model_kind="dark_mode"))
         assert dark.pop("n_iterations") < lsq.MAX_ITER
         lorentz.pop("n_iterations")
         assert dark == lorentz
@@ -337,9 +343,9 @@ class TestFitResonance:
                 raise FitError("no convergence")
             return fit_least_squares(fun, p0, **kwargs)
 
-        lorentz = fit_resonance(sp).to_json_dict()
+        lorentz = report(fit_resonance(sp))
         monkeypatch.setattr(resonance, "fit_least_squares", dark_fit_fails)
-        dark = fit_resonance(sp, model_kind="dark_mode").to_json_dict()
+        dark = report(fit_resonance(sp, model_kind="dark_mode"))
         assert dark.pop("n_iterations") == lorentz.pop("n_iterations") + lsq.MAX_ITER
         assert dark == lorentz
 
@@ -467,7 +473,7 @@ class TestFitResonance:
         # Qe's too
         values, sigmas = [], []
         for r in seed_fits(case):
-            d = r.params.to_json_dict()
+            d = report(r.params)
             values.append({**d, **(d["dark"] or {}), "qi": r.qi, "qe": r.qe}[key])
             sigmas.append({**r.param_errors, "qi": r.qi_err, "qe": r.qe_err}[key])
         assert_sigma_matches_scatter(values, sigmas)

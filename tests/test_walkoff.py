@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sawkit import cli
 from sawkit.errors import ValidationError
 from sawkit.spectra import WalkoffCurve
 from sawkit.walkoff import (
@@ -109,7 +111,7 @@ class TestZeroCrossings:
     def test_crossing_at_an_exact_zero_last_sample(self, sign):
         th = theta_grid(1.0)
         zeros = find_zero_crossings(WalkoffCurve(th, sign * (th - 90.0)))
-        assert [z.to_json_dict() for z in zeros] == [
+        assert json.loads(cli._canonical_json(zeros)) == [
             {"theta_deg": 90.0, "slope_deg_per_deg": sign, "uncertainty_deg": 0.5}]
 
     def test_strictly_positive_curve_empty(self):
