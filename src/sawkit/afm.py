@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_separable, median, nested_gate
+from .lsq import fit_separable, median, nested_gate, sigma
 from .spectra import AfmImage
 
 #: histogram bins never get finer than this (10 pm)
@@ -119,12 +119,6 @@ class StepHeightResult:
     equal_steps: bool         # that drop stayed under lsq.NESTED_MIN_CHI2
     histogram: tuple = field(default=(), repr=False)  # fitted (bin centers, counts), for plots
 
-    def __post_init__(self):
-        if self.sigma_m <= 0:
-            raise ValidationError("fitted width must be positive")
-        if any(b <= a for a, b in zip(self.centers_m, self.centers_m[1:])):
-            raise ValidationError("centers must be strictly ascending")
-
     def evaluate(self, x):
         """The fitted histogram model (pixels per bin) at heights ``x``."""
         return _gaussians(x, self.centers_m, self.sigma_m) @ np.asarray(self.amplitudes)
@@ -198,26 +192,26 @@ def fit_step_heights(image: AfmImage) -> StepHeightResult:
     comb = fit_separable(lambda p: _gaussians(x, p[0] + k * p[1], p[2]), y,
                          [start.mean() - h0, h0, sigma0], x_scale=[sigma0] * 3,
                          lower=[x[0], 0.0, 0.5 * bin_w], upper=[x[-1], np.inf, np.inf])
-    (mu0, h, sigma), amps = comb.params[:3], comb.params[3:]
+    (mu0, h, width), amps = comb.params[:3], comb.params[3:]
     kept = (mu0 + k * h)[amps >= _MIN_AMPLITUDE_SHARE * amps.max()]
-    n_modes = 1 + int(np.sum(np.diff(kept) >= 2.0 * sigma))
+    n_modes = 1 + int(np.sum(np.diff(kept) >= 2.0 * width))
     if n_modes < 3:
         raise FitError(f"found {n_modes} resolvable height modes, need 3")
 
-    free = fit_separable(lambda p: _gaussians(x, p[:3], p[3]), y, [*(mu0 + k * h), sigma],
-                         x_scale=[sigma] * 4, lower=[-np.inf] * 3 + [0.5 * bin_w])
+    free = fit_separable(lambda p: _gaussians(x, p[:3], p[3]), y, [*(mu0 + k * h), width],
+                         x_scale=[width] * 4, lower=[-np.inf] * 3 + [0.5 * bin_w])
     delta_chi2, unequal = nested_gate(comb.cost, free)
     if not unequal:
-        centers, steps, err = mu0 + k * h, (h, h), comb.param_errors[1]
+        centers, steps, err = mu0 + k * h, (h, h), sigma(comb.covariance)[1]
     else:
-        centers, sigma, amps = free.params[:3], free.params[3], free.params[4:]
+        centers, width, amps = free.params[:3], free.params[3], free.params[4:]
         if not centers[0] < centers[1] < centers[2]:
             raise FitError("fitted modes degenerate: centers not distinct")
-        steps, cov = np.diff(centers), free.covariance
-        err = np.sqrt(max(cov[0, 0] + cov[2, 2] - 2.0 * cov[0, 2], 0.0)) / 2.0
+        # the mean step (c2 - c0) / 2 by the outer centers
+        steps, err = np.diff(centers), sigma(free.covariance[:3:2, :3:2], [-0.5, 0.5])
     return StepHeightResult(
         centers_m=tuple(float(c) for c in centers),
-        sigma_m=float(sigma),
+        sigma_m=float(width),
         amplitudes=tuple(float(a) for a in amps),
         step_heights_m=tuple(float(s) for s in steps),
         mean_step_m=float(np.mean(steps)),

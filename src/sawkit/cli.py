@@ -440,7 +440,11 @@ def cmd_synth(args) -> int:
 
 
 def _synth_text(args) -> str:
-    """The fixture file of kind ``args.kind``, drawn from ``args.seed``."""
+    """The fixture file of kind ``args.kind``, drawn from ``args.seed``; a
+    float flag that is nan or infinite is refused by name first."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.kind != "afm" and args.points < 1:
         raise ValidationError(f"--points must be >= 1, got {args.points}")
     if args.kind == "s11":

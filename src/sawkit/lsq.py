@@ -20,8 +20,9 @@ Jacobian the steps took, every covariance in the package comes from
 :func:`_scaled_covariance` of one Jacobian at the optimum: a separable fit's
 ``[(dB/dp) c, B]`` over its parameters and coefficients, the resonance fit's
 one :func:`numeric_jacobian` of its residual, and the weighted design matrix
-of ``tls.fit_fdelta``, solved in closed form.  Every nested-model comparison
-comes from :func:`nested_gate`.
+of ``tls.fit_fdelta``, solved in closed form.  Every reported sigma comes
+from :func:`sigma` on such a covariance, and every nested-model comparison
+from :func:`nested_gate`.
 """
 from __future__ import annotations
 
@@ -52,10 +53,6 @@ class LeastSquaresResult:
     cost: float
     n_iterations: int
     covariance: np.ndarray | None = None  # set by fit_separable
-
-    @property
-    def param_errors(self):
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
 def numeric_jacobian(fun, p, r0, x_scale):
@@ -310,3 +307,17 @@ def _scaled_covariance(jac, cost, scale):
     inv_w = 1.0 / np.maximum(w, floor)
     with np.errstate(over="ignore", invalid="ignore"):
         return (v * inv_w) @ v.T * np.outer(scale, scale) * s2
+
+
+def sigma(cov, grad=None):
+    """One-sigma errors from the covariance ``cov``: of its parameters, the
+    square roots of its diagonal, or, by the delta method, of the quantity
+    whose gradient is ``grad`` (a row, or one row per quantity),
+    ``sqrt(g cov g')``.  A variance that rounds below zero reads 0; one that
+    is infinite or nan gives that sigma, without a warning (``np.einsum``
+    sums an overflow as ``inf``), for the report to refuse by its key.
+    ``cov`` holds only the parameters ``grad`` touches, so a zero derivative
+    never multiplies an unrelated infinite variance into a nan.
+    """
+    var = np.diag(cov) if grad is None else np.einsum("...j,jk,...k->...", grad, cov, grad)
+    return np.sqrt(np.clip(var, 0.0, None))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .lsq import (MAX_ITER, _one_slot, _scaled_covariance, fit_least_squares, median,
-                  nested_gate, numeric_jacobian)
+                  nested_gate, numeric_jacobian, sigma)
 from .spectra import ComplexSpectrum
 
 
@@ -69,10 +69,6 @@ class ResonanceFitResult:
     qe_err: float
     residual_rms: float
     n_iterations: int
-
-    def __post_init__(self):
-        if self.residual_rms < 0:
-            raise ValidationError("residual_rms must be >= 0")
 
 
 def _reciprocal(freq_hz, f0_hz, kappa, f_dark_hz=None, gamma=0.0, g=0.0):
@@ -309,9 +305,9 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     fit is reported only when ``lsq.nested_gate`` resolves its cost drop;
     otherwise, or when it does not converge, the Lorentzian fit is reported
     with ``dark`` None and ``n_iterations`` counting both fits.  The LM steps
-    use the exact Jacobian of the model; one-sigma uncertainties come from the
-    ``lsq._scaled_covariance`` of one numeric Jacobian at the optimum, and
-    those of Qi and Qe from its (f0, kappa, kappa_e) block.
+    use the exact Jacobian of the model; every one-sigma uncertainty is
+    ``lsq.sigma`` of the ``lsq._scaled_covariance`` of one numeric Jacobian at
+    the optimum, those of Qi and Qe of its (f0, kappa, kappa_e) block.
     Residual, Jacobian and model are products of the reciprocal denominator
     (keyed on f0, kappa and the dark mode) and the delay phasor (keyed on
     tau) of the last point evaluated (:func:`_fit_functions`).  The Jacobian
@@ -372,20 +368,19 @@ def fit_resonance(spectrum: ComplexSpectrum, model_kind="lorentzian") -> Resonan
     params = ResonanceModelParams(*x[:3], dark=dark, a=complex(*x[3:5]), tau_s=x[5],
                                   f_ref_hz=init.f_ref_hz)
     qi, qe = q_factors(params)
-    # the delta method on the (f0, kappa, kappa_e) block of the covariance,
-    # for Qi = 2*pi*f0 / (kappa - kappa_e) and Qe = 2*pi*f0 / kappa_e
+    # Qi = 2*pi*f0 / (kappa - kappa_e) by (f0, kappa, kappa_e), and
+    # Qe = 2*pi*f0 / kappa_e by (f0, kappa_e)
     f0, loss_i, kappa_e = res.params[0], res.params[1] - res.params[2], res.params[2]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused by key
-        grads = np.array([[qi / f0, -qi / loss_i, qi / loss_i], [qe / f0, 0.0, -qe / kappa_e]])
-        q_var = np.einsum("ij,jk,ik->i", grads, cov[:3, :3], grads)
-    qi_err, qe_err = np.sqrt(np.clip(q_var, 0.0, None)).tolist()
+        qi_err = sigma(cov[:3, :3], [qi / f0, -qi / loss_i, qi / loss_i])
+        qe_err = sigma(cov[:3:2, :3:2], [qe / f0, -qe / kappa_e])
     return ResonanceFitResult(
         params=params,
-        param_errors=dict(zip(err_keys, np.sqrt(np.clip(np.diag(cov), 0.0, None)).tolist())),
+        param_errors=dict(zip(err_keys, sigma(cov).tolist())),
         qi=float(qi),
-        qi_err=qi_err,
+        qi_err=float(qi_err),
         qe=float(qe),
-        qe_err=qe_err,
+        qe_err=float(qe_err),
         residual_rms=float(np.sqrt(res.cost / freq.size)),
         n_iterations=n_iterations,
     )

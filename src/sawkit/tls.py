@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import _scaled_covariance, fit_separable, nested_gate
+from .lsq import _scaled_covariance, fit_separable, nested_gate, sigma
 
 HBAR = 1.054571817e-34  # J s (exact SI)
 KB = 1.380649e-23       # J / K (exact SI)
@@ -109,10 +109,6 @@ class TlsFitResult:
     #: set when the fitted loss product came out <= 0 (a warning, not an error)
     non_positive: bool = False
 
-    def __post_init__(self):
-        if self.f_delta_err < 0:
-            raise ValidationError("f_delta_err must be >= 0")
-
 
 def fit_fdelta(series) -> TlsFitResult:
     """Extract the TLS loss product from a temperature sweep.
@@ -120,9 +116,10 @@ def fit_fdelta(series) -> TlsFitResult:
     The model ``f0(T) = c + c*F_delta*shape(T)`` is linear in ``c``, the
     mode frequency at the reference temperature, and in ``c*F_delta``, so
     the weighted least-squares solution is closed form and the error of
-    ``F_delta`` comes from their 2x2 covariance (``lsq._scaled_covariance``).  The
-    bracket inside ``shape`` takes the frequency of the sweep point closest to
-    the reference temperature, which changes the shift only at second order.
+    ``F_delta`` is ``lsq.sigma`` of their 2x2 covariance
+    (``lsq._scaled_covariance``).  The bracket inside ``shape`` takes the
+    frequency of the sweep point closest to the reference temperature, which
+    changes the shift only at second order.
     """
     t = np.asarray(series.temperatures_k, dtype=float)
     f0 = np.asarray(series.f0_hz, dtype=float)
@@ -148,8 +145,7 @@ def fit_fdelta(series) -> TlsFitResult:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         cov = _scaled_covariance(design, float(np.sum((resid * sw) ** 2)),
                                  1.0 / np.linalg.norm(design, axis=0))
-        grad = np.array([-d / c**2, 1.0 / c])
-        f_delta_err = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+        f_delta_err = float(sigma(cov, [-d / c**2, 1.0 / c]))
     if not np.isfinite(f_delta_err):
         raise FitError("the error of F_delta is not finite: the squared f0 residuals overflow")
     return TlsFitResult(
@@ -299,12 +295,12 @@ def fit_power_sweep(series, fixed_beta=None) -> PowerSweepFitResult:
         raise FitError("the sweep shows no TLS saturation")
     n_c = np.exp(res.params[0])
     beta = beta0 if beta_fixed else res.params[1]
-    sigma = res.param_errors
+    err = sigma(res.covariance)
     errs = {
-        "f_delta_tls": float(sigma[-2]),
-        "n_c": float(n_c * sigma[0]),
-        "q_i_res": float(sigma[-1] / inv_q_res**2),
-        "beta": 0.0 if beta_fixed else float(sigma[1]),
+        "f_delta_tls": float(err[-2]),
+        "n_c": float(n_c * err[0]),
+        "q_i_res": float(err[-1] / inv_q_res**2),
+        "beta": 0.0 if beta_fixed else float(err[1]),
     }
     params = PowerModelParams(
         f_delta_tls=float(f_delta), n_c=float(n_c), beta=float(beta),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .lsq import fit_separable, median
+from .lsq import fit_separable, median, sigma
 from .spectra import XpsSpectrum
 
 #: literature binding energy of the Nb3d5/2 line in lithium niobate, used as
@@ -269,9 +269,9 @@ def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
         x_scale=[max(sigma0, gamma0)] * n + [sigma0, gamma0],
         lower=[b.center_ev - b.center_bound_ev for b in bands] + [0.05 * grid_step] * 2,
         upper=[b.center_ev + b.center_bound_ev for b in bands] + [np.inf] * 2)
-    centers, (sigma, gamma), areas = res.params[:n], res.params[n:n + 2], res.params[n + 2:]
+    centers, (sigma_ev, gamma_ev), areas = res.params[:n], res.params[n:n + 2], res.params[n + 2:]
     fitted = tuple(
-        replace(b, center_ev=float(c), sigma_ev=float(sigma), gamma_ev=float(gamma),
+        replace(b, center_ev=float(c), sigma_ev=float(sigma_ev), gamma_ev=float(gamma_ev),
                 amplitude=float(a))
         for b, c, a in zip(bands, centers, areas))
     total_area = float(areas.sum())
@@ -281,7 +281,7 @@ def fit_bands(be_ev, signal, model: BandModel) -> BandFitResult:
         # fitted to (near) zero amplitude may shrink harmlessly
         if width < grid_step and b.amplitude > 0.01 * max(total_area, 1e-30):
             raise FitError(f"band at {b.center_ev:.2f} eV collapsed below the grid step")
-    area_errors = res.param_errors[n + 2:]
+    area_errors = sigma(res.covariance)[n + 2:]
     y_scale = max(float(np.max(np.abs(y))), 1e-30)
     degenerate = bool(np.any(area_errors >
                              np.maximum(areas, 0.05 * total_area + 1e-3 * y_scale)))
@@ -314,15 +314,6 @@ class XpsQuantReport:
 
     atomic_percent: dict
     ratios_to_nb: dict
-
-    def __post_init__(self):
-        total = sum(self.atomic_percent.values())
-        if any(v < 0 for v in self.atomic_percent.values()):
-            raise ValidationError("percentages must be nonnegative")
-        if abs(total - 100.0) > 1e-9:
-            raise ValidationError(f"percentages must sum to 100, got {total!r}")
-        object.__setattr__(self, "atomic_percent", dict(self.atomic_percent))
-        object.__setattr__(self, "ratios_to_nb", dict(self.ratios_to_nb))
 
 
 def atomic_percentages(integrated_areas, table: SensitivityTable) -> XpsQuantReport:

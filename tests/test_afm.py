@@ -302,11 +302,15 @@ class TestStepHeights:
 
     def test_reported_sigma_matches_seed_scatter(self):
         # 40 noise draws at the benchmark's image size: each reported
-        # one-sigma step error has to match the scatter of the fitted steps
-        fits = [fit_step_heights(synth_terrace_image((256, 256), rng_seed=seed))
-                for seed in range(40)]
-        assert_sigma_matches_scatter([r.mean_step_m for r in fits],
-                                     [r.mean_step_err_m for r in fits])
+        # one-sigma step error has to match the scatter of the fitted steps,
+        # the comb's on equal steps and the free centers' on unequal ones
+        thirds = (1 / 3, 1 / 3, 1 / 3)
+        for images in (lambda seed: synth_terrace_image((256, 256), rng_seed=seed),
+                       lambda seed: terrace_image((0.0, 2e-10, 4.4e-10), thirds, seed)):
+            fits = [fit_step_heights(images(seed)) for seed in range(40)]
+            assert len({r.equal_steps for r in fits}) == 1
+            assert_sigma_matches_scatter([r.mean_step_m for r in fits],
+                                         [r.mean_step_err_m for r in fits])
 
     def test_model_accounts_for_every_pixel(self):
         img = terrace_image((0.0, 2e-10, 4e-10), (0.6, 0.25, 0.15), seed=2)

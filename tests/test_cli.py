@@ -81,6 +81,20 @@ class TestSynth:
         assert len(calls) == 1
         assert (tmp_path / "terraces.afm.svg").exists()
 
+    @pytest.mark.parametrize("kind, flag", [
+        ("s11", "--noise=nan"), ("afm", "--noise-m=nan"), ("s11", "--dark-delta-hz=inf"),
+        ("s11", "--dark-delta-hz=nan"), ("s11", "--dark-g-hz=nan"),
+        ("s11", "--span-linewidths=nan"), ("s11", "--noise=-inf"),
+        ("tempsweep", "--t-max-k=inf"), ("powersweep", "--n-max=inf"), ("afm", "--tilt-x=inf"),
+    ])
+    def test_non_finite_float_flag_is_refused_by_name(self, tmp_path, kind, flag):
+        # refused before anything is drawn: no fixture, no RuntimeWarning
+        assert run(["synth", kind, flag, "--out", tmp_path]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["synth.error.json"]
+        name = flag.split("=")[0]
+        assert read_json(tmp_path / "synth.error.json")["error"].startswith(
+            f"{name} must be finite, got ")
+
 
 class TestFitResonance:
     def synth_trace(self, tmp_path, name, seed=0, noise="0.004"):
@@ -807,6 +821,14 @@ def powersweep_without_metadata(key):
     return build
 
 
+def powersweep_fit_with(*flags):
+    """fit-powersweep with ``flags`` on a good sweep."""
+    def build(tmp_path):
+        PER_FILE_COMMANDS["fit-powersweep"][1](tmp_path / "s.csv", 1)
+        return ["fit-powersweep", tmp_path / "s.csv", *flags], "s"
+    return build
+
+
 def xps_config(config):
     return xps_with_config(json.dumps(config))
 
@@ -838,6 +860,16 @@ INPUT_REFUSALS = {
     "powersweep-without-f0": (powersweep_without_metadata("f0_hz"),
                               "missing '# f0_hz=...' metadata line"),
     "afm-empty-file": (input_text("afm", ""), "empty AFM grid file"),
+    "powersweep-fixed-beta-above-two": (powersweep_fit_with("--fixed-beta", "3"),
+                                        "fixed beta must lie in (0, 2]"),
+    "powersweep-zero-fixed-beta": (powersweep_fit_with("--fixed-beta", "0"),
+                                   "fixed beta must lie in (0, 2]"),
+    "powersweep-nan-fixed-beta": (powersweep_fit_with("--fixed-beta", "nan"),
+                                  "fixed beta must lie in (0, 2]"),
+    "synth-negative-n-c": (synth_with_flags("powersweep", "--n-c", "-1"),
+                           "power-model parameters must be positive"),
+    "synth-beta-above-two": (synth_with_flags("powersweep", "--beta", "3"),
+                             "beta must lie in (0, 2]"),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from sawkit import lsq
 from sawkit.errors import FitError
 from sawkit.lsq import (_scaled_covariance, fit_least_squares, fit_separable, nested_gate,
-                        numeric_jacobian)
+                        numeric_jacobian, sigma)
 
 
 def covariance_at_optimum(fun, res, x_scale):
@@ -391,6 +391,31 @@ def test_separable_takes_one_jacobian_per_iteration_and_one_for_the_covariance(
     x = np.linspace(0, 4, 60)
     sep = fit_separable(exp_basis(x), exp_plus_offset(x, rng, 0.5), [1.0], x_scale=[1.0])
     assert len(jacobians) == sep.n_iterations + 1
+
+
+def test_sigma_without_a_gradient_is_the_root_of_the_diagonal(rng):
+    a = rng.standard_normal((5, 5))
+    cov = a @ a.T
+    assert np.array_equal(sigma(cov), np.sqrt(np.diag(cov)))
+
+
+def test_sigma_of_gradient_rows_is_the_delta_method(rng):
+    a = rng.standard_normal((4, 4))
+    cov = a @ a.T
+    grad = rng.standard_normal((2, 4))
+    expected = [np.sqrt(g @ cov @ g) for g in grad]
+    assert sigma(cov, grad) == pytest.approx(expected, rel=1e-14)
+    assert sigma(cov, grad[0]) == pytest.approx(expected[0], rel=1e-14)
+
+
+def test_sigma_of_a_variance_that_rounds_negative_is_zero():
+    # a covariance made indefinite by roundoff: g C g' of g = (1, -1) sums,
+    # in any order and exactly, to -2 eps
+    eps = np.finfo(float).eps
+    cov = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]])
+    assert np.einsum("j,jk,k->", [1.0, -1.0], cov, [1.0, -1.0]) == -2.0 * eps
+    assert sigma(cov, [1.0, -1.0]) == 0.0
+    assert np.array_equal(sigma(np.diag([-1e-30, 4.0])), [0.0, 2.0])
 
 
 def test_nested_gate_counts_in_variances_of_the_larger_model():
